@@ -10,8 +10,10 @@ Layout, all little-endian:
                  order, and optional provenance metadata
     payload      float64 arrays concatenated in manifest order
 
-Round-trips are bit-exact. The positional table is rebuilt from the stored
-dimensions rather than serialized (it is a constant).
+The payload is the model's ``flat`` vector. Loading builds a zero model from
+the stored structure, checks the manifest against it, and fills ``flat`` in
+one copy. Round-trips are bit-exact. The positional table is rebuilt from the
+stored dimensions rather than serialized (it is a constant).
 """
 
 import json
@@ -19,9 +21,7 @@ import struct
 
 import numpy as np
 
-from . import lstm as L
-from . import transformer as T
-from .model import BypassProjection, ModelParams
+from .model import ModelParams
 
 MAGIC = b"LTPC"
 VERSION = 1
@@ -31,109 +31,27 @@ class CheckpointError(ValueError):
     """Raised for unreadable, truncated, or wrong-version checkpoint files."""
 
 
-def _structure(model: ModelParams) -> dict:
-    enc = model.encoder
-    return {
-        "lstm": [[p.input_size, p.hidden_size] for p in model.lstm_stack],
-        "encoder": None
-        if enc is None
-        else {
-            "input_size": enc.input_size,
-            "d_model": enc.d_model,
-            "n_layers": len(enc.layers),
-            "n_heads": enc.n_heads,
-            "d_ff": enc.layers[0].W_ff1.shape[1] if enc.layers else 4 * enc.d_model,
-            "max_len": enc.pos_table.shape[0],
-        },
-        "head": None
-        if model.head is None
-        else {
-            "d_model": model.head.W_a.shape[0],
-            "width": model.head.W_a.shape[1],
-            "pooling": model.head.pooling,
-        },
-        "bypass": None
-        if model.bypass is None
-        else {"in": model.bypass.W.shape[0], "out": model.bypass.W.shape[1]},
-        "lstm_enabled": model.lstm_enabled,
-        "transformer_enabled": model.transformer_enabled,
+def _manifest(model: ModelParams) -> list:
+    return [[name, list(arr.shape)] for name, arr in model.named_arrays()]
+
+
+def _header(model: ModelParams, metadata: dict | None) -> bytes:
+    header = {
+        "structure": model.structure(),
+        "manifest": _manifest(model),
+        "metadata": metadata or {},
     }
-
-
-def _zeros(shape):
-    return np.zeros(tuple(shape))
-
-
-def _build_from_structure(s: dict) -> ModelParams:
-    stack = []
-    for in_size, hidden in s["lstm"]:
-        layer = L.init_layer(in_size, hidden, _ZeroRng())
-        stack.append(layer)
-    encoder = None
-    if s["encoder"] is not None:
-        e = s["encoder"]
-        encoder = T.EncoderStack(
-            layers=[
-                T.init_encoder_layer(e["d_model"], e["d_ff"], _ZeroRng())
-                for _ in range(e["n_layers"])
-            ],
-            n_heads=e["n_heads"],
-            W_in=_zeros((e["input_size"], e["d_model"])),
-            b_in=_zeros((e["d_model"],)),
-            pos_table=T.positional_encoding(e["max_len"], e["d_model"]),
-        )
-    head = None
-    if s["head"] is not None:
-        h = s["head"]
-        head = T.PredictionHead(
-            W_a=_zeros((h["d_model"], h["width"])),
-            b_a=_zeros((h["width"],)),
-            W_b=_zeros((h["width"], 1)),
-            b_b=_zeros((1,)),
-            pooling=h["pooling"],
-        )
-    bypass = None
-    if s["bypass"] is not None:
-        bypass = BypassProjection(
-            W=_zeros((s["bypass"]["in"], s["bypass"]["out"])),
-            b=_zeros((s["bypass"]["out"],)),
-        )
-    return ModelParams(
-        lstm_stack=stack,
-        encoder=encoder,
-        head=head,
-        bypass=bypass,
-        lstm_enabled=s["lstm_enabled"],
-        transformer_enabled=s["transformer_enabled"],
-    )
-
-
-class _ZeroRng:
-    """Stands in for a SeededRng when shapes are all that matter."""
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return np.zeros(size if size is not None else ())
+    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
 
 
 def save_checkpoint(model: ModelParams, path, metadata: dict | None = None) -> int:
     """Write the checkpoint; returns total bytes written."""
-    manifest = [[name, list(arr.shape)] for name, arr in model.named_arrays()]
-    header = {
-        "structure": _structure(model),
-        "manifest": manifest,
-        "metadata": metadata or {},
-    }
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    payload = b"".join(
-        np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        for _, arr in model.named_arrays()
-    )
+    header = _header(model, metadata)
     blob = (
         MAGIC
-        + struct.pack("<I", VERSION)
-        + struct.pack("<Q", len(header_bytes))
-        + header_bytes
-        + payload
+        + struct.pack("<IQ", VERSION, len(header))
+        + header
+        + model.flat.astype("<f8", copy=False).tobytes()
     )
     with open(path, "wb") as fh:
         fh.write(blob)
@@ -145,42 +63,26 @@ def load_checkpoint(path) -> ModelParams:
         blob = fh.read()
     if len(blob) < 16 or blob[:4] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint (bad magic header)")
-    (version,) = struct.unpack("<I", blob[4:8])
+    version, header_len = struct.unpack("<IQ", blob[4:16])
     if version != VERSION:
         raise CheckpointError(
             f"{path}: unsupported checkpoint version {version}, expected {VERSION}"
         )
-    (header_len,) = struct.unpack("<Q", blob[8:16])
     if len(blob) < 16 + header_len:
         raise CheckpointError(f"{path}: truncated header")
     header = json.loads(blob[16 : 16 + header_len].decode())
-    model = _build_from_structure(header["structure"])
-    offset = 16 + header_len
-    arrays = dict(model.named_arrays())
-    for name, shape in header["manifest"]:
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = 8 * count
-        if offset + nbytes > len(blob):
-            raise CheckpointError(f"{path}: truncated payload at {name!r}")
-        values = np.frombuffer(blob[offset : offset + nbytes], dtype="<f8")
-        target = arrays.get(name)
-        if target is None or list(target.shape) != list(shape):
-            raise CheckpointError(f"{path}: manifest entry {name!r} does not fit")
-        target[...] = values.reshape(shape)
-        offset += nbytes
-    if offset != len(blob):
-        raise CheckpointError(f"{path}: {len(blob) - offset} trailing bytes")
+    model = ModelParams.from_structure(header["structure"])
+    if header["manifest"] != _manifest(model):
+        raise CheckpointError(f"{path}: manifest does not fit the stored structure")
+    extra = len(blob) - 16 - header_len - 8 * model.flat.size
+    if extra < 0:
+        raise CheckpointError(f"{path}: truncated payload, {-extra} bytes short")
+    if extra > 0:
+        raise CheckpointError(f"{path}: {extra} trailing bytes")
+    model.flat[...] = np.frombuffer(blob, "<f8", model.flat.size, 16 + header_len)
     return model
 
 
 def checkpoint_byte_length(model: ModelParams, metadata: dict | None = None) -> int:
     """Exact serialized size: 16 + header JSON length + 8 * element count."""
-    manifest = [[name, list(arr.shape)] for name, arr in model.named_arrays()]
-    header = {
-        "structure": _structure(model),
-        "manifest": manifest,
-        "metadata": metadata or {},
-    }
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    n_elements = sum(arr.size for _, arr in model.named_arrays())
-    return 16 + len(header_bytes) + 8 * n_elements
+    return 16 + len(_header(model, metadata)) + 8 * model.flat.size

@@ -17,36 +17,23 @@ DEFAULT_EPS = 1e-5
 REL_ERR_FLOOR = 1e-6
 
 
-def finite_difference_grads(loss_fn, params, eps: float = DEFAULT_EPS) -> dict:
-    """Numeric gradient of ``loss_fn()`` w.r.t. every array in ``params``.
+def finite_difference_grads(loss_fn, params: ModelParams, eps: float = DEFAULT_EPS) -> np.ndarray:
+    """Numeric gradient of ``loss_fn()`` w.r.t. ``params.flat``, packed the same way.
 
-    ``loss_fn`` must read the parameter arrays in place; each element is
-    nudged up and down by ``eps`` and restored.
+    ``loss_fn`` must read the parameter arrays in place; each element of
+    ``flat`` is nudged up and down by ``eps`` and restored.
     """
-    grads = {}
-    for name, arr in params.named_arrays():
-        g = np.zeros_like(arr)
-        flat = arr.reshape(-1)
-        g_flat = g.reshape(-1)
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + eps
-            up = loss_fn()
-            flat[i] = original - eps
-            down = loss_fn()
-            flat[i] = original
-            g_flat[i] = (up - down) / (2.0 * eps)
-        grads[name] = g
+    flat = params.flat
+    grads = np.zeros_like(flat)
+    for i in range(flat.size):
+        original = flat[i]
+        flat[i] = original + eps
+        up = loss_fn()
+        flat[i] = original - eps
+        down = loss_fn()
+        flat[i] = original
+        grads[i] = (up - down) / (2.0 * eps)
     return grads
-
-
-def max_relative_error(analytic: dict, numeric: dict) -> float:
-    worst = 0.0
-    for name, a in analytic.items():
-        n = numeric[name]
-        denom = np.maximum(np.abs(a) + np.abs(n), REL_ERR_FLOOR)
-        worst = max(worst, float(np.max(np.abs(a - n) / denom)))
-    return worst
 
 
 def check_model_gradients(model: ModelParams, windows, targets, eps=DEFAULT_EPS):
@@ -61,9 +48,10 @@ def check_model_gradients(model: ModelParams, windows, targets, eps=DEFAULT_EPS)
 
     preds, caches = forward_batch(windows, model)
     _, d_pred = mse_loss(preds, targets)
-    analytic = dict(backward_batch(d_pred, caches, model).named_arrays())
+    analytic = backward_batch(d_pred, caches, model).flat
     numeric = finite_difference_grads(loss_fn, model, eps)
-    return max_relative_error(analytic, numeric)
+    denom = np.maximum(np.abs(analytic) + np.abs(numeric), REL_ERR_FLOOR)
+    return float(np.max(np.abs(analytic - numeric) / denom))
 
 
 @dataclass

@@ -75,10 +75,6 @@ def init_layer(input_size: int, hidden_size: int, rng: SeededRng) -> LstmLayerPa
     )
 
 
-def zeros_like_layer(p: LstmLayerParams) -> LstmLayerParams:
-    return LstmLayerParams(**{n: np.zeros_like(a) for n, a in p.named_arrays()})
-
-
 @dataclass
 class LstmState:
     """Hidden and cell vectors carried between steps; shape (B, H)."""
@@ -180,7 +176,8 @@ def lstm_layer_backward(cache, d_hidden, p: LstmLayerParams):
             f"upstream gradient shape {d_hidden.shape} does not match "
             f"cache length {length} / hidden size {p.hidden_size}"
         )
-    g = zeros_like_layer(p)
+    # gradients accumulate over the time steps
+    g = LstmLayerParams(*(np.zeros_like(a) for _, a in p.named_arrays()))
     dX = np.zeros_like(cache["inputs"])
     dh_next = np.zeros_like(d_hidden[:, 0])
     dc_next = np.zeros_like(d_hidden[:, 0])

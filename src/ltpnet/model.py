@@ -8,11 +8,16 @@ Ablation variants are functional bypasses, not zeroed weights:
   dedicated bypass projection into the prediction head; no pooling happens
   because there is a single vector per window.
 
-Parameter traversal (``named_arrays``) defines a stable flat namespace used
-by the optimizers, gradient checks, and checkpoints. The positional table is
-a constant and never appears in it.
+Every ``ModelParams`` owns one contiguous float64 vector, ``flat``. Each array
+that ``named_arrays`` yields is a view into it, at the offset where the
+traversal reaches it: the LSTM layers first, then the encoder, the head and
+the bypass. Gradients from ``backward_batch`` are packed the same way, so the
+optimizers, gradient clipping, best-epoch snapshots, checkpoints and gradient
+checks all work on whole vectors. This module alone knows the layout. The
+positional table is a constant and never appears in it.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,12 +41,74 @@ class BypassProjection:
 
 @dataclass
 class ModelParams:
+    """The components of one model, with their arrays packed into ``flat``.
+
+    Construction copies the given components' arrays into a new ``flat`` and
+    rebuilds the components over views of it; the caller's components are
+    left as they were. ``copy.deepcopy`` and pickle go through the same path.
+    """
+
     lstm_stack: list = field(default_factory=list)
     encoder: T.EncoderStack | None = None
     head: T.PredictionHead | None = None
     bypass: BypassProjection | None = None
     lstm_enabled: bool = True
     transformer_enabled: bool = True
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.flat = np.concatenate(
+            [np.zeros(0)] + [np.ravel(arr) for _, arr in self.named_arrays()]
+        )
+        self.lstm_stack, self.encoder, self.head, self.bypass = _components(
+            self.structure(), _slicer(self.flat)
+        )
+
+    def __reduce__(self):
+        return ModelParams, (
+            self.lstm_stack, self.encoder, self.head, self.bypass,
+            self.lstm_enabled, self.transformer_enabled,
+        )
+
+    @classmethod
+    def from_structure(cls, s: dict) -> "ModelParams":
+        """A zero-valued model of the structure that ``structure()`` returns."""
+        parts = _components(s, lambda *shape: np.zeros(shape))
+        return cls(*parts, s["lstm_enabled"], s["transformer_enabled"])
+
+    @property
+    def lstm_size(self) -> int:
+        """Length of the LSTM prefix of ``flat``."""
+        return sum(arr.size for p in self.lstm_stack for _, arr in p.named_arrays())
+
+    def structure(self) -> dict:
+        """The dimensions that fix every array's shape, as plain JSON values."""
+        enc = self.encoder
+        return {
+            "lstm": [[p.input_size, p.hidden_size] for p in self.lstm_stack],
+            "encoder": None
+            if enc is None
+            else {
+                "input_size": enc.input_size,
+                "d_model": enc.d_model,
+                "n_layers": len(enc.layers),
+                "n_heads": enc.n_heads,
+                "d_ff": enc.layers[0].W_ff1.shape[1] if enc.layers else 4 * enc.d_model,
+                "max_len": enc.pos_table.shape[0],
+            },
+            "head": None
+            if self.head is None
+            else {
+                "d_model": self.head.W_a.shape[0],
+                "width": self.head.W_a.shape[1],
+                "pooling": self.head.pooling,
+            },
+            "bypass": None
+            if self.bypass is None
+            else {"in": self.bypass.W.shape[0], "out": self.bypass.W.shape[1]},
+            "lstm_enabled": self.lstm_enabled,
+            "transformer_enabled": self.transformer_enabled,
+        }
 
     def named_arrays(self):
         for i, layer in enumerate(self.lstm_stack):
@@ -58,17 +125,64 @@ class ModelParams:
                 yield f"bypass.{name}", arr
 
 
-def zeros_like_model(m: ModelParams) -> ModelParams:
-    return ModelParams(
-        lstm_stack=[L.zeros_like_layer(p) for p in m.lstm_stack],
-        encoder=T.zeros_like_encoder_stack(m.encoder) if m.encoder else None,
-        head=T.zeros_like_head(m.head) if m.head else None,
-        bypass=BypassProjection(np.zeros_like(m.bypass.W), np.zeros_like(m.bypass.b))
-        if m.bypass
-        else None,
-        lstm_enabled=m.lstm_enabled,
-        transformer_enabled=m.transformer_enabled,
-    )
+def _slicer(flat: np.ndarray):
+    """``take(*shape)``: the next view of ``flat``, in call order."""
+    offset = 0
+
+    def take(*shape):
+        nonlocal offset
+        size = math.prod(shape)
+        view = flat[offset : offset + size].reshape(shape)
+        offset += size
+        return view
+
+    return take
+
+
+def _components(s: dict, take):
+    """(lstm_stack, encoder, head, bypass) of structure ``s``.
+
+    ``take(*shape)`` supplies every array; it is called in ``named_arrays``
+    order, which is what lets ``_slicer`` lay the arrays out in ``flat``.
+    """
+    stack = [
+        L.LstmLayerParams(
+            W_xi=take(h, f), W_hi=take(h, h), W_ci=take(h, h), b_i=take(h),
+            W_xf=take(h, f), W_hf=take(h, h), W_cf=take(h, h), b_f=take(h),
+            W_xc=take(h, f), W_hc=take(h, h), b_c=take(h),
+            W_xo=take(h, f), W_ho=take(h, h), W_co=take(h, h), b_o=take(h),
+        )
+        for f, h in s["lstm"]
+    ]
+    encoder = None
+    if s["encoder"] is not None:
+        e = s["encoder"]
+        d, d_ff = e["d_model"], e["d_ff"]
+        W_in, b_in = take(e["input_size"], d), take(d)
+        layers = [
+            T.EncoderLayerParams(
+                W_q=take(d, d), W_k=take(d, d), W_v=take(d, d), W_o=take(d, d),
+                W_ff1=take(d, d_ff), b_ff1=take(d_ff), W_ff2=take(d_ff, d), b_ff2=take(d),
+                ln1_gain=take(d), ln1_bias=take(d), ln2_gain=take(d), ln2_bias=take(d),
+            )
+            for _ in range(e["n_layers"])
+        ]
+        encoder = T.EncoderStack(
+            layers=layers, n_heads=e["n_heads"], W_in=W_in, b_in=b_in,
+            pos_table=T.positional_encoding(e["max_len"], d),
+        )
+    head = None
+    if s["head"] is not None:
+        h = s["head"]
+        head = T.PredictionHead(
+            W_a=take(h["d_model"], h["width"]), b_a=take(h["width"]),
+            W_b=take(h["width"], 1), b_b=take(1), pooling=h["pooling"],
+        )
+    bypass = None
+    if s["bypass"] is not None:
+        b = s["bypass"]
+        bypass = BypassProjection(W=take(b["in"], b["out"]), b=take(b["out"]))
+    return stack, encoder, head, bypass
 
 
 def build_model(
@@ -163,25 +277,31 @@ def forward_full(window: np.ndarray, model: ModelParams):
 
 
 def backward_batch(d_preds: np.ndarray, caches: dict, model: ModelParams) -> ModelParams:
-    """Exact gradients of the batch predictions; mirrors ModelParams."""
+    """Exact gradients of the batch predictions, packed like ``model.flat``."""
     d_preds = np.atleast_1d(np.asarray(d_preds, dtype=np.float64))
-    grads = zeros_like_model(model)
+    lstm_grads, encoder_grads, bypass_grads = [], None, None
 
     if model.transformer_enabled:
-        d_encoded, grads.head = T.predict_backward(d_preds, caches["head"], model.head)
-        enc_grads, d_hidden = T.encoder_stack_backward(
+        d_encoded, head_grads = T.predict_backward(d_preds, caches["head"], model.head)
+        encoder_grads, d_hidden = T.encoder_stack_backward(
             d_encoded, caches["encoder"], model.encoder
         )
-        grads.encoder = enc_grads
     else:
-        d_projected, grads.head = T.head_backward(d_preds, caches["head"], model.head)
+        d_projected, head_grads = T.head_backward(d_preds, caches["head"], model.head)
         last_hidden = caches["bypass"]["last_hidden"]
-        grads.bypass.W = last_hidden.T @ d_projected
-        grads.bypass.b = d_projected.sum(axis=0)
+        bypass_grads = BypassProjection(
+            W=last_hidden.T @ d_projected, b=d_projected.sum(axis=0)
+        )
         d_hidden = np.zeros(caches["bypass"]["hidden_shape"])
         d_hidden[:, -1, :] = d_projected @ model.bypass.W.T
 
     if model.lstm_enabled:
-        layer_grads, _ = L.lstm_backward(caches["lstm"], d_hidden, model.lstm_stack)
-        grads.lstm_stack = layer_grads
-    return grads
+        lstm_grads, _ = L.lstm_backward(caches["lstm"], d_hidden, model.lstm_stack)
+    return ModelParams(
+        lstm_stack=lstm_grads,
+        encoder=encoder_grads,
+        head=head_grads,
+        bypass=bypass_grads,
+        lstm_enabled=model.lstm_enabled,
+        transformer_enabled=model.transformer_enabled,
+    )

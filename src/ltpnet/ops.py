@@ -1,8 +1,4 @@
-"""Dense float64 tensor primitives shared by every model component.
-
-Tensors are plain C-order ``numpy.float64`` arrays. All public operations
-validate shapes up front and keep outputs finite for finite inputs.
-"""
+"""Numerically safe activations shared by the model components."""
 
 import numpy as np
 
@@ -11,31 +7,9 @@ class ShapeMismatchError(ValueError):
     """Raised when operand shapes are incompatible."""
 
 
-def as_tensor(x) -> np.ndarray:
-    """Coerce to a contiguous float64 array."""
-    return np.ascontiguousarray(x, dtype=np.float64)
-
-
-def check_finite(x: np.ndarray, label: str = "tensor") -> np.ndarray:
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{label} contains non-finite values")
-    return x
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product c[i, j] = sum_p a[i, p] * b[p, j]."""
-    a = as_tensor(a)
-    b = as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeMismatchError(
-            f"cannot multiply shapes {a.shape} and {b.shape}"
-        )
-    return check_finite(a @ b, "matmul result")
-
-
 def sigmoid(x) -> np.ndarray:
     """Logistic function 1 / (1 + exp(-x)), overflow-safe on both tails."""
-    x = as_tensor(x)
+    x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -44,49 +18,9 @@ def sigmoid(x) -> np.ndarray:
     return out
 
 
-def tanh(x) -> np.ndarray:
-    return np.tanh(as_tensor(x))
-
-
-def relu(x) -> np.ndarray:
-    return np.maximum(as_tensor(x), 0.0)
-
-
-_ACTIVATIONS = {"sigmoid": sigmoid, "tanh": tanh, "relu": relu}
-
-
-def elementwise_activation(kind: str, x) -> np.ndarray:
-    """Apply a named activation element-wise. ``kind``: sigmoid | tanh | relu."""
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ValueError(f"unknown activation {kind!r}") from None
-    return fn(check_finite(as_tensor(x), "activation input"))
-
-
 def softmax(x, axis: int = -1) -> np.ndarray:
     """Normalized exponentials along ``axis``; max-subtracted for stability."""
-    x = as_tensor(x)
+    x = np.asarray(x, dtype=np.float64)
     shifted = x - np.max(x, axis=axis, keepdims=True)
     ex = np.exp(shifted)
     return ex / np.sum(ex, axis=axis, keepdims=True)
-
-
-def layer_norm(x, gain, bias, epsilon: float = 1e-5) -> np.ndarray:
-    """Normalize the last axis to zero mean / unit variance, then affine.
-
-    Uses population variance; ``epsilon`` sits inside the square root so a
-    constant slice normalizes to zeros instead of dividing by zero.
-    """
-    x = as_tensor(x)
-    gain = as_tensor(gain)
-    bias = as_tensor(bias)
-    if gain.shape != x.shape[-1:] or bias.shape != x.shape[-1:]:
-        raise ShapeMismatchError(
-            f"gain/bias shapes {gain.shape}/{bias.shape} do not match "
-            f"feature axis of {x.shape}"
-        )
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
-    return gain * (centered / np.sqrt(var + epsilon)) + bias

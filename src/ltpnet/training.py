@@ -13,7 +13,6 @@ relaxes its momentum factor toward a ceiling once per epoch:
 mu <- mu + rate * (mu_target - mu).
 """
 
-import copy
 import math
 import time
 from dataclasses import dataclass, replace
@@ -116,13 +115,10 @@ class SgdOptimizer:
         self.lstm_lr = lstm_lr
         self.transformer_lr = transformer_lr
 
-    def _lr(self, name):
-        return self.lstm_lr if name.startswith("lstm.") else self.transformer_lr
-
     def step(self, model: ModelParams, grads: ModelParams):
-        grad_map = dict(grads.named_arrays())
-        for name, arr in model.named_arrays():
-            arr -= self._lr(name) * grad_map[name]
+        n = model.lstm_size
+        model.flat[:n] -= self.lstm_lr * grads.flat[:n]
+        model.flat[n:] -= self.transformer_lr * grads.flat[n:]
 
     def advance_epoch(self):
         pass
@@ -135,22 +131,17 @@ class AdamOptimizer:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {}
-        self.v = {}
+        self.m = 0.0
+        self.v = 0.0
 
     def step(self, model: ModelParams, grads: ModelParams):
         self.t += 1
-        grad_map = dict(grads.named_arrays())
-        for name, arr in model.named_arrays():
-            g = grad_map[name]
-            if name not in self.m:
-                self.m[name] = np.zeros_like(arr)
-                self.v[name] = np.zeros_like(arr)
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            m_hat = self.m[name] / (1 - self.beta1**self.t)
-            v_hat = self.v[name] / (1 - self.beta2**self.t)
-            arr -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        g = grads.flat
+        self.m = self.beta1 * self.m + (1 - self.beta1) * g
+        self.v = self.beta2 * self.v + (1 - self.beta2) * g * g
+        m_hat = self.m / (1 - self.beta1**self.t)
+        v_hat = self.v / (1 - self.beta2**self.t)
+        model.flat -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def advance_epoch(self):
         pass
@@ -164,17 +155,11 @@ class AdaptiveMomentumOptimizer:
         self.mu = mu
         self.update_rate = update_rate
         self.mu_target = mu_target
-        self.velocity = {}
+        self.velocity = 0.0
 
     def step(self, model: ModelParams, grads: ModelParams):
-        grad_map = dict(grads.named_arrays())
-        for name, arr in model.named_arrays():
-            v = self.velocity.get(name)
-            if v is None:
-                v = np.zeros_like(arr)
-            v = self.mu * v - self.lr * grad_map[name]
-            self.velocity[name] = v
-            arr += v
+        self.velocity = self.mu * self.velocity - self.lr * grads.flat
+        model.flat += self.velocity
 
     def advance_epoch(self):
         self.mu = min(
@@ -182,9 +167,10 @@ class AdaptiveMomentumOptimizer:
         )
 
 
-def make_optimizer(cfg: TrainConfig):
+def make_optimizer(cfg: TrainConfig, hp: P.HyperparamPoint):
+    """The configured optimizer; SGD takes its component rates from ``hp``."""
     if cfg.optimizer == "sgd":
-        return SgdOptimizer(cfg.lstm_lr, cfg.transformer_lr)
+        return SgdOptimizer(hp.lstm_lr, hp.transformer_lr)
     if cfg.optimizer == "adam":
         return AdamOptimizer(cfg.adam_lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
     return AdaptiveMomentumOptimizer(
@@ -194,11 +180,9 @@ def make_optimizer(cfg: TrainConfig):
 
 def clip_gradients(grads: ModelParams, max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``."""
-    total = math.sqrt(sum(float(np.sum(a * a)) for _, a in grads.named_arrays()))
+    total = float(np.linalg.norm(grads.flat))
     if total > max_norm > 0:
-        scale = max_norm / total
-        for _, arr in grads.named_arrays():
-            arr *= scale
+        grads.flat *= max_norm / total
     return total
 
 
@@ -253,30 +237,6 @@ def carve_validation(train_indices: np.ndarray, fraction: float):
     return train_indices[: n - n_val], train_indices[n - n_val :]
 
 
-def build_model_from_point(
-    hp: P.HyperparamPoint,
-    n_features: int,
-    lookback: int,
-    cfg: TrainConfig,
-    rng: SeededRng,
-    lstm_enabled: bool = True,
-    transformer_enabled: bool = True,
-) -> ModelParams:
-    return build_model(
-        n_features=n_features,
-        lookback=lookback,
-        lstm_hidden=hp.lstm_hidden,
-        lstm_layers=cfg.lstm_layers,
-        transformer_layers=hp.transformer_layers,
-        attention_heads=hp.attention_heads,
-        d_model=hp.d_model,
-        head_width=cfg.head_width,
-        lstm_enabled=lstm_enabled,
-        transformer_enabled=transformer_enabled,
-        rng=rng,
-    )
-
-
 def train(
     dataset: WindowedDataset,
     split: SplitSpec,
@@ -287,7 +247,6 @@ def train(
     shuffle_rng: SeededRng | None = None,
     lstm_enabled: bool = True,
     transformer_enabled: bool = True,
-    model: ModelParams | None = None,
 ) -> TrainReport:
     """Mini-batch training with early stopping on a held-out tail."""
     cfg.validate()
@@ -297,22 +256,26 @@ def train(
     init_rng = init_rng or base.split(1)
     shuffle_rng = shuffle_rng or base.split(2)
 
-    if model is None:
-        model = build_model_from_point(
-            hp, dataset.n_features, dataset.lookback, cfg, init_rng,
-            lstm_enabled, transformer_enabled,
-        )
-    opt = make_optimizer(cfg)
-    if cfg.optimizer == "sgd":
-        # the resolved hyperparameter point owns the component rates
-        opt.lstm_lr = hp.lstm_lr
-        opt.transformer_lr = hp.transformer_lr
+    model = build_model(
+        n_features=dataset.n_features,
+        lookback=dataset.lookback,
+        lstm_hidden=hp.lstm_hidden,
+        lstm_layers=cfg.lstm_layers,
+        transformer_layers=hp.transformer_layers,
+        attention_heads=hp.attention_heads,
+        d_model=hp.d_model,
+        head_width=cfg.head_width,
+        lstm_enabled=lstm_enabled,
+        transformer_enabled=transformer_enabled,
+        rng=init_rng,
+    )
+    opt = make_optimizer(cfg, hp)
 
     inner_train, inner_val = carve_validation(split.train, cfg.val_fraction)
     stopper = EarlyStopping(cfg.patience, cfg.min_delta)
     train_losses, val_losses = [], []
     used = set()
-    best_params = copy.deepcopy(model)
+    best_flat = model.flat.copy()
     started = time.perf_counter()
     initial_mse = dataset_mse(dataset, inner_train, model)
 
@@ -341,12 +304,12 @@ def train(
         val_losses.append(val_loss)
         stopped_epoch = epoch
         if val_loss < stopper.best_value:
-            best_params = copy.deepcopy(model)
+            best_flat[...] = model.flat
         if stopper.update(epoch, val_loss):
             break
 
-    final_model = best_params if cfg.epochs > 0 else model
-    final_mse = dataset_mse(dataset, inner_train, final_model)
+    model.flat[...] = best_flat
+    final_mse = dataset_mse(dataset, inner_train, model)
     return TrainReport(
         train_losses=train_losses,
         val_losses=val_losses,
@@ -355,7 +318,7 @@ def train(
         train_mse_initial=initial_mse,
         train_mse_final=final_mse,
         wall_time_s=time.perf_counter() - started,
-        params=final_model,
+        params=model,
         used_train_indices=np.array(sorted(used), dtype=np.intp),
     )
 
@@ -374,56 +337,8 @@ def evaluate_on_indices(
 
 
 # ---------------------------------------------------------------------------
-# cross-validation, grid search, swarm search
+# grid search, swarm search
 # ---------------------------------------------------------------------------
-
-def cross_validate(
-    dataset: WindowedDataset,
-    folds: SplitSpec,
-    hp: P.HyperparamPoint,
-    cfg: TrainConfig,
-    rng: SeededRng | None = None,
-    train_fn=None,
-):
-    """Hold out each fold in turn; returns (per-fold reports, aggregates).
-
-    ``train_fn(dataset, fold_split, hp, cfg, rng) -> predictor`` can replace
-    the real training (e.g. with a trivial baseline) for diagnostics; the
-    predictor maps a window batch to predictions.
-    """
-    if folds.folds is None or len(folds.folds) < 2:
-        raise ValueError("need a SplitSpec with at least 2 folds")
-    rng = rng or SeededRng(cfg.seed)
-    reports = []
-    for k, holdout in enumerate(folds.folds):
-        train_idx = np.sort(
-            np.concatenate([f for j, f in enumerate(folds.folds) if j != k])
-        )
-        fold_split = SplitSpec(train=train_idx, test=holdout)
-        if train_fn is None:
-            result = train(dataset, fold_split, hp, cfg, rng=rng.split(k))
-            predictor = lambda w, m=result.params: forward_batch(w, m)[0]
-        else:
-            predictor = train_fn(dataset, fold_split, hp, cfg, rng.split(k))
-        preds = predictor(dataset.features[holdout])
-        stats = dataset.target_stats()
-        reports.append(
-            evaluate(
-                invert_standardization(preds, stats),
-                invert_standardization(dataset.targets[holdout], stats),
-                units=dataset.target_name,
-            )
-        )
-    aggregates = {}
-    for metric in ("mae", "mape", "rmse", "mse"):
-        values = [getattr(r, metric) for r in reports]
-        if any(v is None for v in values):
-            aggregates[metric] = {"mean": None, "std": None}
-        else:
-            arr = np.array(values)
-            aggregates[metric] = {"mean": float(arr.mean()), "std": float(arr.std())}
-    return reports, aggregates
-
 
 DEFAULT_GRID = {
     "lr": (1e-3, 1e-4),

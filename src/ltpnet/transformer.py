@@ -151,30 +151,6 @@ def init_prediction_head(d_model: int, width: int = 64, rng: SeededRng | None = 
     )
 
 
-def zeros_like_encoder_layer(p: EncoderLayerParams) -> EncoderLayerParams:
-    return EncoderLayerParams(**{n: np.zeros_like(a) for n, a in p.named_arrays()})
-
-
-def zeros_like_encoder_stack(s: EncoderStack) -> EncoderStack:
-    return EncoderStack(
-        layers=[zeros_like_encoder_layer(l) for l in s.layers],
-        n_heads=s.n_heads,
-        W_in=np.zeros_like(s.W_in),
-        b_in=np.zeros_like(s.b_in),
-        pos_table=s.pos_table,
-    )
-
-
-def zeros_like_head(h: PredictionHead) -> PredictionHead:
-    return PredictionHead(
-        W_a=np.zeros_like(h.W_a),
-        b_a=np.zeros_like(h.b_a),
-        W_b=np.zeros_like(h.W_b),
-        b_b=np.zeros_like(h.b_b),
-        pooling=h.pooling,
-    )
-
-
 # ---------------------------------------------------------------------------
 # attention
 # ---------------------------------------------------------------------------
@@ -333,16 +309,15 @@ def encoder_layer_backward(d_out, cache, p: EncoderLayerParams):
     d_out = np.asarray(d_out, dtype=np.float64)
     if d_out.ndim == 2:
         d_out = d_out[None]
-    g = zeros_like_encoder_layer(p)
-    d_s2, g.ln2_gain, g.ln2_bias = _layer_norm_bwd(d_out, cache["ln2"], p.ln2_gain)
+    d_s2, ln2_gain, ln2_bias = _layer_norm_bwd(d_out, cache["ln2"], p.ln2_gain)
     d_y1_ff, ff_grads = feed_forward_backward(d_s2, cache["ff"], p)
-    for name, val in ff_grads.items():
-        setattr(g, name, val)
     d_y1 = d_s2 + d_y1_ff
-    d_s1, g.ln1_gain, g.ln1_bias = _layer_norm_bwd(d_y1, cache["ln1"], p.ln1_gain)
+    d_s1, ln1_gain, ln1_bias = _layer_norm_bwd(d_y1, cache["ln1"], p.ln1_gain)
     d_x_attn, attn_grads = multi_head_attention_backward(d_s1, cache["attn"], p)
-    for name, val in attn_grads.items():
-        setattr(g, name, val)
+    g = EncoderLayerParams(
+        **attn_grads, **ff_grads,
+        ln1_gain=ln1_gain, ln1_bias=ln1_bias, ln2_gain=ln2_gain, ln2_bias=ln2_bias,
+    )
     return d_s1 + d_x_attn, g
 
 
@@ -383,15 +358,20 @@ def encoder_stack_backward(d_out, caches, stack: EncoderStack):
     single = d.ndim == 2
     if single:
         d = d[None]
-    g = zeros_like_encoder_stack(stack)
+    layer_grads = [None] * len(stack.layers)
     for idx in reversed(range(len(stack.layers))):
-        d, g.layers[idx] = encoder_layer_backward(
+        d, layer_grads[idx] = encoder_layer_backward(
             d, caches["layers"][idx], stack.layers[idx]
         )
     xb = caches["input"]
     flat = lambda a: a.reshape(-1, a.shape[-1])
-    g.W_in = flat(xb).T @ flat(d)
-    g.b_in = flat(d).sum(axis=0)
+    g = EncoderStack(
+        layers=layer_grads,
+        n_heads=stack.n_heads,
+        W_in=flat(xb).T @ flat(d),
+        b_in=flat(d).sum(axis=0),
+        pos_table=stack.pos_table,
+    )
     d_input = d @ stack.W_in.T
     return g, (d_input[0] if single else d_input)
 
@@ -406,13 +386,15 @@ def head_forward(pooled, head: PredictionHead):
 
 def head_backward(d_out, cache, head: PredictionHead):
     d = np.asarray(d_out, dtype=np.float64)[:, None]
-    g = zeros_like_head(head)
-    g.W_b = cache["act"].T @ d
-    g.b_b = d.sum(axis=0)
     d_act = d @ head.W_b.T
     d_pre = d_act * (cache["pre"] > 0)
-    g.W_a = cache["pooled"].T @ d_pre
-    g.b_a = d_pre.sum(axis=0)
+    g = PredictionHead(
+        W_a=cache["pooled"].T @ d_pre,
+        b_a=d_pre.sum(axis=0),
+        W_b=cache["act"].T @ d,
+        b_b=d.sum(axis=0),
+        pooling=head.pooling,
+    )
     d_pooled = d_pre @ head.W_a.T
     return d_pooled, g
 

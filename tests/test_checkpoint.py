@@ -1,5 +1,10 @@
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltpnet.checkpoint import (
     CheckpointError,
@@ -7,7 +12,7 @@ from ltpnet.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from ltpnet.model import build_model, forward_full, zeros_like_model
+from ltpnet.model import build_model, forward_batch, forward_full
 from ltpnet.rng import SeededRng
 
 
@@ -53,9 +58,6 @@ class TestRoundTrip:
                 np.testing.assert_array_equal(a, b)
 
     def test_metadata_preserved_in_header(self, tmp_path):
-        import json
-        import struct
-
         model = tiny_model(seed=5)
         path = tmp_path / "meta.ckpt"
         save_checkpoint(model, path, metadata={"init_seed": 5})
@@ -91,6 +93,32 @@ class TestErrors:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
 
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "tail.ckpt"
+        save_checkpoint(tiny_model(), path)
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        with pytest.raises(CheckpointError, match="8 trailing bytes"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("entry, field, value", [
+        (0, 0, "lstm.0.W_renamed"),  # a name the structure does not have
+        (3, 1, [5]),                 # lstm.0.b_i is (4,) in the structure
+    ])
+    def test_manifest_must_fit_structure(self, tmp_path, entry, field, value):
+        # The payload keeps its length, so only the manifest check can object.
+        path = tmp_path / "manifest.ckpt"
+        save_checkpoint(tiny_model(), path)
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack("<Q", blob[8:16])
+        header = json.loads(blob[16 : 16 + header_len])
+        header["manifest"][entry][field] = value
+        edited = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        path.write_bytes(
+            blob[:8] + struct.pack("<Q", len(edited)) + edited + blob[16 + header_len :]
+        )
+        with pytest.raises(CheckpointError, match="manifest"):
+            load_checkpoint(path)
+
 
 class TestByteLength:
     def test_written_length_matches_prediction(self, tmp_path):
@@ -103,10 +131,45 @@ class TestByteLength:
     def test_zeroed_reference_model_length_is_stable(self, tmp_path):
         # frozen for the zero-initialized reference tiny model: 16 byte
         # preamble + 1401 byte header + 8 * 1273 parameter payload
-        model = zeros_like_model(tiny_model(seed=0))
+        model = tiny_model(seed=0)
+        model.flat[...] = 0.0
         expected = checkpoint_byte_length(model)
         n_params = sum(a.size for _, a in model.named_arrays())
         assert n_params == 1273
         assert expected == 16 + 1401 + 8 * 1273
         path = tmp_path / "frozen.ckpt"
         assert save_checkpoint(model, path) == expected
+
+
+@st.composite
+def small_structures(draw):
+    """build_model arguments for a small random model of any variant."""
+    variant = draw(st.sampled_from(["full", "no-lstm", "no-transformer"]))
+    heads = draw(st.sampled_from([1, 2]))
+    return dict(
+        n_features=draw(st.integers(1, 3)),
+        lookback=draw(st.integers(1, 4)),
+        lstm_hidden=draw(st.integers(1, 4)),
+        lstm_layers=draw(st.integers(1, 3)),
+        transformer_layers=draw(st.integers(0, 2)),
+        attention_heads=heads,
+        d_model=2 * heads * draw(st.integers(1, 2)),
+        d_ff=draw(st.none() | st.integers(1, 5)),
+        head_width=draw(st.integers(1, 4)),
+        lstm_enabled=variant != "no-lstm",
+        transformer_enabled=variant != "no-transformer",
+        rng=SeededRng(draw(st.integers(0, 2**16))),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(args=small_structures(), data_seed=st.integers(0, 2**16))
+def test_round_trip_is_bit_exact_over_random_structures(tmp_path_factory, args, data_seed):
+    model = build_model(**args)
+    path = tmp_path_factory.mktemp("prop") / "model.ckpt"
+    assert save_checkpoint(model, path) == checkpoint_byte_length(model)
+    loaded = load_checkpoint(path)
+    assert loaded.structure() == model.structure()
+    assert loaded.flat.tobytes() == model.flat.tobytes()
+    windows = SeededRng(data_seed).uniform(-1, 1, (2, args["lookback"], args["n_features"]))
+    assert forward_batch(windows, loaded)[0].tobytes() == forward_batch(windows, model)[0].tobytes()

@@ -3,12 +3,15 @@ import pytest
 
 from ltpnet import lstm as L
 from ltpnet.gradcheck import REL_ERR_FLOOR, DEFAULT_EPS
+from ltpnet.model import ModelParams
 from ltpnet.ops import ShapeMismatchError
 from ltpnet.rng import SeededRng
 
 
 def zero_layer(input_size, hidden_size):
-    return L.zeros_like_layer(L.init_layer(input_size, hidden_size, SeededRng(0)))
+    model = ModelParams(lstm_stack=[L.init_layer(input_size, hidden_size, SeededRng(0))])
+    model.flat[...] = 0.0
+    return model.lstm_stack[0]
 
 
 def state(h, c):

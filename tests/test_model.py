@@ -1,8 +1,13 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
+from ltpnet import lstm as L
+from ltpnet.checkpoint import load_checkpoint, save_checkpoint
 from ltpnet.gradcheck import check_model_gradients
-from ltpnet.model import build_model, forward_batch, forward_full, zeros_like_model
+from ltpnet.model import ModelParams, backward_batch, build_model, forward_batch, forward_full
 from ltpnet.rng import SeededRng
 
 
@@ -21,7 +26,8 @@ class TestForward:
         for flags in (
             {}, {"lstm_enabled": False}, {"transformer_enabled": False},
         ):
-            model = zeros_like_model(tiny_model(**flags))
+            model = tiny_model(**flags)
+            model.flat[...] = 0.0
             window = SeededRng(1).uniform(-1, 1, (6, 2))
             pred, _ = forward_full(window, model)
             assert pred == 0.0, flags
@@ -81,9 +87,9 @@ class TestNamedArrays:
         assert not any(n.startswith("bypass.") for n in full_names)
         assert any(n.startswith("bypass.") for n in bypass_names)
 
-    def test_zeros_like_mirrors_structure(self):
+    def test_from_structure_mirrors_structure(self):
         model = tiny_model()
-        zeros = zeros_like_model(model)
+        zeros = ModelParams.from_structure(model.structure())
         model_names = [n for n, _ in model.named_arrays()]
         zero_names = [n for n, _ in zeros.named_arrays()]
         assert model_names == zero_names
@@ -113,3 +119,76 @@ class TestComposedGradients:
         windows = rng.uniform(-1, 1, (2, 6, 2))
         targets = rng.uniform(-1, 1, 2)
         assert check_model_gradients(model, windows, targets) < 1e-4
+
+
+def assert_views_into_flat(model):
+    """Every traversed array is a C-contiguous view of ``model.flat`` at its
+    traversal offset, and the arrays tile ``flat`` exactly."""
+    offset = 0
+    for name, arr in model.named_arrays():
+        assert arr.flags.c_contiguous, name
+        assert np.shares_memory(arr, model.flat), name
+        assert arr.ctypes.data == model.flat.ctypes.data + 8 * offset, name
+        offset += arr.size
+    assert offset == model.flat.size
+    assert model.flat.dtype == np.float64 and model.flat.flags.c_contiguous
+
+
+class TestFlatVector:
+    VARIANTS = ({}, {"lstm_enabled": False}, {"transformer_enabled": False})
+
+    def test_built_model(self):
+        for flags in self.VARIANTS:
+            assert_views_into_flat(tiny_model(seed=20, **flags))
+
+    def test_loaded_model(self, tmp_path):
+        for flags in self.VARIANTS:
+            path = tmp_path / "m.ckpt"
+            save_checkpoint(tiny_model(seed=21, **flags), path)
+            assert_views_into_flat(load_checkpoint(path))
+
+    def test_gradients(self):
+        for flags in self.VARIANTS:
+            model = tiny_model(seed=22, **flags)
+            windows = SeededRng(23).uniform(-1, 1, (3, 6, 2))
+            preds, caches = forward_batch(windows, model)
+            grads = backward_batch(np.ones(3), caches, model)
+            assert_views_into_flat(grads)
+            assert [n for n, _ in grads.named_arrays()] == [n for n, _ in model.named_arrays()]
+            assert grads.flat.size == model.flat.size
+
+    def test_deepcopy_and_pickle_own_their_flat(self):
+        model = tiny_model(seed=24)
+        for copied in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+            assert_views_into_flat(copied)
+            assert not np.shares_memory(copied.flat, model.flat)
+            np.testing.assert_array_equal(copied.flat, model.flat)
+            np.testing.assert_array_equal(
+                copied.encoder.pos_table, model.encoder.pos_table
+            )
+
+    def test_writes_through_flat_reach_the_arrays(self):
+        model = tiny_model(seed=25)
+        window = SeededRng(26).uniform(-1, 1, (6, 2))
+        model.flat[...] = 0.0
+        assert forward_full(window, model)[0] == 0.0
+        model.head.b_b[...] = 2.5
+        assert model.flat[-1] == 2.5
+        assert forward_full(window, model)[0] == 2.5
+
+    def test_construction_copies_the_given_components(self):
+        layer = L.init_layer(2, 3, SeededRng(27))
+        before = layer.W_xi
+        model = ModelParams(lstm_stack=[layer], encoder=None, head=None)
+        assert_views_into_flat(model)
+        assert layer.W_xi is before
+        assert not np.shares_memory(layer.W_xi, model.flat)
+        assert model.lstm_size == model.flat.size == 2 * 4 * 3 + 7 * 3 * 3 + 4 * 3
+
+    def test_lstm_prefix(self):
+        model = tiny_model(seed=28)
+        names = [n for n, _ in model.named_arrays()]
+        sizes = [a.size for _, a in model.named_arrays()]
+        n_lstm = sum(s for n, s in zip(names, sizes) if n.startswith("lstm."))
+        assert model.lstm_size == n_lstm
+        assert tiny_model(lstm_enabled=False).lstm_size == 0

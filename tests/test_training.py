@@ -10,7 +10,6 @@ from ltpnet.preprocessing import (
     SplitSpec,
     SyntheticSpec,
     build_dataset,
-    kfold_split,
     synthesize_series,
 )
 from ltpnet.rng import SeededRng
@@ -22,7 +21,6 @@ from ltpnet.training import (
     SgdOptimizer,
     TrainConfig,
     clip_gradients,
-    cross_validate,
     grid_search,
     mse_loss,
     pso_hyperparameter_search,
@@ -82,11 +80,8 @@ def single_param_model():
 
 
 def grads_like(model, fill):
-    from ltpnet.model import zeros_like_model
-
-    g = zeros_like_model(model)
-    for _, arr in g.named_arrays():
-        arr[...] = fill
+    g = copy.deepcopy(model)
+    g.flat[...] = fill
     return g
 
 
@@ -179,8 +174,7 @@ class TestAdaptiveMomentum:
         for _ in range(100):
             opt.step(model, g)
         limit = 0.001 * 1.0 / (1.0 - 0.9)
-        for _, v in opt.velocity.items():
-            np.testing.assert_allclose(np.abs(v), limit, rtol=0.01)
+        np.testing.assert_allclose(np.abs(opt.velocity), limit, rtol=0.01)
 
     def test_mu_adapts_per_epoch(self):
         opt = AdaptiveMomentumOptimizer(mu=0.9, update_rate=0.1, mu_target=0.99)
@@ -324,48 +318,6 @@ class TestTrain:
             )
             assert len(report.train_losses) == 2
             assert all(np.isfinite(v) for v in report.train_losses)
-
-
-class TestCrossValidate:
-    def test_requires_folds(self):
-        dataset, split, _ = tiny_dataset()
-        with pytest.raises(ValueError, match="folds"):
-            cross_validate(dataset, split, TINY_HP, tiny_cfg())
-
-    def test_five_folds_of_two(self):
-        dataset, split, _ = tiny_dataset(length=30, lookback=8)
-        # 10 training windows in 5 folds of 2
-        folded = kfold_split(SplitSpec(train=split.train[:10], test=split.test),
-                             k=5, rng=SeededRng(4))
-        reports, aggregates = cross_validate(
-            dataset, folded, TINY_HP, tiny_cfg(epochs=1), rng=SeededRng(5)
-        )
-        assert len(reports) == 5
-        assert all(r.n == 2 for r in reports)
-        assert set(aggregates) == {"mae", "mape", "rmse", "mse"}
-
-    def test_constant_predictor_oracle(self):
-        from ltpnet.preprocessing import make_windows, split_train_test
-
-        table = synthesize_series(
-            SyntheticSpec(length=40, feature_count=1, noise_std=0.05, seed=5)
-        )
-        # windows built without standardization carry identity stats, so the
-        # metrics stay in raw units
-        dataset = make_windows(table, "target", lookback=8)
-        dataset.targets[:] = 3.0
-        split = split_train_test(dataset.n_windows)
-        folded = kfold_split(split, k=5, rng=SeededRng(6))
-
-        def constant_train(ds, fold_split, hp, cfg, rng):
-            return lambda windows: np.full(len(windows), 2.0)
-
-        reports, aggregates = cross_validate(
-            dataset, folded, TINY_HP, tiny_cfg(), train_fn=constant_train
-        )
-        for r in reports:
-            np.testing.assert_allclose(r.mae, 1.0, atol=1e-12)
-        assert aggregates["mae"]["std"] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestGridSearch:

@@ -7,6 +7,13 @@ from ltpnet.ops import ShapeMismatchError
 from ltpnet.rng import SeededRng
 
 
+def zeroed(params):
+    """``params`` with every learnable array set to zero in place."""
+    for _, arr in params.named_arrays():
+        arr[...] = 0.0
+    return params
+
+
 class TestPositionalEncoding:
     def test_row_zero(self):
         table = T.positional_encoding(4, 8)
@@ -70,7 +77,7 @@ class TestMultiHeadAttention:
         return T.init_encoder_layer(d_model, 2 * d_model, rng)
 
     def test_zero_projections_give_zero(self):
-        p = T.zeros_like_encoder_layer(self._params(8, SeededRng(0)))
+        p = zeroed(self._params(8, SeededRng(0)))
         out, _ = T.multi_head_attention(SeededRng(1).uniform(-1, 1, (5, 8)), p, 2)
         np.testing.assert_array_equal(out, 0.0)
 
@@ -104,7 +111,7 @@ class TestMultiHeadAttention:
 
 class TestFeedForward:
     def test_zero_params(self):
-        p = T.zeros_like_encoder_layer(T.init_encoder_layer(4, 8, SeededRng(0)))
+        p = zeroed(T.init_encoder_layer(4, 8, SeededRng(0)))
         out, _ = T.feed_forward(np.ones((3, 4)), p)
         np.testing.assert_array_equal(out, 0.0)
 
@@ -130,7 +137,7 @@ class TestFeedForward:
 
 class TestEncoderLayer:
     def test_zero_sublayers_give_double_layer_norm(self):
-        p = T.zeros_like_encoder_layer(T.init_encoder_layer(6, 12, SeededRng(0)))
+        p = zeroed(T.init_encoder_layer(6, 12, SeededRng(0)))
         p.ln1_gain[:] = 1.0
         p.ln2_gain[:] = 1.0
         x = SeededRng(1).uniform(-2, 2, (3, 6))
@@ -191,12 +198,12 @@ class TestEncoderStack:
 
 class TestPredictionHead:
     def test_zero_head_outputs_zero(self):
-        head = T.zeros_like_head(T.init_prediction_head(8, 4, SeededRng(0)))
+        head = zeroed(T.init_prediction_head(8, 4, SeededRng(0)))
         out, _ = T.predict(np.ones((3, 8)), head)
         assert out == 0.0
 
     def test_bias_only(self):
-        head = T.zeros_like_head(T.init_prediction_head(8, 4, SeededRng(0)))
+        head = zeroed(T.init_prediction_head(8, 4, SeededRng(0)))
         head.b_b[:] = 5.0
         out, _ = T.predict(SeededRng(1).uniform(-1, 1, (3, 8)), head)
         np.testing.assert_allclose(out, 5.0)
