@@ -203,7 +203,11 @@ RUN_REPORT_SCHEMA = {
                 "flops_per_forward": {"type": "integer", "minimum": 0},
             },
         },
-        "training": {"type": "object", "required": ["stopped_epoch", "best_epoch"]},
+        "training": {
+            "type": "object",
+            "required": ["stopped_epoch", "best_epoch", "diverged"],
+            "properties": {"diverged": {"type": "boolean"}},
+        },
         "audit": {
             "type": "object",
             "required": ["train_batch_index_count", "test_overlap_count"],

@@ -7,18 +7,40 @@ state:
 
     i_t = sigmoid(W_xi x_t + W_hi h_{t-1} + W_ci c_{t-1} + b_i)
     f_t = sigmoid(W_xf x_t + W_hf h_{t-1} + W_cf c_{t-1} + b_f)
+    o_t = sigmoid(W_xo x_t + W_ho h_{t-1} + W_co c_{t-1} + b_o)
     g_t = tanh   (W_xc x_t + W_hc h_{t-1}              + b_c)
     c_t = f_t * c_{t-1} + i_t * g_t
-    o_t = sigmoid(W_xo x_t + W_ho h_{t-1} + W_co c_{t-1} + b_o)
     h_t = o_t * tanh(c_t)
 
-All operations carry a leading batch axis internally; single-window inputs
-(without the batch axis) are accepted and returned in kind. The backward pass
-accumulates gradients through time, including the cell-state paths into the
-three peephole terms of the following step.
+The parameters stay per gate (``LstmLayerParams``, views into the model's
+``flat`` vector). Every call concatenates them into fused matrices in gate
+order i, f, o, g, so the three sigmoid gates sit side by side: ``W_x``
+(4H, F), ``W_h`` (4H, H), ``b`` (4H), and ``W_c`` (3H, H), since the
+candidate g has no peephole. The fused copies are never kept across calls,
+because callers nudge the per-gate arrays in place between calls.
+
+A layer projects its whole input for all four gates in one GEMM over the
+B*L rows; each step then adds one ``h @ W_h.T`` and, on the sigmoid block,
+one ``c @ W_c.T``, then the bias. Inputs are batch-only: windows are
+(B, L, F) and upstream gradients (B, L, H). Internally time leads, and each
+layer's cache is a dict of stacked arrays, each value stored once:
+
+    "inputs"  (L, B, F)    the layer input (a view of the layer below's "h")
+    "h", "c"  (L+1, B, H)  [:-1] are h_{t-1}, c_{t-1}; [1:] are h_t, c_t
+    "gates"   (L, B, 3H)   i, f, o side by side  } views of one (L, B, 4H)
+    "g"       (L, B, H)    the candidate          } buffer, [i, f, o | g]
+    "tanh_c"  (L, B, H)
+
+The (L, B, 4H) buffer first holds the input projection; each step overwrites
+its slice with that step's activations, so the projection is not kept.
+
+The backward pass writes each step's four gate pre-activation gradients into
+one (L, B, 4H) buffer, carrying h and c gradients back with one GEMM each,
+and forms the weight and input gradients from that buffer after the loop.
 """
 
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,6 +97,25 @@ def init_layer(input_size: int, hidden_size: int, rng: SeededRng) -> LstmLayerPa
     )
 
 
+class FusedWeights(NamedTuple):
+    """One layer's gate weights stacked in gate order i, f, o, g."""
+
+    W_x: np.ndarray  # (4H, F)
+    W_h: np.ndarray  # (4H, H)
+    W_c: np.ndarray  # (3H, H); the candidate g has no peephole
+    b: np.ndarray  # (4H,)
+
+
+def fuse(p: LstmLayerParams) -> FusedWeights:
+    """Fresh fused copies of ``p``'s per-gate arrays."""
+    return FusedWeights(
+        W_x=np.concatenate([p.W_xi, p.W_xf, p.W_xo, p.W_xc]),
+        W_h=np.concatenate([p.W_hi, p.W_hf, p.W_ho, p.W_hc]),
+        W_c=np.concatenate([p.W_ci, p.W_cf, p.W_co]),
+        b=np.concatenate([p.b_i, p.b_f, p.b_o, p.b_c]),
+    )
+
+
 @dataclass
 class LstmState:
     """Hidden and cell vectors carried between steps; shape (B, H)."""
@@ -87,153 +128,153 @@ def zero_state(batch: int, hidden_size: int) -> LstmState:
     return LstmState(h=np.zeros((batch, hidden_size)), c=np.zeros((batch, hidden_size)))
 
 
-def _check_cell_shapes(x, state, p):
-    if x.shape[-1] != p.input_size:
-        raise ShapeMismatchError(
-            f"input size {x.shape[-1]} does not match layer input {p.input_size}"
-        )
-    if state.h.shape[-1] != p.hidden_size or state.c.shape[-1] != p.hidden_size:
-        raise ShapeMismatchError(
-            f"state sizes {state.h.shape[-1]}/{state.c.shape[-1]} do not match "
-            f"hidden size {p.hidden_size}"
-        )
+def lstm_cell_forward(act_t, state_prev: LstmState, w: FusedWeights):
+    """One step, computed in place in ``act_t`` (B, 4H).
 
-
-def lstm_cell_forward(x_t, state_prev: LstmState, p: LstmLayerParams):
-    """One step. Returns (LstmState, cache entry for the backward pass)."""
-    x_t = np.asarray(x_t, dtype=np.float64)
-    single = x_t.ndim == 1
-    x = x_t[None, :] if single else x_t
-    h_prev = np.atleast_2d(state_prev.h)
-    c_prev = np.atleast_2d(state_prev.c)
-    _check_cell_shapes(x, LstmState(h_prev, c_prev), p)
-
-    i = sigmoid(x @ p.W_xi.T + h_prev @ p.W_hi.T + c_prev @ p.W_ci.T + p.b_i)
-    f = sigmoid(x @ p.W_xf.T + h_prev @ p.W_hf.T + c_prev @ p.W_cf.T + p.b_f)
-    g = np.tanh(x @ p.W_xc.T + h_prev @ p.W_hc.T + p.b_c)
-    c = f * c_prev + i * g
-    o = sigmoid(x @ p.W_xo.T + h_prev @ p.W_ho.T + c_prev @ p.W_co.T + p.b_o)
-    tanh_c = np.tanh(c)
-    h = o * tanh_c
-
-    cache = {
-        "x": x, "h_prev": h_prev, "c_prev": c_prev,
-        "i": i, "f": f, "g": g, "o": o, "c": c, "tanh_c": tanh_c,
-    }
-    if single:
-        return LstmState(h=h[0], c=c[0]), cache
-    return LstmState(h=h, c=c), cache
-
-
-def lstm_sequence_forward(window, stack, init_states=None):
-    """Run a stack of layers over a window.
-
-    ``window`` is (L, F) or (B, L, F); layer l > 0 consumes the full hidden
-    sequence of layer l-1. Returns (top hidden sequence, final states per
-    layer, caches per layer).
+    ``act_t`` holds the step's input projection on entry and the step's gate
+    activations, [i, f, o | g], on return. Returns (LstmState, tanh(c)).
     """
-    window = np.asarray(window, dtype=np.float64)
-    single = window.ndim == 2
-    seq = window[None] if single else window
-    if not stack:
-        raise ValueError("empty layer stack")
+    hidden = state_prev.h.shape[1]
+    s = 3 * hidden
+    sig, g = act_t[:, :s], act_t[:, s:]
+    act_t += state_prev.h @ w.W_h.T
+    sig += state_prev.c @ w.W_c.T
+    act_t += w.b
+    sig[...] = sigmoid(sig)
+    np.tanh(g, out=g)
+    c = sig[:, hidden : 2 * hidden] * state_prev.c + sig[:, :hidden] * g
+    tanh_c = np.tanh(c)
+    h = sig[:, 2 * hidden :] * tanh_c
+    return LstmState(h=h, c=c), tanh_c
+
+
+def _check_shapes(window, stack, init_states):
+    if window.ndim != 3:
+        raise ShapeMismatchError(f"expected (batch, length, features), got {window.shape}")
+    if window.shape[2] != stack[0].input_size:
+        raise ShapeMismatchError(
+            f"input size {window.shape[2]} does not match layer input {stack[0].input_size}"
+        )
     for below, above in zip(stack, stack[1:]):
         if above.input_size != below.hidden_size:
             raise ShapeMismatchError(
                 f"layer input {above.input_size} does not match "
                 f"hidden size {below.hidden_size} of the layer below"
             )
-    batch, length = seq.shape[0], seq.shape[1]
+    if init_states is None:
+        return
+    if len(init_states) != len(stack):
+        raise ValueError(f"{len(init_states)} initial states do not match {len(stack)} layers")
+    for state, p in zip(init_states, stack):
+        want = (window.shape[0], p.hidden_size)
+        if np.shape(state.h) != want or np.shape(state.c) != want:
+            raise ShapeMismatchError(
+                f"state shapes {np.shape(state.h)}/{np.shape(state.c)} do not match {want}"
+            )
 
+
+def lstm_sequence_forward(window, stack, init_states=None):
+    """Run a stack of layers over a batch of windows (B, L, F).
+
+    Layer l > 0 consumes the full hidden sequence of layer l-1. Returns
+    (top hidden sequence (B, L, H), final states per layer, caches per layer).
+    """
+    window = np.asarray(window, dtype=np.float64)
+    if not stack:
+        raise ValueError("empty layer stack")
+    _check_shapes(window, stack, init_states)
+    batch, length = window.shape[0], window.shape[1]
+
+    seq = np.ascontiguousarray(window.transpose(1, 0, 2))
     caches = []
     finals = []
     for idx, p in enumerate(stack):
-        state = (
-            init_states[idx]
-            if init_states is not None
-            else zero_state(batch, p.hidden_size)
-        )
-        steps = []
-        hidden = np.empty((batch, length, p.hidden_size))
+        hidden = p.hidden_size
+        w = fuse(p)
+        # the input projection for all steps; each step turns its slice into
+        # that step's activations
+        act = (seq.reshape(length * batch, -1) @ w.W_x.T).reshape(length, batch, 4 * hidden)
+        hs = np.empty((length + 1, batch, hidden))
+        cs = np.empty((length + 1, batch, hidden))
+        tanh_c = np.empty((length, batch, hidden))
+        state = init_states[idx] if init_states is not None else zero_state(batch, hidden)
+        hs[0], cs[0] = state.h, state.c
         for t in range(length):
-            state, entry = lstm_cell_forward(seq[:, t], state, p)
-            steps.append(entry)
-            hidden[:, t] = state.h
-        caches.append({"steps": steps, "inputs": seq})
+            state, tanh_c[t] = lstm_cell_forward(act[t], state, w)
+            hs[t + 1], cs[t + 1] = state.h, state.c
+        caches.append({
+            "inputs": seq, "h": hs, "c": cs,
+            "gates": act[:, :, : 3 * hidden], "g": act[:, :, 3 * hidden :], "tanh_c": tanh_c,
+        })
         finals.append(state)
-        seq = hidden
-    if single:
-        return seq[0], finals, caches
-    return seq, finals, caches
+        seq = hs[1:]
+    return seq.transpose(1, 0, 2), finals, caches
 
 
 def lstm_layer_backward(cache, d_hidden, p: LstmLayerParams):
-    """Reverse one layer. ``d_hidden`` is (B, L, H); returns (grads, dX)."""
-    steps = cache["steps"]
-    length = len(steps)
-    if d_hidden.shape[1] != length or d_hidden.shape[2] != p.hidden_size:
+    """Reverse one layer. ``d_hidden`` is (L, B, H); returns (grads, dX (L, B, F))."""
+    gates, g, tanh_c, cs = cache["gates"], cache["g"], cache["tanh_c"], cache["c"]
+    length, batch, hidden = g.shape
+    if d_hidden.shape != g.shape:
         raise ShapeMismatchError(
             f"upstream gradient shape {d_hidden.shape} does not match "
-            f"cache length {length} / hidden size {p.hidden_size}"
+            f"cache length {length} / hidden size {hidden}"
         )
-    # gradients accumulate over the time steps
-    g = LstmLayerParams(*(np.zeros_like(a) for _, a in p.named_arrays()))
-    dX = np.zeros_like(cache["inputs"])
-    dh_next = np.zeros_like(d_hidden[:, 0])
-    dc_next = np.zeros_like(d_hidden[:, 0])
+    w = fuse(p)
+    s = 3 * hidden
+    d_pre = np.empty((length, batch, 4 * hidden))
+    dh_next = np.zeros((batch, hidden))
+    dc_next = np.zeros((batch, hidden))
 
     for t in reversed(range(length)):
-        e = steps[t]
-        dh = d_hidden[:, t] + dh_next
-        do = dh * e["tanh_c"]
-        da_o = do * e["o"] * (1.0 - e["o"])
-        dc = dc_next + dh * e["o"] * (1.0 - e["tanh_c"] ** 2)
-        di = dc * e["g"]
-        da_i = di * e["i"] * (1.0 - e["i"])
-        df = dc * e["c_prev"]
-        da_f = df * e["f"] * (1.0 - e["f"])
-        dg = dc * e["i"]
-        da_g = dg * (1.0 - e["g"] ** 2)
+        sig = gates[t]
+        i, f, o = sig[:, :hidden], sig[:, hidden : 2 * hidden], sig[:, 2 * hidden :]
+        dh = d_hidden[t] + dh_next
+        dc = dc_next + dh * o * (1.0 - tanh_c[t] ** 2)
+        d_sig = d_pre[t, :, :s]
+        d_sig[:, :hidden] = dc * g[t]
+        d_sig[:, hidden : 2 * hidden] = dc * cs[t]
+        d_sig[:, 2 * hidden :] = dh * tanh_c[t]
+        d_sig *= sig
+        d_sig *= 1.0 - sig
+        d_pre[t, :, s:] = dc * i * (1.0 - g[t] ** 2)
+        dh_next = d_pre[t] @ w.W_h
+        dc_next = dc * f + d_sig @ w.W_c
 
-        g.W_xi += da_i.T @ e["x"]
-        g.W_hi += da_i.T @ e["h_prev"]
-        g.W_ci += da_i.T @ e["c_prev"]
-        g.b_i += da_i.sum(axis=0)
-        g.W_xf += da_f.T @ e["x"]
-        g.W_hf += da_f.T @ e["h_prev"]
-        g.W_cf += da_f.T @ e["c_prev"]
-        g.b_f += da_f.sum(axis=0)
-        g.W_xc += da_g.T @ e["x"]
-        g.W_hc += da_g.T @ e["h_prev"]
-        g.b_c += da_g.sum(axis=0)
-        g.W_xo += da_o.T @ e["x"]
-        g.W_ho += da_o.T @ e["h_prev"]
-        g.W_co += da_o.T @ e["c_prev"]
-        g.b_o += da_o.sum(axis=0)
+    rows = d_pre.reshape(length * batch, 4 * hidden)
+    x = cache["inputs"]
+    dW_x = rows.T @ x.reshape(length * batch, -1)
+    dW_h = rows.T @ cache["h"][:-1].reshape(length * batch, hidden)
+    dW_c = rows[:, :s].T @ cs[:-1].reshape(length * batch, hidden)
+    db = rows.sum(axis=0)
+    dX = (rows @ w.W_x).reshape(x.shape)
 
-        dX[:, t] = da_i @ p.W_xi + da_f @ p.W_xf + da_g @ p.W_xc + da_o @ p.W_xo
-        dh_next = da_i @ p.W_hi + da_f @ p.W_hf + da_g @ p.W_hc + da_o @ p.W_ho
-        dc_next = dc * e["f"] + da_i @ p.W_ci + da_f @ p.W_cf + da_o @ p.W_co
-
-    return g, dX
+    gi, gf, go, gg = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
+    grads = LstmLayerParams(
+        W_xi=dW_x[gi], W_hi=dW_h[gi], W_ci=dW_c[gi], b_i=db[gi],
+        W_xf=dW_x[gf], W_hf=dW_h[gf], W_cf=dW_c[gf], b_f=db[gf],
+        W_xc=dW_x[gg], W_hc=dW_h[gg], b_c=db[gg],
+        W_xo=dW_x[go], W_ho=dW_h[go], W_co=dW_c[go], b_o=db[go],
+    )
+    return grads, dX
 
 
 def lstm_backward(caches, d_hidden_top, stack):
     """Reverse the whole stack.
 
     ``d_hidden_top`` is the loss gradient w.r.t. the top layer's hidden
-    sequence, (L, H) or (B, L, H). Returns (per-layer grads, grad w.r.t. the
-    input window) with shapes mirroring the forward inputs.
+    sequence, (B, L, H). Returns (per-layer grads, grad w.r.t. the input
+    window (B, L, F)).
     """
     if len(caches) != len(stack):
         raise ValueError(
             f"{len(caches)} caches do not match {len(stack)} layers"
         )
     d = np.asarray(d_hidden_top, dtype=np.float64)
-    single = d.ndim == 2
-    if single:
-        d = d[None]
+    if d.ndim != 3:
+        raise ShapeMismatchError(f"expected (batch, length, hidden), got {d.shape}")
+    d = d.transpose(1, 0, 2)
     grads = [None] * len(stack)
     for idx in reversed(range(len(stack))):
         grads[idx], d = lstm_layer_backward(caches[idx], d, stack[idx])
-    return grads, (d[0] if single else d)
+    return grads, d.transpose(1, 0, 2)

@@ -8,14 +8,14 @@ class ShapeMismatchError(ValueError):
 
 
 def sigmoid(x) -> np.ndarray:
-    """Logistic function 1 / (1 + exp(-x)), overflow-safe on both tails."""
+    """Logistic function, overflow-safe on both tails.
+
+    1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, both from
+    one exp(-|x|), which never overflows.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softmax(x, axis: int = -1) -> np.ndarray:

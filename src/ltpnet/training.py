@@ -5,7 +5,9 @@ Training follows the usual pattern: shuffle the training windows each epoch
 the encoder and then the LSTM, clip the global gradient norm, and step the
 optimizer. A chronological tail of the training split (15% by default) is
 held out for validation-driven early stopping; the parameters from the best
-validation epoch are the ones reported.
+validation epoch are the ones reported. Training stops at the first batch
+whose loss or gradient norm is not finite, before the optimizer applies it,
+and reports that it diverged.
 
 SGD applies the LSTM learning rate to LSTM weights and the transformer
 learning rate to encoder and head weights. The adaptive-momentum optimizer
@@ -87,6 +89,7 @@ class TrainReport:
     val_losses: list
     stopped_epoch: int
     best_epoch: int
+    diverged: bool
     train_mse_initial: float
     train_mse_final: float
     wall_time_s: float
@@ -99,6 +102,7 @@ class TrainReport:
             "val_losses": [float(v) for v in self.val_losses],
             "stopped_epoch": self.stopped_epoch,
             "best_epoch": self.best_epoch,
+            "diverged": self.diverged,
             "train_mse_initial": self.train_mse_initial,
             "train_mse_final": self.train_mse_final,
         }
@@ -280,7 +284,9 @@ def train(
     initial_mse = dataset_mse(dataset, inner_train, model)
 
     stopped_epoch = 0
+    diverged = False
     for epoch in range(1, cfg.epochs + 1):
+        stopped_epoch = epoch
         order = inner_train[shuffle_rng.permutation(len(inner_train))]
         n_batches = min(
             cfg.iterations_per_epoch,
@@ -294,15 +300,20 @@ def train(
             preds, caches = forward_batch(dataset.features[batch_idx], model)
             loss, d_pred = mse_loss(preds, dataset.targets[batch_idx])
             grads = backward_batch(d_pred, caches, model)
-            clip_gradients(grads, cfg.grad_clip_norm)
+            norm = clip_gradients(grads, cfg.grad_clip_norm)
+            if not (math.isfinite(loss) and math.isfinite(norm)):
+                # clipping cannot tame a NaN norm; stop before the step applies it
+                diverged = True
+                break
             opt.step(model, grads)
             epoch_sse += loss * len(batch_idx)
             epoch_count += len(batch_idx)
+        if diverged:
+            break
         opt.advance_epoch()
         train_losses.append(epoch_sse / epoch_count)
         val_loss = dataset_mse(dataset, inner_val, model)
         val_losses.append(val_loss)
-        stopped_epoch = epoch
         if val_loss < stopper.best_value:
             best_flat[...] = model.flat
         if stopper.update(epoch, val_loss):
@@ -315,6 +326,7 @@ def train(
         val_losses=val_losses,
         stopped_epoch=stopped_epoch,
         best_epoch=stopper.best_epoch,
+        diverged=diverged,
         train_mse_initial=initial_mse,
         train_mse_final=final_mse,
         wall_time_s=time.perf_counter() - started,

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltpnet import lstm as L
 from ltpnet.gradcheck import REL_ERR_FLOOR, DEFAULT_EPS
-from ltpnet.model import ModelParams
+from ltpnet.model import ModelParams, build_model, forward_batch
 from ltpnet.ops import ShapeMismatchError
 from ltpnet.rng import SeededRng
 
@@ -18,10 +20,28 @@ def state(h, c):
     return L.LstmState(h=np.asarray(h, dtype=float), c=np.asarray(c, dtype=float))
 
 
+def step(x, st_prev, p):
+    """One cell step for one window, through ``lstm_sequence_forward``.
+
+    ``x`` is (F,) or (1, F) and the state (H,) or (1, H). Returns the next
+    state, shaped like the given one, and the step's gate values read from
+    the cache.
+    """
+    one = lambda a: np.reshape(np.asarray(a, dtype=float), (1, -1))
+    _, finals, caches = L.lstm_sequence_forward(
+        one(x)[None], [p], [L.LstmState(one(st_prev.h), one(st_prev.c))]
+    )
+    h = p.hidden_size
+    sig = caches[0]["gates"][0, 0]
+    gates = {"i": sig[:h], "f": sig[h : 2 * h], "o": sig[2 * h :], "g": caches[0]["g"][0, 0]}
+    shape = np.shape(st_prev.h)
+    return L.LstmState(finals[0].h.reshape(shape), finals[0].c.reshape(shape)), gates
+
+
 class TestCellForward:
     def test_zero_params_zero_state(self):
         p = zero_layer(3, 2)
-        out, cache = L.lstm_cell_forward(np.array([1.0, -2.0, 0.5]), state([0, 0], [0, 0]), p)
+        out, cache = step(np.array([1.0, -2.0, 0.5]), state([0, 0], [0, 0]), p)
         np.testing.assert_allclose(cache["i"], 0.5)
         np.testing.assert_allclose(cache["f"], 0.5)
         np.testing.assert_allclose(cache["o"], 0.5)
@@ -30,27 +50,27 @@ class TestCellForward:
 
     def test_zero_params_carried_cell(self):
         p = zero_layer(1, 1)
-        out, _ = L.lstm_cell_forward(np.array([0.3]), state([0.0], [1.0]), p)
+        out, _ = step(np.array([0.3]), state([0.0], [1.0]), p)
         np.testing.assert_allclose(out.c, [0.5])
         np.testing.assert_allclose(out.h, [0.5 * np.tanh(0.5)], atol=1e-12)
 
     def test_saturated_forget_gate_preserves_cell(self):
         p = zero_layer(1, 1)
         p.b_f[:] = 50.0
-        out, _ = L.lstm_cell_forward(np.array([0.0]), state([0.0], [3.0]), p)
+        out, _ = step(np.array([0.0]), state([0.0], [3.0]), p)
         np.testing.assert_allclose(out.c, [3.0], atol=1e-9)
 
     def test_shape_mismatch(self):
         p = zero_layer(2, 3)
         with pytest.raises(ShapeMismatchError):
-            L.lstm_cell_forward(np.zeros(4), state(np.zeros(3), np.zeros(3)), p)
+            step(np.zeros(4), state(np.zeros(3), np.zeros(3)), p)
 
     def test_gates_strictly_inside_unit_interval(self):
         rng = SeededRng(21)
         for trial in range(30):
             p = L.init_layer(2, 3, rng.split(trial))
             st = state(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
-            _, cache = L.lstm_cell_forward(rng.uniform(-2, 2, 2), st, p)
+            _, cache = step(rng.uniform(-2, 2, 2), st, p)
             for gate in ("i", "f", "o"):
                 assert np.all(cache[gate] > 0.0) and np.all(cache[gate] < 1.0)
 
@@ -59,7 +79,7 @@ class TestCellForward:
         p = L.init_layer(2, 4, rng)
         st = L.zero_state(1, 4)
         for t in range(50):
-            st, _ = L.lstm_cell_forward(rng.uniform(-3, 3, (1, 2)), st, p)
+            st, _ = step(rng.uniform(-3, 3, (1, 2)), st, p)
             assert np.all(np.abs(st.h) <= 1.0)
 
 
@@ -68,14 +88,14 @@ class TestSequenceForward:
         rng = SeededRng(30)
         p = L.init_layer(2, 3, rng)
         x = rng.uniform(-1, 1, (1, 2))
-        hidden, finals, _ = L.lstm_sequence_forward(x, [p])
-        cell_state, _ = L.lstm_cell_forward(x[0], L.LstmState(np.zeros(3), np.zeros(3)), p)
-        np.testing.assert_allclose(hidden[0], cell_state.h)
+        hidden, finals, _ = L.lstm_sequence_forward(x[None], [p])
+        cell_state, _ = step(x[0], L.LstmState(np.zeros(3), np.zeros(3)), p)
+        np.testing.assert_allclose(hidden[0, 0], cell_state.h)
         np.testing.assert_allclose(finals[0].h[0], cell_state.h)
 
     def test_two_zero_layers_output_zero(self):
         stack = [zero_layer(2, 3), zero_layer(3, 3)]
-        hidden, _, _ = L.lstm_sequence_forward(SeededRng(1).uniform(-1, 1, (4, 2)), stack)
+        hidden, _, _ = L.lstm_sequence_forward(SeededRng(1).uniform(-1, 1, (1, 4, 2)), stack)
         np.testing.assert_allclose(hidden, 0.0)
 
     def test_order_sensitivity(self):
@@ -83,14 +103,14 @@ class TestSequenceForward:
         p = L.init_layer(2, 3, rng)
         a = rng.uniform(-1, 1, 2)
         b = rng.uniform(-1, 1, 2)
-        h_ab, _, _ = L.lstm_sequence_forward(np.stack([a, b]), [p])
-        h_ba, _, _ = L.lstm_sequence_forward(np.stack([b, a]), [p])
-        assert not np.allclose(h_ab[-1], h_ba[-1])
+        h_ab, _, _ = L.lstm_sequence_forward(np.stack([a, b])[None], [p])
+        h_ba, _, _ = L.lstm_sequence_forward(np.stack([b, a])[None], [p])
+        assert not np.allclose(h_ab[0, -1], h_ba[0, -1])
 
     def test_interlayer_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             L.lstm_sequence_forward(
-                np.zeros((2, 2)), [zero_layer(2, 3), zero_layer(4, 2)]
+                np.zeros((1, 2, 2)), [zero_layer(2, 3), zero_layer(4, 2)]
             )
 
     def test_batch_and_single_agree(self):
@@ -99,8 +119,8 @@ class TestSequenceForward:
         windows = rng.uniform(-1, 1, (4, 5, 2))
         batched, _, _ = L.lstm_sequence_forward(windows, stack)
         for b in range(4):
-            single, _, _ = L.lstm_sequence_forward(windows[b], stack)
-            np.testing.assert_allclose(batched[b], single, atol=1e-14)
+            single, _, _ = L.lstm_sequence_forward(windows[b : b + 1], stack)
+            np.testing.assert_allclose(batched[b], single[0], atol=1e-14)
 
     def test_cell_conservation_under_forced_gates(self):
         # saturate the forget gate open and the input gate shut; the cell
@@ -112,7 +132,7 @@ class TestSequenceForward:
         st = L.LstmState(h=np.zeros((1, 3)), c=np.full((1, 3), 0.7))
         for _ in range(10):
             before = st.c.copy()
-            st, _ = L.lstm_cell_forward(rng.uniform(-1, 1, (1, 2)), st, p)
+            st, _ = step(rng.uniform(-1, 1, (1, 2)), st, p)
             np.testing.assert_allclose(st.c, before, atol=1e-8)
 
     def test_determinism(self):
@@ -124,29 +144,31 @@ class TestSequenceForward:
         np.testing.assert_array_equal(h1, h2)
 
 
-def _fd_layer_grads(window, upstream, stack, eps=DEFAULT_EPS):
+def _central_differences(arr, loss, eps=DEFAULT_EPS):
+    """Numeric gradient of ``loss()`` w.r.t. ``arr``, nudging it in place."""
+    g = np.zeros_like(arr)
+    flat, gflat = arr.reshape(-1), g.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        up = loss()
+        flat[i] = orig - eps
+        down = loss()
+        flat[i] = orig
+        gflat[i] = (up - down) / (2 * eps)
+    return g
+
+
+def _fd_layer_grads(window, upstream, stack, eps=DEFAULT_EPS, init_states=None):
     """Finite differences of sum(upstream * hidden) w.r.t. every weight."""
     def loss():
-        hidden, _, _ = L.lstm_sequence_forward(window, stack)
+        hidden, _, _ = L.lstm_sequence_forward(window, stack, init_states)
         return float(np.sum(upstream * hidden))
 
-    out = []
-    for layer in stack:
-        fd = {}
-        for name, arr in layer.named_arrays():
-            g = np.zeros_like(arr)
-            flat, gflat = arr.reshape(-1), g.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                up = loss()
-                flat[i] = orig - eps
-                down = loss()
-                flat[i] = orig
-                gflat[i] = (up - down) / (2 * eps)
-            fd[name] = g
-        out.append(fd)
-    return out
+    return [
+        {name: _central_differences(arr, loss, eps) for name, arr in layer.named_arrays()}
+        for layer in stack
+    ]
 
 
 def _max_rel(analytic, numeric):
@@ -241,3 +263,126 @@ class TestBackward:
         _, _, caches = L.lstm_sequence_forward(rng.uniform(-1, 1, (1, 3, 2)), stack)
         with pytest.raises(ValueError, match="caches"):
             L.lstm_backward(caches, np.zeros((1, 3, 2)), stack + stack)
+
+
+def reference_forward(window, stack, init_states):
+    """The recurrence one gate at a time, as the module docstring writes it."""
+    sigmoid = lambda a: 1.0 / (1.0 + np.exp(-a))
+    seq = window
+    finals = []
+    for p, st0 in zip(stack, init_states):
+        h, c = st0.h, st0.c
+        out = []
+        for t in range(seq.shape[1]):
+            x = seq[:, t]
+            i = sigmoid(x @ p.W_xi.T + h @ p.W_hi.T + c @ p.W_ci.T + p.b_i)
+            f = sigmoid(x @ p.W_xf.T + h @ p.W_hf.T + c @ p.W_cf.T + p.b_f)
+            o = sigmoid(x @ p.W_xo.T + h @ p.W_ho.T + c @ p.W_co.T + p.b_o)
+            g = np.tanh(x @ p.W_xc.T + h @ p.W_hc.T + p.b_c)
+            c = f * c + i * g
+            h = o * np.tanh(c)
+            out.append(h)
+        finals.append((h, c))
+        seq = np.stack(out, axis=1)
+    return seq, finals
+
+
+@st.composite
+def stacks(draw):
+    """A random small stack, a batch of windows, initial states and upstream."""
+    batch, length = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    feat, hidden = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    rng = SeededRng(draw(st.integers(0, 2**16)))
+    sizes = [feat] + [hidden] * draw(st.integers(1, 2))
+    stack = [L.init_layer(f, h, rng.split(k)) for k, (f, h) in enumerate(zip(sizes, sizes[1:]))]
+    for k, p in enumerate(stack):
+        for j, b in enumerate((p.b_i, p.b_f, p.b_c, p.b_o)):
+            b[:] = rng.split(40 + 4 * k + j).uniform(-1, 1, b.shape)
+    window = rng.split(11).uniform(-1, 1, (batch, length, feat))
+    init = [
+        L.LstmState(rng.split(20 + k).uniform(-1, 1, (batch, hidden)),
+                    rng.split(30 + k).uniform(-1, 1, (batch, hidden)))
+        for k in range(len(stack))
+    ]
+    upstream = rng.split(12).uniform(-1, 1, (batch, length, hidden))
+    return stack, window, init, upstream
+
+
+class TestFusedProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(case=stacks())
+    def test_forward_matches_per_gate_reference(self, case):
+        stack, window, init, _ = case
+        hidden, finals, _ = L.lstm_sequence_forward(window, stack, init)
+        ref_hidden, ref_finals = reference_forward(window, stack, init)
+        np.testing.assert_allclose(hidden, ref_hidden, rtol=0, atol=1e-12)
+        for got, (h, c) in zip(finals, ref_finals):
+            np.testing.assert_allclose(got.h, h, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got.c, c, rtol=0, atol=1e-12)
+
+    @settings(max_examples=15, deadline=None)
+    @given(case=stacks())
+    def test_backward_matches_finite_differences(self, case):
+        stack, window, init, upstream = case
+
+        def loss():
+            return float(np.sum(upstream * L.lstm_sequence_forward(window, stack, init)[0]))
+
+        _, _, caches = L.lstm_sequence_forward(window, stack, init)
+        grads, dX = L.lstm_backward(caches, upstream, stack)
+        numeric = _fd_layer_grads(window, upstream, stack, init_states=init)
+        assert _max_rel(grads, numeric) < 1e-4
+
+        numeric_dX = _central_differences(window, loss)
+        denom = np.maximum(np.abs(dX) + np.abs(numeric_dX), REL_ERR_FLOOR)
+        assert float(np.max(np.abs(dX - numeric_dX) / denom)) < 1e-4
+
+
+class TestBatchOnlyInputs:
+    def test_single_window_rank_rejected(self):
+        with pytest.raises(ShapeMismatchError):
+            L.lstm_sequence_forward(np.zeros((4, 2)), [zero_layer(2, 3)])
+
+    def test_single_window_upstream_rejected(self):
+        stack = [zero_layer(2, 3)]
+        _, _, caches = L.lstm_sequence_forward(np.zeros((1, 4, 2)), stack)
+        with pytest.raises(ShapeMismatchError):
+            L.lstm_backward(caches, np.zeros((4, 3)), stack)
+
+    def test_init_state_shape_mismatch(self):
+        with pytest.raises(ShapeMismatchError):
+            L.lstm_sequence_forward(np.zeros((2, 4, 2)), [zero_layer(2, 3)], [L.zero_state(1, 3)])
+
+
+class TestFusedGuards:
+    def test_nudging_any_gate_array_through_flat_changes_the_forecast(self):
+        # the fused matrices are rebuilt from the per-gate views on every call
+        model = build_model(n_features=2, lookback=4, lstm_hidden=3, lstm_layers=2,
+                            transformer_layers=1, attention_heads=2, d_model=4,
+                            head_width=3, rng=SeededRng(50))
+        windows = SeededRng(51).uniform(-1, 1, (2, 4, 2))
+        offset = 0
+        for name, arr in model.named_arrays():
+            if name.startswith("lstm."):
+                before = forward_batch(windows, model)[0]
+                model.flat[offset] += 0.1
+                after = forward_batch(windows, model)[0]
+                model.flat[offset] -= 0.1
+                assert not np.array_equal(before, after), name
+            offset += arr.size
+
+    def test_one_cell_call_and_one_sigmoid_per_step(self, monkeypatch):
+        counts = {"cell": 0, "sigmoid": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(L, "lstm_cell_forward", counted("cell", L.lstm_cell_forward))
+        monkeypatch.setattr(L, "sigmoid", counted("sigmoid", L.sigmoid))
+        rng = SeededRng(52)
+        stack = [L.init_layer(2, 3, rng.split(0)), L.init_layer(3, 3, rng.split(1))]
+        L.lstm_sequence_forward(rng.uniform(-1, 1, (4, 7, 2)), stack)
+        assert counts == {"cell": 2 * 7, "sigmoid": 2 * 7}

@@ -1,4 +1,8 @@
+import warnings
+
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ltpnet.ops import sigmoid, softmax
 from ltpnet.rng import SeededRng
@@ -30,6 +34,21 @@ class TestActivations:
     def test_shape_preserved(self):
         x = SeededRng(3).uniform(-1, 1, (2, 3, 4))
         assert sigmoid(x).shape == (2, 3, 4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(-745.0, 745.0), min_size=1, max_size=20))
+    @example(values=[-745.0, 745.0, -700.0, 700.0, -40.0, 0.0, -0.0, 5e-324, -5e-324])
+    def test_sigmoid_bits_match_the_two_branch_formula(self, values):
+        x = np.array(values)
+        pos = x >= 0
+        expected = np.empty_like(x)
+        expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        expected[~pos] = ex / (1.0 + ex)
+        with warnings.catch_warnings(), np.errstate(over="raise", divide="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            out = sigmoid(x)
+        assert out.tobytes() == expected.tobytes()
 
 
 class TestSoftmax:

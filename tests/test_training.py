@@ -1,5 +1,6 @@
 import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ltpnet.preprocessing import (
 )
 from ltpnet.rng import SeededRng
 from ltpnet.training import (
+    DIVERGED_FITNESS,
     AdamOptimizer,
     AdaptiveMomentumOptimizer,
     EarlyStopping,
@@ -310,6 +312,30 @@ class TestTrain:
         with pytest.raises(ValueError, match="empty training split"):
             train(dataset, bad, TINY_HP, tiny_cfg(), rng=SeededRng(0))
 
+    def test_clean_run_has_not_diverged(self):
+        dataset, split, _ = tiny_dataset()
+        report = train(dataset, split, TINY_HP, tiny_cfg(), rng=SeededRng(0))
+        assert report.summary()["diverged"] is False
+        assert report.stopped_epoch == 2
+
+    def test_nan_feature_stops_at_first_epoch_with_finite_params(self):
+        dataset, split, _ = tiny_dataset()
+        dataset.features[split.train[0], 0, 0] = np.nan
+        report = train(dataset, split, TINY_HP, tiny_cfg(epochs=4), rng=SeededRng(0))
+        assert report.summary()["diverged"] is True
+        assert report.stopped_epoch == 1
+        assert report.train_losses == [] and report.val_losses == []
+        assert np.all(np.isfinite(report.params.flat))
+
+    def test_huge_learning_rate_stops_at_first_epoch_with_finite_params(self):
+        dataset, split, _ = tiny_dataset()
+        hp = replace(TINY_HP, lstm_lr=1e100, transformer_lr=1e100)
+        with np.errstate(all="ignore"):
+            report = train(dataset, split, hp, tiny_cfg(epochs=4), rng=SeededRng(0))
+        assert report.diverged and report.stopped_epoch == 1
+        assert np.all(np.isfinite(report.params.flat))
+        assert math.isfinite(report.train_mse_final)
+
     def test_adam_and_momentum_paths_run(self):
         dataset, split, _ = tiny_dataset()
         for kind in ("adam", "adaptive-momentum"):
@@ -388,6 +414,16 @@ class TestSwarmSearch:
         _, best_value, history = P.run(cfg, P.Objective("bowl", len(bounds), bowl))
         assert best_value < 1e-3
         assert all(b <= a for a, b in zip(history, history[1:]))
+
+    def test_diverging_candidates_score_diverged_fitness(self):
+        dataset, split, _ = tiny_dataset()
+        dataset.features[split.train[0], 0, 0] = np.nan
+        swarm = P.SwarmConfig(n_particles=2, iterations=1, seed=5)
+        _, value, history = pso_hyperparameter_search(
+            dataset, split, self._space(), swarm, SearchBudget(epochs=3), tiny_cfg()
+        )
+        assert value == DIVERGED_FITNESS
+        assert history == [DIVERGED_FITNESS] * len(history)
 
     def test_deterministic_end_to_end(self):
         dataset, split, _ = tiny_dataset()
