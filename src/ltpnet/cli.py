@@ -19,6 +19,8 @@ from .harness import (
     run_pso_distribution_study,
 )
 from .preprocessing import SyntheticSpec, synthesize_series, write_csv
+from .pso import HyperparamPoint, SearchSpace, SwarmConfig
+from .training import SearchBudget, TrainConfig
 
 
 class UsageError(Exception):
@@ -74,7 +76,16 @@ def build_parser() -> _Parser:
 
 
 def _load_spec(args) -> ExperimentSpec:
-    spec = ExperimentSpec.from_json_file(args.config)
+    """The spec at ``args.config``, with its nested configs built once.
+
+    A spec the run would reject (an unknown key, variant or value) is a usage
+    error here, before any output directory or dataset exists.
+    """
+    try:
+        spec = ExperimentSpec.from_json_file(args.config)
+        _check_nested_configs(spec)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"invalid spec {args.config}: {exc}") from exc
     if args.out_dir is not None:
         spec = replace(spec, output_dir=args.out_dir)
     if args.seed is not None:
@@ -83,6 +94,19 @@ def _load_spec(args) -> ExperimentSpec:
         spec.seeds.shuffle = args.seed + 2
         spec.seeds.swarm = args.seed + 3
     return spec
+
+
+def _check_nested_configs(spec: ExperimentSpec) -> None:
+    """Build the configs that ``run_experiment`` builds from ``spec``."""
+    TrainConfig(**{**spec.train, "optimizer": spec.optimizer}).validate()
+    SwarmConfig(**{"seed": spec.seeds.swarm, **spec.swarm})
+    if spec.variant == "no-pso":
+        return
+    if spec.hyperparameter_source == "pso-search":
+        SearchSpace(**{k: tuple(v) for k, v in spec.search_space.items()})
+        SearchBudget(**spec.budget)
+    else:
+        HyperparamPoint(**spec.hyperparams)
 
 
 def cli(argv=None) -> int:

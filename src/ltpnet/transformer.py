@@ -9,6 +9,35 @@ Attention inside each layer is scaled dot-product: softmax(Q K^T / sqrt(d_head))
 Per-head query/key/value projections are stored concatenated column-wise in
 (d_model, d_model) matrices; head h owns columns [h*d_head, (h+1)*d_head).
 
+Row layout. Public functions take and return batches, (B, S, D) arrays.
+Inside, an activation is a (B*S, D) row matrix, one row per window position,
+taken from the batch as a free reshape. Every activation-by-weight product
+(Q, K, V, the output projection, both feed-forward GEMMs, the input
+projection and their ``@ W.T`` partners in backward) is therefore one 2-D
+GEMM rather than B small ones. Only attention views the rows per head, as
+(B, H, S, d_head); ``_merge_heads`` turns the context back into rows.
+
+Inputs are batch-only: a single (S, D) window raises ``ShapeMismatchError``
+in the encoder layer and stack, forward and backward, in ``predict`` and in
+``multi_head_attention_backward``. ``multi_head_attention`` alone also takes
+one (S, D) window and returns one (acceptance criterion 10 calls it so);
+its cache is then that of a batch of one.
+
+Caches keep only what backward reads, as rows unless noted:
+
+    attention     "x" the input, "Q"/"K"/"V" (B, H, S, d_head) views of the
+                  projections, "weights" (B, H, S, S), "merged" the context
+    feed-forward  "x" the input and "act" = max(x W1 + b1, 0); the ReLU mask
+                  is ``act > 0``, which equals ``x W1 + b1 > 0``
+    layer norm    "xhat" the normalized input, "inv" = 1/sqrt(var + eps)
+    stack         "input" the (B, S, input_size) sequence, "layers"
+    head          "pooled", "act" as in the feed-forward, and "seq_len"
+
+Bias adds, ReLUs, residual adds and the layer norm's scale and shift run in
+place, but only on arrays the function computed itself. Nothing writes into
+an input (the encoder's input is the LSTM's top h, which the LSTM caches for
+its own backward) or into a cached array.
+
 Backward passes are hand-derived and exact; the positional table is a
 constant, so nothing propagates into it.
 """
@@ -155,6 +184,13 @@ def init_prediction_head(d_model: int, width: int = 64, rng: SeededRng | None = 
 # attention
 # ---------------------------------------------------------------------------
 
+def _batch(a, what):
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 3:
+        raise ShapeMismatchError(f"{what} must be a batch (B, S, D), got shape {a.shape}")
+    return a
+
+
 def scaled_attention(Q, K, V):
     """softmax(Q K^T / sqrt(d_head)) V, row-wise. Returns (output, weights)."""
     Q, K, V = (np.asarray(a, dtype=np.float64) for a in (Q, K, V))
@@ -163,76 +199,80 @@ def scaled_attention(Q, K, V):
     if K.shape[-2] != V.shape[-2]:
         raise ShapeMismatchError(f"K/V sequence lengths differ: {K.shape} vs {V.shape}")
     scale = 1.0 / np.sqrt(Q.shape[-1])
-    scores = (Q @ np.swapaxes(K, -1, -2)) * scale
+    scores = Q @ np.swapaxes(K, -1, -2)
+    scores *= scale
     weights = softmax(scores, axis=-1)
     return weights @ V, weights
 
 
-def _split_heads(x, n_heads):
-    # (B, S, D) -> (B, H, S, d_head)
-    b, s, d = x.shape
-    return x.reshape(b, s, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+def _split_heads(rows, batch, n_heads):
+    # (B*S, D) rows -> (B, H, S, d_head) view
+    n, d = rows.shape
+    return rows.reshape(batch, n // batch, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
 def _merge_heads(x):
-    # (B, H, S, d_head) -> (B, S, D)
+    # (B, H, S, d_head) -> (B*S, D) rows
     b, h, s, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, s, h * dh)
+    return x.transpose(0, 2, 1, 3).reshape(b * s, h * dh)
 
 
 def multi_head_attention(x, p: EncoderLayerParams, n_heads: int):
     """Project, attend per head, concatenate, re-project.
 
-    ``x`` is (S, d_model) or (B, S, d_model). Returns (output, cache); the
-    cache holds the per-head attention weights under "weights".
+    ``x`` is a batch (B, S, d_model) or, for this function alone, one window
+    (S, d_model); the output has the shape of ``x``. Returns (output, cache);
+    the cache holds the per-head attention weights, (B, H, S, S), under
+    "weights".
     """
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 2
-    xb = x[None] if single else x
     d_model = p.W_q.shape[0]
-    if xb.shape[-1] != d_model:
+    if x.ndim not in (2, 3) or x.shape[-1] != d_model:
         raise ShapeMismatchError(
-            f"input feature size {xb.shape[-1]} does not match d_model {d_model}"
+            f"input of shape {x.shape} is not (S, {d_model}) or (B, S, {d_model})"
         )
-    Q = _split_heads(xb @ p.W_q, n_heads)
-    K = _split_heads(xb @ p.W_k, n_heads)
-    V = _split_heads(xb @ p.W_v, n_heads)
+    batch = 1 if x.ndim == 2 else x.shape[0]
+    rows = x.reshape(-1, d_model)
+    Q = _split_heads(rows @ p.W_q, batch, n_heads)
+    K = _split_heads(rows @ p.W_k, batch, n_heads)
+    V = _split_heads(rows @ p.W_v, batch, n_heads)
     ctx, weights = scaled_attention(Q, K, V)
     merged = _merge_heads(ctx)
     out = merged @ p.W_o
-    cache = {"x": xb, "Q": Q, "K": K, "V": V, "weights": weights, "merged": merged}
-    return (out[0] if single else out), cache
+    cache = {"x": rows, "Q": Q, "K": K, "V": V, "weights": weights, "merged": merged}
+    return out.reshape(x.shape), cache
 
 
 def multi_head_attention_backward(d_out, cache, p: EncoderLayerParams):
-    """Returns (grad w.r.t. x, dict of grads for W_q/W_k/W_v/W_o)."""
-    xb, Q, K, V = cache["x"], cache["Q"], cache["K"], cache["V"]
-    weights, merged = cache["weights"], cache["merged"]
-    d_out = np.asarray(d_out, dtype=np.float64)
-    if d_out.ndim == 2:
-        d_out = d_out[None]
-    b, s, d_model = xb.shape
-    n_heads = Q.shape[1]
+    """Returns (grad w.r.t. x (B, S, D), dict of grads for W_q/W_k/W_v/W_o)."""
+    Q, K, V, weights = cache["Q"], cache["K"], cache["V"], cache["weights"]
+    d_out = _batch(d_out, "attention output gradient")
+    batch, n_heads = Q.shape[0], Q.shape[1]
+    d_rows = d_out.reshape(-1, d_out.shape[-1])
 
-    flat = lambda a: a.reshape(-1, a.shape[-1])
-    dW_o = flat(merged).T @ flat(d_out)
-    d_merged = d_out @ p.W_o.T
-    d_ctx = _split_heads(d_merged, n_heads)
+    dW_o = cache["merged"].T @ d_rows
+    d_ctx = _split_heads(d_rows @ p.W_o.T, batch, n_heads)
 
-    dW_att = d_ctx @ np.swapaxes(V, -1, -2)
+    dS = d_ctx @ np.swapaxes(V, -1, -2)
     dV = np.swapaxes(weights, -1, -2) @ d_ctx
     # softmax rows: dS = W * (dW - sum(dW * W))
-    dS = weights * (dW_att - np.sum(dW_att * weights, axis=-1, keepdims=True))
+    dS -= np.sum(dS * weights, axis=-1, keepdims=True)
+    dS *= weights
     scale = 1.0 / np.sqrt(Q.shape[-1])
-    dQ = (dS @ K) * scale
-    dK = (np.swapaxes(dS, -1, -2) @ Q) * scale
+    dQ = dS @ K
+    dQ *= scale
+    dK = np.swapaxes(dS, -1, -2) @ Q
+    dK *= scale
 
-    dQf, dKf, dVf = (_merge_heads(a) for a in (dQ, dK, dV))
-    dW_q = flat(xb).T @ flat(dQf)
-    dW_k = flat(xb).T @ flat(dKf)
-    dW_v = flat(xb).T @ flat(dVf)
-    dx = dQf @ p.W_q.T + dKf @ p.W_k.T + dVf @ p.W_v.T
-    return dx, {"W_q": dW_q, "W_k": dW_k, "W_v": dW_v, "W_o": dW_o}
+    x = cache["x"]
+    dQr, dKr, dVr = (_merge_heads(a) for a in (dQ, dK, dV))
+    dW_q = x.T @ dQr
+    dW_k = x.T @ dKr
+    dW_v = x.T @ dVr
+    dx = dQr @ p.W_q.T
+    dx += dKr @ p.W_k.T
+    dx += dVr @ p.W_v.T
+    return dx.reshape(d_out.shape), {"W_q": dW_q, "W_k": dW_k, "W_v": dW_v, "W_o": dW_o}
 
 
 # ---------------------------------------------------------------------------
@@ -240,24 +280,26 @@ def multi_head_attention_backward(d_out, cache, p: EncoderLayerParams):
 # ---------------------------------------------------------------------------
 
 def feed_forward(x, p: EncoderLayerParams):
-    """ReLU(x W1 + b1) W2 + b2 applied per position. Returns (out, cache)."""
+    """ReLU(x W1 + b1) W2 + b2 on rows (N, d_model). Returns (out, cache)."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != p.W_ff1.shape[0]:
         raise ShapeMismatchError(
             f"input feature size {x.shape[-1]} does not match W1 {p.W_ff1.shape}"
         )
-    pre = x @ p.W_ff1 + p.b_ff1
-    act = np.maximum(pre, 0.0)
-    out = act @ p.W_ff2 + p.b_ff2
-    return out, {"x": x, "pre": pre, "act": act}
+    act = x @ p.W_ff1
+    act += p.b_ff1
+    np.maximum(act, 0.0, out=act)
+    out = act @ p.W_ff2
+    out += p.b_ff2
+    return out, {"x": x, "act": act}
 
 
 def feed_forward_backward(d_out, cache, p: EncoderLayerParams):
     flat = lambda a: a.reshape(-1, a.shape[-1])
     dW2 = flat(cache["act"]).T @ flat(d_out)
     db2 = flat(d_out).sum(axis=0)
-    d_act = d_out @ p.W_ff2.T
-    d_pre = d_act * (cache["pre"] > 0)
+    d_pre = d_out @ p.W_ff2.T
+    d_pre *= cache["act"] > 0
     dW1 = flat(cache["x"]).T @ flat(d_pre)
     db1 = flat(d_pre).sum(axis=0)
     dx = d_pre @ p.W_ff1.T
@@ -266,11 +308,13 @@ def feed_forward_backward(d_out, cache, p: EncoderLayerParams):
 
 def _layer_norm_fwd(x, gain, bias):
     mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
+    xhat = x - mu
+    var = np.mean(xhat * xhat, axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = centered * inv
-    return gain * xhat + bias, {"xhat": xhat, "inv": inv}
+    xhat *= inv
+    out = xhat * gain
+    out += bias
+    return out, {"xhat": xhat, "inv": inv}
 
 
 def _layer_norm_bwd(d_out, cache, gain):
@@ -279,11 +323,10 @@ def _layer_norm_bwd(d_out, cache, gain):
     d_gain = (d_out * xhat).sum(axis=axes)
     d_bias = d_out.sum(axis=axes)
     d_xhat = d_out * gain
-    dx = inv * (
-        d_xhat
-        - d_xhat.mean(axis=-1, keepdims=True)
-        - xhat * (d_xhat * xhat).mean(axis=-1, keepdims=True)
-    )
+    dx = d_xhat - d_xhat.mean(axis=-1, keepdims=True)
+    d_xhat *= xhat
+    dx -= xhat * d_xhat.mean(axis=-1, keepdims=True)
+    dx *= inv
     return dx, d_gain, d_bias
 
 
@@ -292,60 +335,69 @@ def _layer_norm_bwd(d_out, cache, gain):
 # ---------------------------------------------------------------------------
 
 def encoder_layer_forward(x, p: EncoderLayerParams, n_heads: int):
-    """Post-norm block: LN(x + attention(x)), then LN(y + feed_forward(y))."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 2
-    xb = x[None] if single else x
-    attn, attn_cache = multi_head_attention(xb, p, n_heads)
-    y1, ln1_cache = _layer_norm_fwd(xb + attn, p.ln1_gain, p.ln1_bias)
-    ff, ff_cache = feed_forward(y1, p)
-    y2, ln2_cache = _layer_norm_fwd(y1 + ff, p.ln2_gain, p.ln2_bias)
+    """Post-norm block: LN(x + attention(x)), then LN(y + feed_forward(y)).
+
+    ``x`` is (B, S, d_model); returns (output of the same shape, cache).
+    """
+    x = _batch(x, "encoder layer input")
+    rows = x.reshape(-1, x.shape[-1])
+    attn, attn_cache = multi_head_attention(x, p, n_heads)
+    s1 = attn.reshape(rows.shape)
+    s1 += rows
+    y1, ln1_cache = _layer_norm_fwd(s1, p.ln1_gain, p.ln1_bias)
+    s2, ff_cache = feed_forward(y1, p)
+    s2 += y1
+    y2, ln2_cache = _layer_norm_fwd(s2, p.ln2_gain, p.ln2_bias)
     cache = {"attn": attn_cache, "ln1": ln1_cache, "ff": ff_cache, "ln2": ln2_cache}
-    return (y2[0] if single else y2), cache
+    return y2.reshape(x.shape), cache
 
 
 def encoder_layer_backward(d_out, cache, p: EncoderLayerParams):
-    """Returns (grad w.r.t. x, EncoderLayerParams-shaped grads)."""
-    d_out = np.asarray(d_out, dtype=np.float64)
-    if d_out.ndim == 2:
-        d_out = d_out[None]
-    d_s2, ln2_gain, ln2_bias = _layer_norm_bwd(d_out, cache["ln2"], p.ln2_gain)
-    d_y1_ff, ff_grads = feed_forward_backward(d_s2, cache["ff"], p)
-    d_y1 = d_s2 + d_y1_ff
+    """Returns (grad w.r.t. x (B, S, D), EncoderLayerParams-shaped grads)."""
+    d_out = _batch(d_out, "encoder layer output gradient")
+    d_s2, ln2_gain, ln2_bias = _layer_norm_bwd(
+        d_out.reshape(-1, d_out.shape[-1]), cache["ln2"], p.ln2_gain
+    )
+    d_y1, ff_grads = feed_forward_backward(d_s2, cache["ff"], p)
+    d_y1 += d_s2
     d_s1, ln1_gain, ln1_bias = _layer_norm_bwd(d_y1, cache["ln1"], p.ln1_gain)
-    d_x_attn, attn_grads = multi_head_attention_backward(d_s1, cache["attn"], p)
+    d_s1 = d_s1.reshape(d_out.shape)
+    d_x, attn_grads = multi_head_attention_backward(d_s1, cache["attn"], p)
+    d_x += d_s1
     g = EncoderLayerParams(
         **attn_grads, **ff_grads,
         ln1_gain=ln1_gain, ln1_bias=ln1_bias, ln2_gain=ln2_gain, ln2_bias=ln2_bias,
     )
-    return d_s1 + d_x_attn, g
+    return d_x, g
 
 
 def encoder_stack_forward(hidden_seq, stack: EncoderStack, add_positional: bool = True):
-    """Project, add positional encoding, run all layers. Returns (out, caches)."""
-    hidden_seq = np.asarray(hidden_seq, dtype=np.float64)
-    single = hidden_seq.ndim == 2
-    xb = hidden_seq[None] if single else hidden_seq
+    """Project, add positional encoding, run all layers. Returns (out, caches).
+
+    ``hidden_seq`` is (B, S, input_size); the output is (B, S, d_model).
+    """
+    xb = _batch(hidden_seq, "sequence")
     if xb.shape[-1] != stack.input_size:
         raise ShapeMismatchError(
             f"sequence feature size {xb.shape[-1]} does not match "
             f"stack input size {stack.input_size}"
         )
-    seq_len = xb.shape[1]
+    batch, seq_len = xb.shape[0], xb.shape[1]
     if seq_len > stack.pos_table.shape[0]:
         raise ValueError(
             f"sequence length {seq_len} exceeds positional table "
             f"length {stack.pos_table.shape[0]}"
         )
-    z = xb @ stack.W_in + stack.b_in
+    z = xb.reshape(-1, stack.input_size) @ stack.W_in
+    z += stack.b_in
+    z = z.reshape(batch, seq_len, stack.d_model)
     if add_positional:
-        z = z + stack.pos_table[:seq_len]
+        z += stack.pos_table[:seq_len]
     layer_caches = []
     for layer in stack.layers:
         z, cache = encoder_layer_forward(z, layer, stack.n_heads)
         layer_caches.append(cache)
-    caches = {"input": xb, "layers": layer_caches}
-    return (z[0] if single else z), caches
+    return z, {"input": xb, "layers": layer_caches}
 
 
 def encoder_stack_backward(d_out, caches, stack: EncoderStack):
@@ -354,10 +406,7 @@ def encoder_stack_backward(d_out, caches, stack: EncoderStack):
     The positional table is constant, so the additive encoding passes the
     gradient through untouched.
     """
-    d = np.asarray(d_out, dtype=np.float64)
-    single = d.ndim == 2
-    if single:
-        d = d[None]
+    d = _batch(d_out, "encoder output gradient")
     layer_grads = [None] * len(stack.layers)
     for idx in reversed(range(len(stack.layers))):
         d, layer_grads[idx] = encoder_layer_backward(
@@ -365,29 +414,32 @@ def encoder_stack_backward(d_out, caches, stack: EncoderStack):
         )
     xb = caches["input"]
     flat = lambda a: a.reshape(-1, a.shape[-1])
+    d_rows = flat(d)
     g = EncoderStack(
         layers=layer_grads,
         n_heads=stack.n_heads,
-        W_in=flat(xb).T @ flat(d),
-        b_in=flat(d).sum(axis=0),
+        W_in=flat(xb).T @ d_rows,
+        b_in=d_rows.sum(axis=0),
         pos_table=stack.pos_table,
     )
-    d_input = d @ stack.W_in.T
-    return g, (d_input[0] if single else d_input)
+    d_input = d_rows @ stack.W_in.T
+    return g, d_input.reshape(xb.shape)
 
 
 def head_forward(pooled, head: PredictionHead):
     """Two-layer ReLU head on pooled features (B, d_model) -> (B,)."""
-    pre = pooled @ head.W_a + head.b_a
-    act = np.maximum(pre, 0.0)
-    out = act @ head.W_b + head.b_b
-    return out[:, 0], {"pooled": pooled, "pre": pre, "act": act}
+    act = pooled @ head.W_a
+    act += head.b_a
+    np.maximum(act, 0.0, out=act)
+    out = act @ head.W_b
+    out += head.b_b
+    return out[:, 0], {"pooled": pooled, "act": act}
 
 
 def head_backward(d_out, cache, head: PredictionHead):
     d = np.asarray(d_out, dtype=np.float64)[:, None]
-    d_act = d @ head.W_b.T
-    d_pre = d_act * (cache["pre"] > 0)
+    d_pre = d @ head.W_b.T
+    d_pre *= cache["act"] > 0
     g = PredictionHead(
         W_a=cache["pooled"].T @ d_pre,
         b_a=d_pre.sum(axis=0),
@@ -400,27 +452,25 @@ def head_backward(d_out, cache, head: PredictionHead):
 
 
 def predict(encoded, head: PredictionHead):
-    """Mean-pool sequence positions, run the head; scalar per window."""
+    """Mean-pool sequence positions of (B, S, d_model), run the head; (B,)."""
     if head.pooling != "mean":
         raise ValueError(f"unsupported pooling mode {head.pooling!r}")
-    encoded = np.asarray(encoded, dtype=np.float64)
-    single = encoded.ndim == 2
-    z = encoded[None] if single else encoded
+    z = _batch(encoded, "encoded sequence")
     if z.shape[-1] != head.W_a.shape[0]:
         raise ShapeMismatchError(
             f"encoded feature size {z.shape[-1]} does not match "
             f"head input {head.W_a.shape[0]}"
         )
-    pooled = z.mean(axis=1)
-    out, cache = head_forward(pooled, head)
+    out, cache = head_forward(z.mean(axis=1), head)
     cache["seq_len"] = z.shape[1]
-    return (float(out[0]) if single else out), cache
+    return out, cache
 
 
 def predict_backward(d_out, cache, head: PredictionHead):
-    """Returns (grad w.r.t. the encoded sequence, head grads)."""
+    """Returns (grad w.r.t. the encoded sequence (B, S, d_model), head grads)."""
     d = np.atleast_1d(np.asarray(d_out, dtype=np.float64))
     d_pooled, g = head_backward(d, cache, head)
     seq_len = cache["seq_len"]
-    d_encoded = np.repeat(d_pooled[:, None, :], seq_len, axis=1) / seq_len
+    d_encoded = np.repeat(d_pooled[:, None, :], seq_len, axis=1)
+    d_encoded /= seq_len
     return d_encoded, g

@@ -44,6 +44,35 @@ class TestUsage:
         assert cli(["run"]) == 1
         assert "config" in capsys.readouterr().err
 
+    def _malformed(self, tmp_path, **change):
+        spec_path = write_spec(tmp_path, tmp_path / "out")
+        spec = json.loads(spec_path.read_text())
+        for key, value in change.items():
+            if isinstance(value, dict):
+                spec[key] = {**spec[key], **value}
+            else:
+                spec[key] = value
+        spec_path.write_text(json.dumps(spec))
+        return spec_path
+
+    def test_unknown_top_level_key_is_usage_error(self, tmp_path, capsys):
+        spec_path = self._malformed(tmp_path, learning_rate=0.1)
+        assert cli(["run", "--config", str(spec_path)]) == 1
+        assert "learning_rate" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_train_key_is_usage_error(self, tmp_path, capsys):
+        spec_path = self._malformed(tmp_path, train={"epochz": 3})
+        assert cli(["run", "--config", str(spec_path)]) == 1
+        assert "epochz" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_variant_is_usage_error(self, tmp_path, capsys):
+        spec_path = self._malformed(tmp_path, variant="no-encoder")
+        assert cli(["run", "--config", str(spec_path)]) == 1
+        assert "no-encoder" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_runtime_failure_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"dataset": {"csv": {"path": "/nope.csv"}}}))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ltpnet import transformer as T
 from ltpnet.gradcheck import REL_ERR_FLOOR, DEFAULT_EPS
@@ -140,7 +142,7 @@ class TestEncoderLayer:
         p = zeroed(T.init_encoder_layer(6, 12, SeededRng(0)))
         p.ln1_gain[:] = 1.0
         p.ln2_gain[:] = 1.0
-        x = SeededRng(1).uniform(-2, 2, (3, 6))
+        x = SeededRng(1).uniform(-2, 2, (1, 3, 6))
         out, _ = T.encoder_layer_forward(x, p, 2)
         ln = lambda v: T._layer_norm_fwd(v, np.ones(6), np.zeros(6))[0]
         np.testing.assert_allclose(out, ln(ln(x)), atol=1e-12)
@@ -155,7 +157,7 @@ class TestEncoderLayer:
     def test_final_norm_gain_scales_output(self):
         rng = SeededRng(3)
         p = T.init_encoder_layer(8, 16, rng)
-        x = rng.uniform(-1, 1, (4, 8))
+        x = rng.uniform(-1, 1, (1, 4, 8))
         base, _ = T.encoder_layer_forward(x, p, 2)
         p.ln2_gain *= 2.0
         doubled, _ = T.encoder_layer_forward(x, p, 2)
@@ -166,7 +168,7 @@ class TestEncoderStack:
     def test_zero_layers_project_and_encode_position(self):
         rng = SeededRng(4)
         stack = T.init_encoder_stack(3, d_model=8, n_layers=0, n_heads=2, max_len=10, rng=rng)
-        x = rng.uniform(-1, 1, (5, 3))
+        x = rng.uniform(-1, 1, (1, 5, 3))
         out, _ = T.encoder_stack_forward(x, stack)
         expected = x @ stack.W_in + stack.b_in + stack.pos_table[:5]
         np.testing.assert_allclose(out, expected, atol=1e-14)
@@ -174,45 +176,45 @@ class TestEncoderStack:
     def test_finite_on_standard_window(self):
         rng = SeededRng(5)
         stack = T.init_encoder_stack(128, d_model=32, n_layers=2, n_heads=4, max_len=24, rng=rng)
-        out, _ = T.encoder_stack_forward(rng.uniform(-1, 1, (24, 128)), stack)
+        out, _ = T.encoder_stack_forward(rng.uniform(-1, 1, (1, 24, 128)), stack)
         assert np.all(np.isfinite(out))
 
     def test_positional_encoding_breaks_permutation_equivariance(self):
         rng = SeededRng(6)
         stack = T.init_encoder_stack(4, d_model=8, n_layers=1, n_heads=2, max_len=6, rng=rng)
-        x = rng.uniform(-1, 1, (6, 4))
+        x = rng.uniform(-1, 1, (1, 6, 4))
         perm = rng.permutation(6)
         with_pe, _ = T.encoder_stack_forward(x, stack)
-        with_pe_perm, _ = T.encoder_stack_forward(x[perm], stack)
-        assert not np.allclose(with_pe_perm, with_pe[perm], atol=1e-6)
+        with_pe_perm, _ = T.encoder_stack_forward(x[:, perm], stack)
+        assert not np.allclose(with_pe_perm, with_pe[:, perm], atol=1e-6)
         without, _ = T.encoder_stack_forward(x, stack, add_positional=False)
-        without_perm, _ = T.encoder_stack_forward(x[perm], stack, add_positional=False)
-        np.testing.assert_allclose(without_perm, without[perm], atol=1e-10)
+        without_perm, _ = T.encoder_stack_forward(x[:, perm], stack, add_positional=False)
+        np.testing.assert_allclose(without_perm, without[:, perm], atol=1e-10)
 
     def test_sequence_too_long(self):
         stack = T.init_encoder_stack(3, d_model=8, n_layers=1, n_heads=2, max_len=4,
                                      rng=SeededRng(7))
         with pytest.raises(ValueError, match="positional table"):
-            T.encoder_stack_forward(np.zeros((5, 3)), stack)
+            T.encoder_stack_forward(np.zeros((1, 5, 3)), stack)
 
 
 class TestPredictionHead:
     def test_zero_head_outputs_zero(self):
         head = zeroed(T.init_prediction_head(8, 4, SeededRng(0)))
-        out, _ = T.predict(np.ones((3, 8)), head)
+        out, _ = T.predict(np.ones((1, 3, 8)), head)
         assert out == 0.0
 
     def test_bias_only(self):
         head = zeroed(T.init_prediction_head(8, 4, SeededRng(0)))
         head.b_b[:] = 5.0
-        out, _ = T.predict(SeededRng(1).uniform(-1, 1, (3, 8)), head)
+        out, _ = T.predict(SeededRng(1).uniform(-1, 1, (1, 3, 8)), head)
         np.testing.assert_allclose(out, 5.0)
 
     def test_constant_rows_pool_to_row(self):
         rng = SeededRng(2)
         head = T.init_prediction_head(4, 3, rng)
         row = rng.uniform(-1, 1, 4)
-        encoded = np.tile(row, (6, 1))
+        encoded = np.tile(row, (1, 6, 1))
         out, _ = T.predict(encoded, head)
         hidden = np.maximum(row @ head.W_a + head.b_a, 0.0)
         expected = float((hidden @ head.W_b + head.b_b)[0])
@@ -222,7 +224,7 @@ class TestPredictionHead:
         head = T.init_prediction_head(4, 3, SeededRng(3))
         head.pooling = "max"
         with pytest.raises(ValueError, match="pooling"):
-            T.predict(np.zeros((2, 4)), head)
+            T.predict(np.zeros((1, 2, 4)), head)
 
 
 def _fd_grads(loss, params, eps=DEFAULT_EPS):
@@ -297,3 +299,181 @@ class TestBackward:
         grads, _ = T.encoder_stack_backward(d_encoded, caches, stack)
         np.testing.assert_array_equal(stack.pos_table, before)
         assert all(not name.startswith("pos") for name, _ in grads.named_arrays())
+
+
+class TestBatchOnlyInputs:
+    def _setup(self):
+        rng = SeededRng(70)
+        stack = T.init_encoder_stack(3, d_model=4, n_layers=1, n_heads=2, max_len=5,
+                                     rng=rng.split(0))
+        head = T.init_prediction_head(4, 3, rng.split(1))
+        return stack, head, rng.split(2).uniform(-1, 1, (2, 5, 3))
+
+    def test_single_window_forwards_rejected(self):
+        stack, head, x = self._setup()
+        with pytest.raises(ShapeMismatchError):
+            T.encoder_stack_forward(x[0], stack)
+        with pytest.raises(ShapeMismatchError):
+            T.encoder_layer_forward(np.zeros((5, 4)), stack.layers[0], stack.n_heads)
+        with pytest.raises(ShapeMismatchError):
+            T.predict(np.zeros((5, 4)), head)
+
+    def test_single_window_gradients_rejected(self):
+        stack, head, x = self._setup()
+        encoded, caches = T.encoder_stack_forward(x, stack)
+        layer_cache = caches["layers"][0]
+        with pytest.raises(ShapeMismatchError):
+            T.encoder_stack_backward(encoded[0], caches, stack)
+        with pytest.raises(ShapeMismatchError):
+            T.encoder_layer_backward(encoded[0], layer_cache, stack.layers[0])
+        with pytest.raises(ShapeMismatchError):
+            T.multi_head_attention_backward(encoded[0], layer_cache["attn"], stack.layers[0])
+
+    def test_attention_alone_still_takes_one_window(self):
+        stack, _, _ = self._setup()
+        x = SeededRng(71).uniform(-1, 1, (5, 4))
+        single, cache = T.multi_head_attention(x, stack.layers[0], 2)
+        batched, _ = T.multi_head_attention(x[None], stack.layers[0], 2)
+        assert single.shape == (5, 4) and cache["weights"].shape == (1, 2, 5, 5)
+        np.testing.assert_array_equal(single, batched[0])
+
+
+@st.composite
+def encoders(draw):
+    """A small random encoder stack and head, a batch and an upstream gradient."""
+    batch, seq = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    d_model = draw(st.sampled_from([2, 4, 8]))
+    n_heads = draw(st.sampled_from([h for h in (1, 2, 4, 8) if d_model % h == 0]))
+    d_ff, n_layers = draw(st.integers(1, 8)), draw(st.integers(0, 2))
+    input_size, width = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    # the LSTM hands the encoder a transposed view of its (S, B, H) buffer
+    time_major = draw(st.booleans())
+    rng = SeededRng(draw(st.integers(0, 2**16)))
+    stack = T.init_encoder_stack(input_size, d_model, n_layers, n_heads, d_ff,
+                                 max_len=5, rng=rng.split(0))
+    head = T.init_prediction_head(d_model, width, rng.split(1))
+    noise = rng.split(2)
+    for params in (stack, head):
+        for _, arr in params.named_arrays():
+            arr += noise.uniform(-0.3, 0.3, arr.shape)
+    x = rng.split(3).uniform(-1, 1, (seq, batch, input_size) if time_major
+                             else (batch, seq, input_size))
+    x = x.transpose(1, 0, 2) if time_major else x
+    upstream = rng.split(4).uniform(-1, 1, batch)
+    return stack, head, x, upstream
+
+
+def _relu_inputs(caches, head_cache, stack, head):
+    """Every ReLU pre-activation of one forward, recomputed from its caches."""
+    pre = [c["ff"]["x"] @ p.W_ff1 + p.b_ff1 for c, p in zip(caches["layers"], stack.layers)]
+    pre.append(head_cache["pooled"] @ head.W_a + head.b_a)
+    return np.concatenate([a.ravel() for a in pre])
+
+
+def _snapshot(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.copy()
+    if isinstance(obj, dict):
+        return {k: _snapshot(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_snapshot(v) for v in obj]
+    return obj
+
+
+def _assert_unchanged(live, snap, where):
+    if isinstance(live, np.ndarray):
+        np.testing.assert_array_equal(live, snap, err_msg=where)
+    elif isinstance(live, dict):
+        for k in snap:
+            _assert_unchanged(live[k], snap[k], f"{where}.{k}")
+    elif isinstance(live, (list, tuple)):
+        for i, (a, b) in enumerate(zip(live, snap)):
+            _assert_unchanged(a, b, f"{where}[{i}]")
+
+
+class TestEncoderProperties:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(case=encoders())
+    def test_backward_matches_finite_differences(self, case):
+        stack, head, x, upstream = case
+
+        def forward(inputs):
+            encoded, caches = T.encoder_stack_forward(inputs, stack)
+            preds, head_cache = T.predict(encoded, head)
+            return preds, caches, head_cache
+
+        preds, caches, head_cache = forward(x)
+        # central differences are meaningless across a ReLU kink
+        assume(np.min(np.abs(_relu_inputs(caches, head_cache, stack, head))) > 1e-3)
+        d_encoded, head_grads = T.predict_backward(upstream, head_cache, head)
+        stack_grads, d_x = T.encoder_stack_backward(d_encoded, caches, stack)
+
+        def loss():
+            return float(np.sum(upstream * forward(x)[0]))
+
+        assert _max_rel(dict(head_grads.named_arrays()), _fd_grads(loss, head)) < 1e-4
+        assert _max_rel(dict(stack_grads.named_arrays()), _fd_grads(loss, stack)) < 1e-4
+        x = np.array(x)
+        numeric_dx = np.zeros_like(x)
+        for idx in np.ndindex(*x.shape):
+            orig = x[idx]
+            x[idx] = orig + DEFAULT_EPS
+            up = loss()
+            x[idx] = orig - DEFAULT_EPS
+            down = loss()
+            x[idx] = orig
+            numeric_dx[idx] = (up - down) / (2 * DEFAULT_EPS)
+        assert _max_rel({"x": d_x}, {"x": numeric_dx}) < 1e-4
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(case=encoders())
+    def test_each_window_alone_predicts_its_batched_row(self, case):
+        stack, head, x, _ = case
+        batched, _ = T.predict(T.encoder_stack_forward(x, stack)[0], head)
+        for b in range(x.shape[0]):
+            alone, _ = T.predict(T.encoder_stack_forward(x[b : b + 1], stack)[0], head)
+            np.testing.assert_allclose(alone, batched[b : b + 1], rtol=1e-12, atol=1e-14)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(case=encoders())
+    def test_inputs_and_caches_stay_bit_unchanged(self, case):
+        stack, head, x, upstream = case
+        spied = [
+            "encoder_stack_forward", "encoder_stack_backward",
+            "encoder_layer_forward", "encoder_layer_backward",
+            "multi_head_attention", "multi_head_attention_backward",
+            "feed_forward", "feed_forward_backward",
+            "_layer_norm_fwd", "_layer_norm_bwd",
+            "predict", "predict_backward", "head_forward", "head_backward",
+        ]
+        returned = []
+
+        def spy(name, fn):
+            def wrapped(*args):
+                before = _snapshot(args)
+                result = fn(*args)
+                _assert_unchanged(args, before, f"{name} argument")
+                returned.append((name, result[1], _snapshot(result[1])))
+                return result
+            return wrapped
+
+        params_before = {
+            n: a.copy() for p in (stack, head) for n, a in p.named_arrays()
+        }
+        x_before = x.copy()
+        with pytest.MonkeyPatch.context() as mp:
+            for name in spied:
+                mp.setattr(T, name, spy(name, getattr(T, name)))
+            encoded, caches = T.encoder_stack_forward(x, stack)
+            _, head_cache = T.predict(encoded, head)
+            d_encoded, _ = T.predict_backward(upstream, head_cache, head)
+            T.encoder_stack_backward(d_encoded, caches, stack)
+
+        np.testing.assert_array_equal(x, x_before)
+        for p in (stack, head):
+            for n, a in p.named_arrays():
+                np.testing.assert_array_equal(a, params_before[n], err_msg=n)
+        # caches, as each function returned them, after the whole forward and backward
+        for name, cache, snap in returned:
+            if name.endswith("forward") or name in ("multi_head_attention", "feed_forward", "predict"):
+                _assert_unchanged(cache, snap, f"{name} cache")
