@@ -6,8 +6,8 @@
 The base commit's tree is exported with ``git archive`` into a temporary
 directory, which is removed afterwards. Each pair then runs
 ``perfbench/run.py --trace 0`` once in the base tree and once in this
-checkout (or in ``--head``, exported the same way), both with the pair's seed
-``--seed-base + i``. Even pairs run the base first and odd pairs the change
+checkout (or in ``--head``, exported the same way), both with seed 901 + i
+for pair i, for ``run_seconds`` of ``BENCHMARK.json``. Even pairs run the base first and odd pairs the change
 first, so a drift in machine speed falls on both sides alike. Several
 workloads run one after the other.
 
@@ -32,6 +32,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED_BASE = 901
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "LTPNET_THREADS")
 
 
@@ -135,18 +136,17 @@ def environment() -> dict:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--base", required=True, help="commit to compare against")
-    p.add_argument("--head", default=None, help="commit to measure; default: this checkout")
+    p.add_argument("--head", default=None,
+                   help="commit to measure, exported like the base so that edits made while "
+                        "the pairs run are not measured; default: this checkout")
     p.add_argument("--workload", required=True, nargs="+",
                    choices=["reference", "swarm-search", "gradcheck"])
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--label", required=True)
-    p.add_argument("--seed-base", type=int, default=901)
-    p.add_argument("--seconds", type=float, default=None,
-                   help="seconds per run; default: BENCHMARK.json's run_seconds")
     args = p.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
     base_sha = _git("rev-parse", args.base)
     head_sha = _git("rev-parse", args.head or "HEAD")
@@ -163,7 +163,7 @@ def main(argv=None) -> int:
         for workload in args.workload:
             runs = []
             for i in range(args.pairs):
-                seed = args.seed_base + i
+                seed = SEED_BASE + i
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 for position, side in enumerate(order):
                     run = run_once(trees[side], workload, seed, seconds)
