@@ -1,15 +1,15 @@
-"""Interleaved benchmark pairs: a base commit against this checkout.
+"""Interleaved benchmark pairs: a base commit against HEAD.
 
     python3 scripts/bench_pairs.py --base <sha> --workload reference --pairs 10 --label encoder_rows
     python3 scripts/bench_pairs.py --base <sha> --workload reference swarm-search --pairs 4 --label x
 
-The base commit's tree is exported with ``git archive`` into a temporary
-directory, which is removed afterwards. Each pair then runs
-``perfbench/run.py --trace 0`` once in the base tree and once in this
-checkout (or in ``--head``, exported the same way), both with seed 901 + i
-for pair i, for ``run_seconds`` of ``BENCHMARK.json``. Even pairs run the base first and odd pairs the change
-first, so a drift in machine speed falls on both sides alike. Several
-workloads run one after the other.
+The trees of the base commit and of HEAD are exported with ``git archive``
+into a temporary directory, which is removed afterwards, so edits made in
+the checkout while the pairs run are not measured. Each pair then runs
+``perfbench/run.py --trace 0`` once in each tree, both with seed 901 + i for
+pair i, for ``run_seconds`` of ``BENCHMARK.json``. Even pairs run the base
+first and odd pairs the change first, so a drift in machine speed falls on
+both sides alike. Several workloads run one after the other.
 
 Writes ``BENCH_<label>.json`` at the repository root: per workload, every
 run's metrics, each side's median and quartiles per end-to-end metric of
@@ -136,9 +136,6 @@ def environment() -> dict:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--base", required=True, help="commit to compare against")
-    p.add_argument("--head", default=None,
-                   help="commit to measure, exported like the base so that edits made while "
-                        "the pairs run are not measured; default: this checkout")
     p.add_argument("--workload", required=True, nargs="+",
                    choices=["reference", "swarm-search", "gradcheck"])
     p.add_argument("--pairs", type=int, default=10)
@@ -149,17 +146,14 @@ def main(argv=None) -> int:
     seconds = bench["run_seconds"]
     directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
     base_sha = _git("rev-parse", args.base)
-    head_sha = _git("rev-parse", args.head or "HEAD")
-    dirty = args.head is None and bool(_git("status", "--porcelain", "--", "src", "perfbench"))
+    head_sha = _git("rev-parse", "HEAD")
 
     workloads = {}
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     try:
-        trees = {"base": tmp / "base", "change": ROOT}
+        trees = {"base": tmp / "base", "change": tmp / "change"}
         export_tree(base_sha, trees["base"])
-        if args.head is not None:
-            trees["change"] = tmp / "change"
-            export_tree(head_sha, trees["change"])
+        export_tree(head_sha, trees["change"])
         for workload in args.workload:
             runs = []
             for i in range(args.pairs):
@@ -190,7 +184,6 @@ def main(argv=None) -> int:
         "seconds_per_run": seconds,
         "base": base_sha,
         "change": head_sha,
-        "change_uncommitted_edits": dirty,
         "environment": environment(),
         "workloads": workloads,
     }

@@ -13,14 +13,15 @@ from pathlib import Path
 from .gradcheck import composed_gradcheck_suite
 from .harness import (
     ExperimentSpec,
+    ablation_specs,
+    build_configs,
+    optimizer_specs,
     run_ablation_suite,
     run_experiment,
     run_optimizer_comparison,
     run_pso_distribution_study,
 )
 from .preprocessing import SyntheticSpec, synthesize_series, write_csv
-from .pso import HyperparamPoint, SearchSpace, SwarmConfig
-from .training import SearchBudget, TrainConfig
 
 
 class UsageError(Exception):
@@ -75,38 +76,28 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_spec(args) -> ExperimentSpec:
-    """The spec at ``args.config``, with its nested configs built once.
+def _load_spec(args, rows=None) -> ExperimentSpec:
+    """The spec at ``args.config``, with the command-line overrides applied.
 
-    A spec the run would reject (an unknown key, variant or value) is a usage
-    error here, before any output directory or dataset exists.
+    Every spec the command will run (``rows(spec)`` for a suite, else the
+    spec itself) has its configs built here, so a spec the run would reject
+    (an unknown key, variant or value) is a usage error before any output
+    directory or dataset exists.
     """
     try:
         spec = ExperimentSpec.from_json_file(args.config)
-        _check_nested_configs(spec)
+        if args.out_dir is not None:
+            spec = replace(spec, output_dir=args.out_dir)
+        if args.seed is not None:
+            spec.seeds.data = args.seed
+            spec.seeds.init = args.seed + 1
+            spec.seeds.shuffle = args.seed + 2
+            spec.seeds.swarm = args.seed + 3
+        for run_spec in (rows(spec).values() if rows else (spec,)):
+            build_configs(run_spec)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid spec {args.config}: {exc}") from exc
-    if args.out_dir is not None:
-        spec = replace(spec, output_dir=args.out_dir)
-    if args.seed is not None:
-        spec.seeds.data = args.seed
-        spec.seeds.init = args.seed + 1
-        spec.seeds.shuffle = args.seed + 2
-        spec.seeds.swarm = args.seed + 3
     return spec
-
-
-def _check_nested_configs(spec: ExperimentSpec) -> None:
-    """Build the configs that ``run_experiment`` builds from ``spec``."""
-    TrainConfig(**{**spec.train, "optimizer": spec.optimizer}).validate()
-    SwarmConfig(**{"seed": spec.seeds.swarm, **spec.swarm})
-    if spec.variant == "no-pso":
-        return
-    if spec.hyperparameter_source == "pso-search":
-        SearchSpace(**{k: tuple(v) for k, v in spec.search_space.items()})
-        SearchBudget(**spec.budget)
-    else:
-        HyperparamPoint(**spec.hyperparams)
 
 
 def cli(argv=None) -> int:
@@ -137,12 +128,12 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "ablate":
-        result = run_ablation_suite(_load_spec(args))
+        result = run_ablation_suite(_load_spec(args, ablation_specs))
         print(f"ablation table: {result['summary']['table']}")
         return 0
 
     if args.command == "compare-optimizers":
-        result = run_optimizer_comparison(_load_spec(args))
+        result = run_optimizer_comparison(_load_spec(args, optimizer_specs))
         print(f"optimizer table: {result['summary']['table']}")
         return 0
 

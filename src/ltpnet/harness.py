@@ -254,37 +254,68 @@ def _target_column(spec: ExperimentSpec):
     return "target"
 
 
-def resolve_hyperparams(spec, dataset, split, cfg, swarm_cfg, out_dir):
-    """Fixed defaults, a swarm search, or a grid search, per the spec."""
-    search_history = None
-    if spec.variant == "no-pso" or spec.hyperparameter_source == "fixed":
-        overrides = {} if spec.variant == "no-pso" else dict(spec.hyperparams)
-        hp = P.HyperparamPoint(**overrides)
+@dataclass
+class RunConfigs:
+    """The configs one run builds from its spec.
+
+    ``hyperparams`` is the fixed point (the defaults for no-pso) or the
+    grid search's base point; a swarm search uses ``space`` and ``budget``
+    instead, and the other fields are None.
+    """
+
+    train: TR.TrainConfig
+    swarm: P.SwarmConfig
+    hyperparams: P.HyperparamPoint | None = None
+    space: P.SearchSpace | None = None
+    budget: TR.SearchBudget | None = None
+
+
+def build_configs(spec: ExperimentSpec) -> RunConfigs:
+    """Build and validate the configs of ``spec``.
+
+    Raises TypeError or ValueError on an unknown key or a bad value, so a
+    caller can reject a spec before any work starts.
+    """
+    cfg = TR.TrainConfig(**{**spec.train, "optimizer": spec.optimizer})
+    cfg.validate()
+    configs = RunConfigs(
+        train=cfg, swarm=P.SwarmConfig(**{"seed": spec.seeds.swarm, **spec.swarm})
+    )
+    if spec.variant == "no-pso":
+        configs.hyperparams = P.HyperparamPoint()
     elif spec.hyperparameter_source == "pso-search":
-        space = P.SearchSpace(**{
+        configs.space = P.SearchSpace(**{
             k: tuple(v) for k, v in spec.search_space.items()
         })
-        budget = TR.SearchBudget(**spec.budget)
+        configs.budget = TR.SearchBudget(**spec.budget)
+    else:  # fixed or grid-search
+        configs.hyperparams = P.HyperparamPoint(**spec.hyperparams)
+    return configs
+
+
+def resolve_hyperparams(spec, dataset, split, configs: RunConfigs, out_dir):
+    """Fixed defaults, a swarm search, or a grid search, per the spec."""
+    search_history = None
+    cfg, swarm_cfg, hp = configs.train, configs.swarm, configs.hyperparams
+    if configs.space is not None:
         hp, _, search_history = TR.pso_hyperparameter_search(
-            dataset, split, space, swarm_cfg, budget, cfg
+            dataset, split, configs.space, swarm_cfg, configs.budget, cfg
         )
         P.write_history_csv(
             out_dir / "histories" / "pso_history.csv",
             {swarm_cfg.seed: search_history},
         )
-    else:  # grid-search
-        rows = TR.grid_search(dataset, split, None, P.HyperparamPoint(**spec.hyperparams), cfg)
+    elif spec.variant != "no-pso" and spec.hyperparameter_source == "grid-search":
+        rows = TR.grid_search(dataset, split, None, hp, cfg)
         best = rows[0]
-        hp = replace(
-            P.HyperparamPoint(**spec.hyperparams),
-            lstm_lr=best["lr"],
-            transformer_layers=best["transformer_layers"],
-        )
+        hp = replace(hp, lstm_lr=best["lr"], transformer_layers=best["transformer_layers"])
         cfg.batch_size = best["batch_size"]
     return hp, search_history
 
 
 def run_experiment(spec: ExperimentSpec) -> RunReport:
+    configs = build_configs(spec)
+    cfg, swarm_cfg = configs.train, configs.swarm
     out_dir = Path(spec.output_dir)
     for sub in ("reports", "checkpoints", "histories"):
         (out_dir / sub).mkdir(parents=True, exist_ok=True)
@@ -301,12 +332,7 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
         rng=SeededRng(spec.seeds.data),
     )
 
-    cfg = TR.TrainConfig(**{**spec.train, "optimizer": spec.optimizer})
-    cfg.validate()
-    swarm_cfg = P.SwarmConfig(**{"seed": spec.seeds.swarm, **spec.swarm})
-    hp, _search_history = resolve_hyperparams(
-        spec, dataset, split, cfg, swarm_cfg, out_dir
-    )
+    hp, _search_history = resolve_hyperparams(spec, dataset, split, configs, out_dir)
 
     flags = {
         "lstm_enabled": spec.variant != "no-lstm",
@@ -407,18 +433,24 @@ def _metric_cell(value):
     return "" if value is None else repr(float(value))
 
 
-def run_ablation_suite(base: ExperimentSpec) -> dict:
-    """Run all four variants with shared data and seeds; emit the 4x4 table."""
+def ablation_specs(base: ExperimentSpec) -> dict:
+    """The spec of each ablation row: ``base`` with the row's variant."""
     out_dir = Path(base.output_dir)
-    specs = {}
-    for label, variant in ABLATION_ROWS:
-        specs[label] = replace(
+    return {
+        label: replace(
             base,
             variant=variant,
             output_dir=str(out_dir / variant),
             dataset=dict(base.dataset),
         )
-    reports = _run_suite(specs)
+        for label, variant in ABLATION_ROWS
+    }
+
+
+def run_ablation_suite(base: ExperimentSpec) -> dict:
+    """Run all four variants with shared data and seeds; emit the 4x4 table."""
+    out_dir = Path(base.output_dir)
+    reports = _run_suite(ablation_specs(base))
 
     test_sets = {
         label: tuple(int(i) for i in r.split.test) for label, r in reports.items()
@@ -455,8 +487,8 @@ def run_ablation_suite(base: ExperimentSpec) -> dict:
 OPTIMIZER_ROWS = ("adam", "adaptive-momentum", "sgd+pso")
 
 
-def run_optimizer_comparison(base: ExperimentSpec) -> dict:
-    """Compare update rules on the full model; emit efficiency + accuracy."""
+def optimizer_specs(base: ExperimentSpec) -> dict:
+    """The spec of each optimizer row: the full model with the row's update rule."""
     out_dir = Path(base.output_dir)
     specs = {}
     for row in OPTIMIZER_ROWS:
@@ -486,7 +518,13 @@ def run_optimizer_comparison(base: ExperimentSpec) -> dict:
             spec.optimizer = "sgd"
             spec.hyperparameter_source = "pso-search"
         specs[row] = spec
-    reports = _run_suite(specs)
+    return specs
+
+
+def run_optimizer_comparison(base: ExperimentSpec) -> dict:
+    """Compare update rules on the full model; emit efficiency + accuracy."""
+    out_dir = Path(base.output_dir)
+    reports = _run_suite(optimizer_specs(base))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     table_path = out_dir / "optimizer_table.csv"

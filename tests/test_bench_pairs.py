@@ -51,3 +51,13 @@ class TestSummarize:
         assert out["work_per_s"]["base"]["values"] == [10.0, 12.0, 1.0]
         assert out["setup_s"]["pairs"] == 0 and out["setup_s"]["base"]["median"] is None
         assert "median_ratio" not in out["setup_s"]
+
+
+@pytest.mark.skipif(not (_PATH.parent.parent / ".git").exists(), reason="needs a git checkout")
+def test_export_tree_writes_the_committed_files(tmp_path):
+    bench_pairs.export_tree("HEAD", tmp_path)
+    assert (tmp_path / "BENCHMARK.json").read_bytes() == (
+        _PATH.parent.parent / "BENCHMARK.json"
+    ).read_bytes()
+    assert (tmp_path / "perfbench" / "run.py").exists()
+    assert not (tmp_path / ".git").exists()

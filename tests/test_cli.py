@@ -73,6 +73,13 @@ class TestUsage:
         assert "no-encoder" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_ablate_checks_the_spec_of_every_row(self, tmp_path, capsys):
+        # a no-pso spec ignores its hyperparams, but the suite's other rows use them
+        spec_path = self._malformed(tmp_path, variant="no-pso", hyperparams={"bogus": 1})
+        assert cli(["ablate", "--config", str(spec_path)]) == 1
+        assert "bogus" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_runtime_failure_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"dataset": {"csv": {"path": "/nope.csv"}}}))
@@ -113,6 +120,14 @@ class TestCommands:
 
     def test_compare_optimizers(self, tmp_path, capsys):
         spec_path = write_spec(tmp_path, tmp_path / "cmp")
+        assert cli(["compare-optimizers", "--config", str(spec_path)]) == 0
+        assert (tmp_path / "cmp" / "optimizer_table.csv").exists()
+
+    def test_compare_optimizers_ignores_the_spec_optimizer(self, tmp_path, capsys):
+        # every row sets its own optimizer, so the spec's is never used
+        spec_path = write_spec(tmp_path, tmp_path / "cmp")
+        spec = json.loads(spec_path.read_text())
+        spec_path.write_text(json.dumps({**spec, "optimizer": "unused"}))
         assert cli(["compare-optimizers", "--config", str(spec_path)]) == 0
         assert (tmp_path / "cmp" / "optimizer_table.csv").exists()
 
