@@ -9,9 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, backward_batch, build_model, forward_batch
+from .model import ModelParams, build_model, forward_batch
 from .rng import SeededRng
-from .training import mse_loss
+from .training import loss_and_gradients, mse_loss
 
 DEFAULT_EPS = 1e-5
 REL_ERR_FLOOR = 1e-6
@@ -42,13 +42,11 @@ def check_model_gradients(model: ModelParams, windows, targets, eps=DEFAULT_EPS)
     targets = np.asarray(targets, dtype=np.float64)
 
     def loss_fn():
-        preds, _ = forward_batch(windows, model)
+        preds, _ = forward_batch(windows, model, keep_cache=False)
         loss, _ = mse_loss(preds, targets)
         return loss
 
-    preds, caches = forward_batch(windows, model)
-    _, d_pred = mse_loss(preds, targets)
-    analytic = backward_batch(d_pred, caches, model).flat
+    analytic = loss_and_gradients(windows, targets, model)[1].flat
     numeric = finite_difference_grads(loss_fn, model, eps)
     denom = np.maximum(np.abs(analytic) + np.abs(numeric), REL_ERR_FLOOR)
     return float(np.max(np.abs(analytic - numeric) / denom))

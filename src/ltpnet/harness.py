@@ -294,7 +294,12 @@ def build_configs(spec: ExperimentSpec) -> RunConfigs:
 
 
 def resolve_hyperparams(spec, dataset, split, configs: RunConfigs, out_dir):
-    """Fixed defaults, a swarm search, or a grid search, per the spec."""
+    """Fixed defaults, a swarm search, or a grid search, per the spec.
+
+    Returns (hyperparameter point, train config, search history). A grid
+    search picks the batch size too, so the config it returns is a new one;
+    ``configs`` is never modified.
+    """
     search_history = None
     cfg, swarm_cfg, hp = configs.train, configs.swarm, configs.hyperparams
     if configs.space is not None:
@@ -309,13 +314,13 @@ def resolve_hyperparams(spec, dataset, split, configs: RunConfigs, out_dir):
         rows = TR.grid_search(dataset, split, None, hp, cfg)
         best = rows[0]
         hp = replace(hp, lstm_lr=best["lr"], transformer_layers=best["transformer_layers"])
-        cfg.batch_size = best["batch_size"]
-    return hp, search_history
+        cfg = replace(cfg, batch_size=best["batch_size"])
+    return hp, cfg, search_history
 
 
 def run_experiment(spec: ExperimentSpec) -> RunReport:
     configs = build_configs(spec)
-    cfg, swarm_cfg = configs.train, configs.swarm
+    swarm_cfg = configs.swarm
     out_dir = Path(spec.output_dir)
     for sub in ("reports", "checkpoints", "histories"):
         (out_dir / sub).mkdir(parents=True, exist_ok=True)
@@ -332,7 +337,7 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
         rng=SeededRng(spec.seeds.data),
     )
 
-    hp, _search_history = resolve_hyperparams(spec, dataset, split, configs, out_dir)
+    hp, cfg, _search_history = resolve_hyperparams(spec, dataset, split, configs, out_dir)
 
     flags = {
         "lstm_enabled": spec.variant != "no-lstm",
@@ -359,7 +364,9 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
     eval_report = TR.evaluate_on_indices(dataset, split.test, result.params)
 
     sample = dataset.features[split.test[: min(32, len(split.test))]]
-    mean_ms, _ = time_run(lambda: forward_batch(sample, result.params), repetitions=3, warmup=1)
+    mean_ms, _ = time_run(
+        lambda: forward_batch(sample, result.params, keep_cache=False), repetitions=3, warmup=1
+    )
     efficiency = EfficiencyReport(
         parameter_count=count_parameters(result.params),
         flops_per_forward=estimate_flops(

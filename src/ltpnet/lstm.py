@@ -173,11 +173,13 @@ def _check_shapes(window, stack, init_states):
             )
 
 
-def lstm_sequence_forward(window, stack, init_states=None):
+def lstm_sequence_forward(window, stack, init_states=None, keep_cache=True):
     """Run a stack of layers over a batch of windows (B, L, F).
 
     Layer l > 0 consumes the full hidden sequence of layer l-1. Returns
     (top hidden sequence (B, L, H), final states per layer, caches per layer).
+    With ``keep_cache=False`` the caches are None and each layer's buffers
+    are dropped once the layer above has read its hidden sequence.
     """
     window = np.asarray(window, dtype=np.float64)
     if not stack:
@@ -202,13 +204,14 @@ def lstm_sequence_forward(window, stack, init_states=None):
         for t in range(length):
             state, tanh_c[t] = lstm_cell_forward(act[t], state, w)
             hs[t + 1], cs[t + 1] = state.h, state.c
-        caches.append({
-            "inputs": seq, "h": hs, "c": cs,
-            "gates": act[:, :, : 3 * hidden], "g": act[:, :, 3 * hidden :], "tanh_c": tanh_c,
-        })
+        if keep_cache:
+            caches.append({
+                "inputs": seq, "h": hs, "c": cs,
+                "gates": act[:, :, : 3 * hidden], "g": act[:, :, 3 * hidden :], "tanh_c": tanh_c,
+            })
         finals.append(state)
         seq = hs[1:]
-    return seq.transpose(1, 0, 2), finals, caches
+    return seq.transpose(1, 0, 2), finals, caches if keep_cache else None
 
 
 def lstm_layer_backward(cache, d_hidden, p: LstmLayerParams):

@@ -15,6 +15,10 @@ the bypass. Gradients from ``backward_batch`` are packed the same way, so the
 optimizers, gradient clipping, best-epoch snapshots, checkpoints and gradient
 checks all work on whole vectors. This module alone knows the layout. The
 positional table is a constant and never appears in it.
+
+``forward_batch`` keeps the backward caches by default, as a training step
+needs them; predictions that never go backward pass ``keep_cache=False`` and
+hold about one layer's activations at a time.
 """
 
 import math
@@ -241,30 +245,39 @@ def build_model(
     )
 
 
-def forward_batch(windows: np.ndarray, model: ModelParams):
-    """Predict a batch of windows (B, L, F). Returns (preds (B,), caches)."""
+def forward_batch(windows: np.ndarray, model: ModelParams, keep_cache: bool = True):
+    """Predict a batch of windows (B, L, F). Returns (preds (B,), caches).
+
+    With ``keep_cache=False`` the caches are None, and the LSTM and encoder
+    drop each layer's cache as soon as that layer returns, so a prediction
+    holds about one layer's activations instead of every backward cache; the
+    predictions are the same bits. ``training._batched_predictions`` (the
+    validation, test and forecast passes), gradcheck's loss evaluations and
+    the inference timing of ``harness.run_experiment`` predict this way; only
+    a training step keeps the caches for ``backward_batch``.
+    """
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 3:
         raise ValueError(f"expected (batch, lookback, features), got {windows.shape}")
     caches = {}
     if model.lstm_enabled:
-        hidden, finals, lstm_caches = L.lstm_sequence_forward(windows, model.lstm_stack)
-        caches["lstm"] = lstm_caches
+        hidden, _, caches["lstm"] = L.lstm_sequence_forward(
+            windows, model.lstm_stack, keep_cache=keep_cache
+        )
     else:
         hidden = windows
 
     if model.transformer_enabled:
-        encoded, enc_caches = T.encoder_stack_forward(hidden, model.encoder)
-        caches["encoder"] = enc_caches
-        preds, head_cache = T.predict(encoded, model.head)
-        caches["head"] = head_cache
+        encoded, caches["encoder"] = T.encoder_stack_forward(
+            hidden, model.encoder, keep_cache=keep_cache
+        )
+        preds, caches["head"] = T.predict(encoded, model.head)
     else:
         last_hidden = hidden[:, -1, :]
         projected = last_hidden @ model.bypass.W + model.bypass.b
         caches["bypass"] = {"last_hidden": last_hidden, "hidden_shape": hidden.shape}
-        preds, head_cache = T.head_forward(projected, model.head)
-        caches["head"] = head_cache
-    return preds, caches
+        preds, caches["head"] = T.head_forward(projected, model.head)
+    return preds, caches if keep_cache else None
 
 
 def forward_full(window: np.ndarray, model: ModelParams):

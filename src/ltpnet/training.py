@@ -7,7 +7,10 @@ optimizer. A chronological tail of the training split (15% by default) is
 held out for validation-driven early stopping; the parameters from the best
 validation epoch are the ones reported. Training stops at the first batch
 whose loss or gradient norm is not finite, before the optimizer applies it,
-and reports that it diverged.
+and reports that it diverged. A step's forward caches are freed before the
+optimizer steps and its gradients before the next batch's forward pass, so
+one step's buffers never overlap the next's. Validation and test passes
+predict without caches (``forward_batch(..., keep_cache=False)``).
 
 SGD applies the LSTM learning rate to LSTM weights and the transformer
 learning rate to encoder and head weights. The adaptive-momentum optimizer
@@ -90,8 +93,8 @@ class TrainReport:
     stopped_epoch: int
     best_epoch: int
     diverged: bool
-    train_mse_initial: float
-    train_mse_final: float
+    train_mse_initial: float | None  # None when train() skipped the pass
+    train_mse_final: float | None
     wall_time_s: float
     params: ModelParams
     used_train_indices: np.ndarray
@@ -221,7 +224,7 @@ def _batched_predictions(dataset: WindowedDataset, indices, model, batch=256):
     for start in range(0, len(indices), batch):
         chunk = indices[start : start + batch]
         preds[start : start + len(chunk)], _ = forward_batch(
-            dataset.features[chunk], model
+            dataset.features[chunk], model, keep_cache=False
         )
     return preds
 
@@ -230,6 +233,33 @@ def dataset_mse(dataset: WindowedDataset, indices, model) -> float:
     preds = _batched_predictions(dataset, indices, model)
     loss, _ = mse_loss(preds, dataset.targets[indices])
     return loss
+
+
+def loss_and_gradients(windows, targets, model: ModelParams):
+    """MSE of one batch and its gradients, packed like ``model.flat``.
+
+    The forward caches live only inside this call: they are gone by the time
+    the caller clips or applies the gradients.
+    """
+    preds, caches = forward_batch(windows, model)
+    loss, d_pred = mse_loss(preds, targets)
+    return loss, backward_batch(d_pred, caches, model)
+
+
+def _train_step(model, opt, windows, targets, clip_norm) -> tuple:
+    """Clip, check and apply one batch's gradients. Returns (loss, stepped).
+
+    ``stepped`` is False when the loss or the pre-clip gradient norm is not
+    finite; the optimizer then does not step. The gradients are gone when
+    this returns, before the next batch's forward pass.
+    """
+    loss, grads = loss_and_gradients(windows, targets, model)
+    norm = clip_gradients(grads, clip_norm)
+    if not (math.isfinite(loss) and math.isfinite(norm)):
+        # clipping cannot tame a NaN norm; stop before the step applies it
+        return loss, False
+    opt.step(model, grads)
+    return loss, True
 
 
 def carve_validation(train_indices: np.ndarray, fraction: float):
@@ -251,8 +281,15 @@ def train(
     shuffle_rng: SeededRng | None = None,
     lstm_enabled: bool = True,
     transformer_enabled: bool = True,
+    *,
+    measure_train_mse: bool = True,
 ) -> TrainReport:
-    """Mini-batch training with early stopping on a held-out tail."""
+    """Mini-batch training with early stopping on a held-out tail.
+
+    ``measure_train_mse=False`` skips the MSE passes over the training carve
+    before and after training; the report then holds None for both. The
+    searches, which read only the validation losses, train their proxies so.
+    """
     cfg.validate()
     if len(split.train) == 0:
         raise ValueError("empty training split")
@@ -281,7 +318,7 @@ def train(
     used = set()
     best_flat = model.flat.copy()
     started = time.perf_counter()
-    initial_mse = dataset_mse(dataset, inner_train, model)
+    initial_mse = dataset_mse(dataset, inner_train, model) if measure_train_mse else None
 
     stopped_epoch = 0
     diverged = False
@@ -297,15 +334,13 @@ def train(
         for b in range(n_batches):
             batch_idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             used.update(int(i) for i in batch_idx)
-            preds, caches = forward_batch(dataset.features[batch_idx], model)
-            loss, d_pred = mse_loss(preds, dataset.targets[batch_idx])
-            grads = backward_batch(d_pred, caches, model)
-            norm = clip_gradients(grads, cfg.grad_clip_norm)
-            if not (math.isfinite(loss) and math.isfinite(norm)):
-                # clipping cannot tame a NaN norm; stop before the step applies it
+            loss, stepped = _train_step(
+                model, opt, dataset.features[batch_idx], dataset.targets[batch_idx],
+                cfg.grad_clip_norm,
+            )
+            if not stepped:
                 diverged = True
                 break
-            opt.step(model, grads)
             epoch_sse += loss * len(batch_idx)
             epoch_count += len(batch_idx)
         if diverged:
@@ -320,7 +355,7 @@ def train(
             break
 
     model.flat[...] = best_flat
-    final_mse = dataset_mse(dataset, inner_train, model)
+    final_mse = dataset_mse(dataset, inner_train, model) if measure_train_mse else None
     return TrainReport(
         train_losses=train_losses,
         val_losses=val_losses,
@@ -390,7 +425,9 @@ def grid_search(
     for i, (lr, batch, layers) in enumerate(cells):
         cell_hp = replace(hp, lstm_lr=lr, transformer_layers=layers)
         cell_cfg = replace(cfg, batch_size=batch)
-        result = train(dataset, split, cell_hp, cell_cfg, rng=rng.split(i))
+        result = train(
+            dataset, split, cell_hp, cell_cfg, rng=rng.split(i), measure_train_mse=False
+        )
         rows.append(
             {
                 "lr": lr,
@@ -432,7 +469,8 @@ def pso_hyperparameter_search(
     def fitness(x):
         hp = P.decode_position(x, space)
         result = train(
-            dataset, split, hp, proxy, rng=SeededRng(budget.fitness_seed)
+            dataset, split, hp, proxy, rng=SeededRng(budget.fitness_seed),
+            measure_train_mse=False,
         )
         value = min(result.val_losses) if result.val_losses else math.inf
         return value if math.isfinite(value) else DIVERGED_FITNESS

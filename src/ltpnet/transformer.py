@@ -33,6 +33,13 @@ Caches keep only what backward reads, as rows unless noted:
     stack         "input" the (B, S, input_size) sequence, "layers"
     head          "pooled", "act" as in the feed-forward, and "seq_len"
 
+``encoder_layer_forward`` and ``encoder_stack_forward`` take ``keep_cache``;
+with it False they return None for the cache and the stack drops each
+layer's cache as soon as the layer returns, so a forward-only pass holds one
+layer's activations, not six. ``model.forward_batch`` passes the flag for
+predictions that never go backward (validation, test and forecast passes,
+gradcheck's loss evaluations, the inference timing).
+
 Bias adds, ReLUs, residual adds and the layer norm's scale and shift run in
 place, but only on arrays the function computed itself. Nothing writes into
 an input (the encoder's input is the LSTM's top h, which the LSTM caches for
@@ -334,10 +341,11 @@ def _layer_norm_bwd(d_out, cache, gain):
 # encoder layer / stack / head
 # ---------------------------------------------------------------------------
 
-def encoder_layer_forward(x, p: EncoderLayerParams, n_heads: int):
+def encoder_layer_forward(x, p: EncoderLayerParams, n_heads: int, keep_cache: bool = True):
     """Post-norm block: LN(x + attention(x)), then LN(y + feed_forward(y)).
 
-    ``x`` is (B, S, d_model); returns (output of the same shape, cache).
+    ``x`` is (B, S, d_model); returns (output of the same shape, cache), the
+    cache None when ``keep_cache`` is False.
     """
     x = _batch(x, "encoder layer input")
     rows = x.reshape(-1, x.shape[-1])
@@ -349,7 +357,7 @@ def encoder_layer_forward(x, p: EncoderLayerParams, n_heads: int):
     s2 += y1
     y2, ln2_cache = _layer_norm_fwd(s2, p.ln2_gain, p.ln2_bias)
     cache = {"attn": attn_cache, "ln1": ln1_cache, "ff": ff_cache, "ln2": ln2_cache}
-    return y2.reshape(x.shape), cache
+    return y2.reshape(x.shape), cache if keep_cache else None
 
 
 def encoder_layer_backward(d_out, cache, p: EncoderLayerParams):
@@ -371,10 +379,14 @@ def encoder_layer_backward(d_out, cache, p: EncoderLayerParams):
     return d_x, g
 
 
-def encoder_stack_forward(hidden_seq, stack: EncoderStack, add_positional: bool = True):
+def encoder_stack_forward(
+    hidden_seq, stack: EncoderStack, add_positional: bool = True, keep_cache: bool = True
+):
     """Project, add positional encoding, run all layers. Returns (out, caches).
 
     ``hidden_seq`` is (B, S, input_size); the output is (B, S, d_model).
+    With ``keep_cache=False`` the caches are None and each layer's cache is
+    dropped as soon as the layer returns; the output is the same bits.
     """
     xb = _batch(hidden_seq, "sequence")
     if xb.shape[-1] != stack.input_size:
@@ -395,9 +407,9 @@ def encoder_stack_forward(hidden_seq, stack: EncoderStack, add_positional: bool 
         z += stack.pos_table[:seq_len]
     layer_caches = []
     for layer in stack.layers:
-        z, cache = encoder_layer_forward(z, layer, stack.n_heads)
+        z, cache = encoder_layer_forward(z, layer, stack.n_heads, keep_cache)
         layer_caches.append(cache)
-    return z, {"input": xb, "layers": layer_caches}
+    return z, {"input": xb, "layers": layer_caches} if keep_cache else None
 
 
 def encoder_stack_backward(d_out, caches, stack: EncoderStack):

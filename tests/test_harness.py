@@ -1,5 +1,7 @@
+import copy
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +12,9 @@ from ltpnet.harness import (
     OPTIMIZER_CSV_HEADER,
     OPTIMIZER_ROWS,
     ExperimentSpec,
+    build_configs,
+    load_table,
+    resolve_hyperparams,
     run_ablation_suite,
     run_experiment,
     run_optimizer_comparison,
@@ -17,6 +22,8 @@ from ltpnet.harness import (
     suite_thread_count,
     validate_run_report,
 )
+from ltpnet.preprocessing import build_dataset
+from ltpnet.rng import SeededRng
 
 
 def tiny_spec(out_dir, **overrides):
@@ -166,6 +173,19 @@ class TestRunExperiment:
         spec = tiny_spec(tmp_path / "grid", hyperparameter_source="grid-search")
         report = run_experiment(spec)
         assert report.resolved_hyperparams["transformer_layers"] in (4, 6)
+
+    def test_grid_search_resolve_leaves_the_configs_untouched(self, tmp_path):
+        spec = tiny_spec(tmp_path / "grid", hyperparameter_source="grid-search")
+        configs = build_configs(spec)
+        before = copy.deepcopy(configs)
+        dataset, split, _ = build_dataset(
+            load_table(spec), lookback=spec.lookback, rng=SeededRng(spec.seeds.data)
+        )
+        _, cfg, _ = resolve_hyperparams(spec, dataset, split, configs, tmp_path)
+        assert configs == before
+        # the grid's batch sizes are 32 and 64; the spec asks for 16
+        assert cfg.batch_size in (32, 64)
+        assert cfg == replace(configs.train, batch_size=cfg.batch_size)
 
 
 class TestAblationSuite:

@@ -3,6 +3,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltpnet import lstm as L
 from ltpnet.checkpoint import load_checkpoint, save_checkpoint
@@ -66,6 +68,42 @@ class TestForward:
     def test_bad_window_rank(self):
         with pytest.raises(ValueError, match="lookback"):
             forward_full(np.zeros((6,)), tiny_model())
+
+
+@st.composite
+def small_cases(draw):
+    """A small random model of any variant and a batch of windows for it."""
+    variant = draw(st.sampled_from(["full", "no-lstm", "no-transformer"]))
+    heads = draw(st.sampled_from([1, 2]))
+    lookback, features = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    rng = SeededRng(draw(st.integers(0, 2**16)))
+    model = build_model(
+        n_features=features,
+        lookback=lookback,
+        lstm_hidden=draw(st.integers(1, 5)),
+        lstm_layers=draw(st.integers(1, 2)),
+        transformer_layers=draw(st.integers(0, 3)),
+        attention_heads=heads,
+        d_model=2 * heads * draw(st.integers(1, 2)),
+        head_width=draw(st.integers(1, 4)),
+        lstm_enabled=variant != "no-lstm",
+        transformer_enabled=variant != "no-transformer",
+        rng=rng.split(0),
+    )
+    windows = rng.split(1).uniform(-2, 2, (draw(st.integers(1, 4)), lookback, features))
+    return model, windows
+
+
+class TestForwardOnly:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=small_cases())
+    def test_same_predictions_without_caches(self, case):
+        model, windows = case
+        cached, caches = forward_batch(windows, model)
+        preds, none = forward_batch(windows, model, keep_cache=False)
+        assert none is None
+        assert caches is not None
+        np.testing.assert_array_equal(preds, cached)
 
 
 class TestNamedArrays:

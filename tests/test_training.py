@@ -1,11 +1,13 @@
 import copy
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ltpnet import pso as P
+from ltpnet import training as TR
 from ltpnet.model import build_model, forward_batch
 from ltpnet.preprocessing import (
     SplitSpec,
@@ -22,8 +24,11 @@ from ltpnet.training import (
     SearchBudget,
     SgdOptimizer,
     TrainConfig,
+    carve_validation,
     clip_gradients,
+    evaluate_on_indices,
     grid_search,
+    loss_and_gradients,
     mse_loss,
     pso_hyperparameter_search,
     train,
@@ -344,6 +349,108 @@ class TestTrain:
             )
             assert len(report.train_losses) == 2
             assert all(np.isfinite(v) for v in report.train_losses)
+
+    def test_skipping_the_train_mse_changes_nothing_else(self):
+        dataset, split, _ = tiny_dataset()
+        full = train(dataset, split, TINY_HP, tiny_cfg(), rng=SeededRng(4))
+        lean = train(
+            dataset, split, TINY_HP, tiny_cfg(), rng=SeededRng(4), measure_train_mse=False
+        )
+        assert lean.train_mse_initial is None and lean.train_mse_final is None
+        assert math.isfinite(full.train_mse_initial) and math.isfinite(full.train_mse_final)
+        assert lean.train_losses == full.train_losses
+        assert lean.val_losses == full.val_losses
+        np.testing.assert_array_equal(lean.params.flat, full.params.flat)
+
+    def test_searches_train_their_proxies_without_the_train_mse(self, monkeypatch):
+        calls = []
+        real_train = TR.train
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("measure_train_mse", True))
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(TR, "train", spy)
+        dataset, split, _ = tiny_dataset()
+        grid_search(dataset, split, {"lr": (1e-3,), "batch_size": (8,),
+                                     "transformer_layers": (1,)}, TINY_HP, tiny_cfg())
+        space = P.SearchSpace(
+            lstm_hidden=(4,), lstm_lr_bounds=(1e-3, 1e-3), transformer_layers=(1,),
+            attention_heads=(2,), d_model=(8,), transformer_lr_bounds=(1e-4, 1e-4),
+        )
+        pso_hyperparameter_search(
+            dataset, split, space, P.SwarmConfig(n_particles=2, iterations=1, seed=1),
+            SearchBudget(epochs=1), tiny_cfg(),
+        )
+        assert calls and not any(calls)
+
+
+def held_bytes(obj) -> int:
+    """Bytes of the distinct array buffers reachable through dicts and lists."""
+    seen, total, todo = set(), 0, [obj]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, np.ndarray):
+            while isinstance(item.base, np.ndarray):
+                item = item.base
+            if id(item) not in seen:
+                seen.add(id(item))
+                total += item.nbytes
+        elif isinstance(item, dict):
+            todo.extend(item.values())
+        elif isinstance(item, (list, tuple)):
+            todo.extend(item)
+    return total
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that numpy and Python allocate while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Activation caches dominate at this shape: 6 encoder layers over 24 steps."""
+
+    HP = P.HyperparamPoint(
+        lstm_hidden=8, lstm_lr=1e-3, transformer_layers=6,
+        attention_heads=2, d_model=16, transformer_lr=1e-4,
+    )
+
+    def _setup(self):
+        dataset, split, _ = tiny_dataset(length=200, lookback=24)
+        model = build_model(
+            n_features=dataset.n_features, lookback=dataset.lookback, lstm_hidden=8,
+            lstm_layers=1, transformer_layers=6, attention_heads=2, d_model=16,
+            head_width=8, rng=SeededRng(0),
+        )
+        return dataset, split, model
+
+    def test_prediction_peak_is_far_below_the_backward_caches(self):
+        dataset, _, model = self._setup()
+        _, caches = forward_batch(dataset.features[:4], model)
+        per_window = held_bytes(caches) / 4
+        indices = np.arange(dataset.n_windows)
+        peak = traced_peak(lambda: evaluate_on_indices(dataset, indices, model))
+        assert peak < 0.3 * indices.size * per_window
+
+    def test_training_steps_do_not_overlap(self):
+        # a step that kept its caches and gradients alive into the next one
+        # would hold two steps' buffers at once
+        dataset, split, model = self._setup()
+        cfg = tiny_cfg(epochs=1, batch_size=32, lstm_layers=1, head_width=8)
+        inner, _ = carve_validation(split.train, cfg.val_fraction)
+        assert inner.size >= 2 * cfg.batch_size
+        batch = inner[: cfg.batch_size]
+        one_step = traced_peak(
+            lambda: loss_and_gradients(dataset.features[batch], dataset.targets[batch], model)
+        )
+        peak = traced_peak(lambda: train(dataset, split, self.HP, cfg, rng=SeededRng(0)))
+        assert peak < 1.3 * one_step
 
 
 class TestGridSearch:
