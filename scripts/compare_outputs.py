@@ -1,0 +1,133 @@
+"""Byte comparison of experiment outputs: a base commit against HEAD.
+
+    python3 scripts/compare_outputs.py --base <sha>
+
+The trees of the base commit and of HEAD are exported with
+``bench_pairs.export_tree`` into a temporary directory, which is removed
+afterwards. The bundled smoke spec of HEAD and seven variants of it (adam,
+adaptive-momentum, no-lstm, no-transformer, clipped gradients, a small swarm
+search and a one-epoch grid search) then run through ``ltpnet run`` in each
+tree, all at one output path, because the report echoes its spec. The sha256
+of every ``run_report.json``, ``model.ckpt`` and ``pso_history.csv`` written
+is printed. Exits 1 when a file differs or is written on one side only.
+"""
+
+import argparse
+import copy
+import hashlib
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_pairs import _git, export_tree  # noqa: E402
+
+SMOKE_SPEC = Path("src") / "ltpnet" / "configs" / "synthetic_smoke.json"
+OUTPUTS = (
+    Path("reports") / "run_report.json",
+    Path("checkpoints") / "model.ckpt",
+    Path("histories") / "pso_history.csv",
+)
+
+
+def variant_specs(smoke: dict, out_dir: str) -> dict:
+    """The smoke spec and its variants, by name, all writing to ``out_dir``."""
+    changes = {
+        "smoke": {},
+        "adam": {"optimizer": "adam"},
+        "adaptive-momentum": {"optimizer": "adaptive-momentum"},
+        "no-lstm": {"variant": "no-lstm"},
+        "no-transformer": {"variant": "no-transformer"},
+        "clipped": {"train": {"grad_clip_norm": 0.05}},
+        "pso-search": {
+            "hyperparameter_source": "pso-search",
+            "swarm": {"n_particles": 3, "iterations": 2},
+            "budget": {"epochs": 1},
+        },
+        "grid-search": {"hyperparameter_source": "grid-search", "train": {"epochs": 1}},
+    }
+    specs = {}
+    for name, change in changes.items():
+        spec = copy.deepcopy(smoke)
+        for key, value in change.items():
+            if isinstance(value, dict):
+                spec[key] = {**spec.get(key, {}), **value}
+            else:
+                spec[key] = value
+        spec["output_dir"] = out_dir
+        specs[name] = spec
+    return specs
+
+
+def digests(out_dir: Path) -> dict:
+    """sha256 of each output in ``OUTPUTS`` that exists under ``out_dir``."""
+    return {
+        str(rel): hashlib.sha256((out_dir / rel).read_bytes()).hexdigest()
+        for rel in OUTPUTS
+        if (out_dir / rel).exists()
+    }
+
+
+def compare(base: dict, change: dict) -> list:
+    """One row per (run, file) on either side: (run, file, base sha, change sha, same).
+
+    ``base`` and ``change`` map a run name to its ``digests``; a file written
+    on one side only has None on the other and counts as different.
+    """
+    rows = []
+    for run in sorted(set(base) | set(change)):
+        b, c = base.get(run, {}), change.get(run, {})
+        for rel in sorted(set(b) | set(c)):
+            rows.append((run, rel, b.get(rel), c.get(rel), b.get(rel) == c.get(rel)))
+    return rows
+
+
+def run_spec(tree: Path, spec: dict, work: Path) -> dict:
+    """Run ``spec`` with the sources of ``tree``; the digests of its outputs."""
+    out_dir = Path(spec["output_dir"])
+    shutil.rmtree(out_dir, ignore_errors=True)
+    spec_path = work / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ltpnet.cli", "run", "--config", str(spec_path)],
+        cwd=work, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(tree / "src")},
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"ltpnet run failed in {tree} (exit {proc.returncode}):\n{proc.stderr[-2000:]}")
+    return digests(out_dir)
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--base", required=True, help="commit to compare against")
+    args = p.parse_args(argv)
+
+    shas = {"base": _git("rev-parse", args.base), "change": _git("rev-parse", "HEAD")}
+    results = {"base": {}, "change": {}}
+    work = Path(tempfile.mkdtemp(prefix="compare_outputs_"))
+    try:
+        for side, sha in shas.items():
+            export_tree(sha, work / side)
+        smoke = json.loads((work / "change" / SMOKE_SPEC).read_text())
+        for name, spec in variant_specs(smoke, str(work / "out")).items():
+            for side in shas:
+                results[side][name] = run_spec(work / side, spec, work)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+
+    rows = compare(results["base"], results["change"])
+    print(f"base {shas['base']}  change {shas['change']}")
+    for run, rel, b, c, same in rows:
+        print(f"{'same' if same else 'DIFF'}  {run:<18} {rel:<26} {b}  {c}")
+    differing = sum(not same for *_, same in rows)
+    print(f"{len(rows) - differing} of {len(rows)} files byte-identical")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

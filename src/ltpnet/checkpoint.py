@@ -11,9 +11,11 @@ Layout, all little-endian:
     payload      float64 arrays concatenated in manifest order
 
 The payload is the model's ``flat`` vector. Loading builds a zero model from
-the stored structure, checks the manifest against it, and fills ``flat`` in
-one copy. Round-trips are bit-exact. The positional table is rebuilt from the
-stored dimensions rather than serialized (it is a constant).
+the stored structure, checks that the model gives back that structure (so a
+header whose variant flags or pooling contradict its components is refused)
+and that the manifest fits it, and fills ``flat`` in one copy. Round-trips
+are bit-exact. The positional table is rebuilt from the stored dimensions
+rather than serialized (it is a constant).
 """
 
 import json
@@ -35,18 +37,13 @@ def _manifest(model: ModelParams) -> list:
     return [[name, list(arr.shape)] for name, arr in model.named_arrays()]
 
 
-def _header(model: ModelParams, metadata: dict | None) -> bytes:
-    header = {
-        "structure": model.structure(),
-        "manifest": _manifest(model),
-        "metadata": metadata or {},
-    }
-    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-
-
 def save_checkpoint(model: ModelParams, path, metadata: dict | None = None) -> int:
     """Write the checkpoint; returns total bytes written."""
-    header = _header(model, metadata)
+    header = json.dumps(
+        {"structure": model.structure(), "manifest": _manifest(model), "metadata": metadata or {}},
+        sort_keys=True,
+        separators=(",", ":"),
+    ).encode()
     blob = (
         MAGIC
         + struct.pack("<IQ", VERSION, len(header))
@@ -72,6 +69,8 @@ def load_checkpoint(path) -> ModelParams:
         raise CheckpointError(f"{path}: truncated header")
     header = json.loads(blob[16 : 16 + header_len].decode())
     model = ModelParams.from_structure(header["structure"])
+    if model.structure() != header["structure"]:
+        raise CheckpointError(f"{path}: the stored structure contradicts itself")
     if header["manifest"] != _manifest(model):
         raise CheckpointError(f"{path}: manifest does not fit the stored structure")
     extra = len(blob) - 16 - header_len - 8 * model.flat.size
@@ -81,8 +80,3 @@ def load_checkpoint(path) -> ModelParams:
         raise CheckpointError(f"{path}: {extra} trailing bytes")
     model.flat[...] = np.frombuffer(blob, "<f8", model.flat.size, 16 + header_len)
     return model
-
-
-def checkpoint_byte_length(model: ModelParams, metadata: dict | None = None) -> int:
-    """Exact serialized size: 16 + header JSON length + 8 * element count."""
-    return 16 + len(_header(model, metadata)) + 8 * model.flat.size

@@ -39,7 +39,8 @@ def build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=None,
-                       help="override all spec seeds (data/init/shuffle/swarm = seed..seed+3)")
+                       help="override all spec seeds (data/init/shuffle/swarm = seed..seed+3); "
+                            "the data seed is recorded but unused until folds are wired in")
         p.add_argument("--out-dir", default=None, help="override the output directory")
 
     p_run = sub.add_parser("run", parents=[], help="run one experiment from a JSON spec")

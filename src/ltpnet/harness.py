@@ -113,13 +113,9 @@ class ExperimentSpec:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentSpec":
-        return cls(**d)
-
-    @classmethod
     def from_json_file(cls, path) -> "ExperimentSpec":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            return cls(**json.load(fh))
 
 
 @dataclass
@@ -143,7 +139,7 @@ class RunReport:
             "resolved_hyperparams": self.resolved_hyperparams,
             "train_config": self.train_config,
             "swarm_config": self.swarm_config,
-            "eval": self.eval.as_dict(),
+            "eval": asdict(self.eval),
             "efficiency": {
                 "parameter_count": self.efficiency.parameter_count,
                 "flops_per_forward": self.efficiency.flops_per_forward,
@@ -242,18 +238,6 @@ def load_table(spec: ExperimentSpec):
     return load_csv(manifest["path"], manifest.get("schema"))
 
 
-def _feature_columns(spec: ExperimentSpec):
-    if "csv" in spec.dataset:
-        return spec.dataset["csv"].get("feature_columns")
-    return None
-
-
-def _target_column(spec: ExperimentSpec):
-    if "csv" in spec.dataset:
-        return spec.dataset["csv"].get("target_column", "target")
-    return "target"
-
-
 @dataclass
 class RunConfigs:
     """The configs one run builds from its spec.
@@ -325,16 +309,15 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
     for sub in ("reports", "checkpoints", "histories"):
         (out_dir / sub).mkdir(parents=True, exist_ok=True)
 
-    table = load_table(spec)
+    csv_source = spec.dataset.get("csv", {})
     dataset, split, _prep = build_dataset(
-        table,
-        target_column=_target_column(spec),
-        feature_columns=_feature_columns(spec),
+        load_table(spec),
+        target_column=csv_source.get("target_column", "target"),
+        feature_columns=csv_source.get("feature_columns"),
         lookback=spec.lookback,
         horizon=spec.horizon,
         train_ratio=spec.train_ratio,
         impute_strategy=spec.impute_strategy,
-        rng=SeededRng(spec.seeds.data),
     )
 
     hp, cfg, _search_history = resolve_hyperparams(spec, dataset, split, configs, out_dir)
@@ -376,11 +359,11 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
         training_time_s=result.wall_time_s,
     )
 
-    payload_core = {
-        "spec": spec.as_dict(),
-        "resolved_hyperparams": asdict(hp),
-        "train_config": asdict(cfg),
-        "swarm_config": {
+    report = RunReport(
+        spec=spec.as_dict(),
+        resolved_hyperparams=asdict(hp),
+        train_config=asdict(cfg),
+        swarm_config={
             "n_particles": swarm_cfg.n_particles,
             "iterations": swarm_cfg.iterations,
             "omega": swarm_cfg.omega,
@@ -388,40 +371,27 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
             "c2": swarm_cfg.c2,
             "inertia_schedule": swarm_cfg.inertia_schedule,
         },
-        "eval": eval_report.as_dict(),
-        "efficiency": {
-            "parameter_count": efficiency.parameter_count,
-            "flops_per_forward": efficiency.flops_per_forward,
-        },
-        "training": result.summary(),
-        "audit": audit,
-    }
-    version = _version_string(payload_core)
-
-    report = RunReport(
-        spec=payload_core["spec"],
-        resolved_hyperparams=payload_core["resolved_hyperparams"],
-        train_config=payload_core["train_config"],
-        swarm_config=payload_core["swarm_config"],
         eval=eval_report,
         efficiency=efficiency,
-        training=payload_core["training"],
+        training=result.summary(),
         audit=audit,
-        version=version,
+        version="",
         train_report=result,
         split=split,
         dataset=dataset,
     )
     payload = report.deterministic_payload()
+    del payload["version"]
+    report.version = payload["version"] = _version_string(payload)
     validate_run_report(payload)
+    timing = report.timing_payload()
+    jsonschema.validate(timing, TIMING_SCHEMA)
     (out_dir / "reports" / "run_report.json").write_text(canonical_json(payload))
-    (out_dir / "reports" / "timing.json").write_text(
-        canonical_json(report.timing_payload())
-    )
+    (out_dir / "reports" / "timing.json").write_text(canonical_json(timing))
     save_checkpoint(
         result.params,
         out_dir / "checkpoints" / "model.ckpt",
-        metadata={"seeds": asdict(spec.seeds), "report_version": version},
+        metadata={"seeds": asdict(spec.seeds), "report_version": report.version},
     )
     return report
 

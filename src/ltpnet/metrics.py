@@ -28,17 +28,6 @@ class EvalReport:
     skipped_mape_points: int
     units: str = ""
 
-    def as_dict(self) -> dict:
-        return {
-            "mae": self.mae,
-            "mape": self.mape,
-            "rmse": self.rmse,
-            "mse": self.mse,
-            "n": self.n,
-            "skipped_mape_points": self.skipped_mape_points,
-            "units": self.units,
-        }
-
 
 @dataclass
 class EfficiencyReport:
@@ -46,14 +35,6 @@ class EfficiencyReport:
     flops_per_forward: int
     inference_ms_per_window: float
     training_time_s: float
-
-    def as_dict(self) -> dict:
-        return {
-            "parameter_count": self.parameter_count,
-            "flops_per_forward": self.flops_per_forward,
-            "inference_ms_per_window": self.inference_ms_per_window,
-            "training_time_s": self.training_time_s,
-        }
 
 
 def evaluate(pred, actual, units: str = "") -> EvalReport:
@@ -137,12 +118,11 @@ def estimate_flops(model: ModelParams, window_shape: tuple) -> int:
     seq_len, n_features = window_shape
     total = 0
     in_size = n_features
-    if model.lstm_enabled:
-        for layer in model.lstm_stack:
-            total += lstm_layer_flops(in_size, layer.hidden_size, seq_len)
-            in_size = layer.hidden_size
+    for layer in model.lstm_stack:
+        total += lstm_layer_flops(in_size, layer.hidden_size, seq_len)
+        in_size = layer.hidden_size
 
-    if model.transformer_enabled and model.encoder is not None:
+    if model.encoder is not None:
         enc = model.encoder
         d = enc.d_model
         total += matmul_flops(seq_len, enc.input_size, d) + seq_len * d  # projection + bias

@@ -1,12 +1,16 @@
 """Full forecasting model: LSTM stack -> encoder stack -> prediction head.
 
-Ablation variants are functional bypasses, not zeroed weights:
+Ablation variants are functional bypasses, not zeroed weights. A model's
+variant is the components it has; ``lstm_enabled`` and ``transformer_enabled``
+are read from them, never stored beside them:
 
-- ``lstm_enabled=False``: window rows feed the encoder's input projection
-  directly (the projection is built feature-sized instead of hidden-sized).
-- ``transformer_enabled=False``: the LSTM's final hidden state goes through a
-  dedicated bypass projection into the prediction head; no pooling happens
-  because there is a single vector per window.
+- no LSTM layers (``build_model(lstm_enabled=False)``): window rows feed the
+  encoder's input projection directly (the projection is built feature-sized
+  instead of hidden-sized).
+- no encoder (``build_model(transformer_enabled=False)``): the LSTM's final
+  hidden state goes through a dedicated bypass projection into the
+  prediction head; no pooling happens because there is a single vector per
+  window.
 
 Every ``ModelParams`` owns one contiguous float64 vector, ``flat``. Each array
 that ``named_arrays`` yields is a view into it, at the offset where the
@@ -56,8 +60,6 @@ class ModelParams:
     encoder: T.EncoderStack | None = None
     head: T.PredictionHead | None = None
     bypass: BypassProjection | None = None
-    lstm_enabled: bool = True
-    transformer_enabled: bool = True
     flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -69,16 +71,22 @@ class ModelParams:
         )
 
     def __reduce__(self):
-        return ModelParams, (
-            self.lstm_stack, self.encoder, self.head, self.bypass,
-            self.lstm_enabled, self.transformer_enabled,
-        )
+        return ModelParams, (self.lstm_stack, self.encoder, self.head, self.bypass)
 
     @classmethod
     def from_structure(cls, s: dict) -> "ModelParams":
         """A zero-valued model of the structure that ``structure()`` returns."""
-        parts = _components(s, lambda *shape: np.zeros(shape))
-        return cls(*parts, s["lstm_enabled"], s["transformer_enabled"])
+        return cls(*_components(s, lambda *shape: np.zeros(shape)))
+
+    @property
+    def lstm_enabled(self) -> bool:
+        """Whether the model has LSTM layers."""
+        return bool(self.lstm_stack)
+
+    @property
+    def transformer_enabled(self) -> bool:
+        """Whether the model has an encoder (else a bypass feeds the head)."""
+        return self.encoder is not None
 
     @property
     def lstm_size(self) -> int:
@@ -105,7 +113,7 @@ class ModelParams:
             else {
                 "d_model": self.head.W_a.shape[0],
                 "width": self.head.W_a.shape[1],
-                "pooling": self.head.pooling,
+                "pooling": "mean",
             },
             "bypass": None
             if self.bypass is None
@@ -180,7 +188,7 @@ def _components(s: dict, take):
         h = s["head"]
         head = T.PredictionHead(
             W_a=take(h["d_model"], h["width"]), b_a=take(h["width"]),
-            W_b=take(h["width"], 1), b_b=take(1), pooling=h["pooling"],
+            W_b=take(h["width"], 1), b_b=take(1),
         )
     bypass = None
     if s["bypass"] is not None:
@@ -206,6 +214,8 @@ def build_model(
     """Construct and initialize all components for the chosen variant."""
     if not lstm_enabled and not transformer_enabled:
         raise ValueError("at least one of the LSTM and encoder must be enabled")
+    if lstm_enabled and lstm_layers < 1:
+        raise ValueError(f"an enabled LSTM needs at least one layer, got {lstm_layers}")
     rng = rng or SeededRng(0)
     stack = []
     if lstm_enabled:
@@ -235,14 +245,7 @@ def build_model(
             b=np.zeros(d_model),
         )
     head = T.init_prediction_head(head_input, head_width, rng.split(102))
-    return ModelParams(
-        lstm_stack=stack,
-        encoder=encoder,
-        head=head,
-        bypass=bypass,
-        lstm_enabled=lstm_enabled,
-        transformer_enabled=transformer_enabled,
-    )
+    return ModelParams(lstm_stack=stack, encoder=encoder, head=head, bypass=bypass)
 
 
 def forward_batch(windows: np.ndarray, model: ModelParams, keep_cache: bool = True):
@@ -311,10 +314,5 @@ def backward_batch(d_preds: np.ndarray, caches: dict, model: ModelParams) -> Mod
     if model.lstm_enabled:
         lstm_grads, _ = L.lstm_backward(caches["lstm"], d_hidden, model.lstm_stack)
     return ModelParams(
-        lstm_stack=lstm_grads,
-        encoder=encoder_grads,
-        head=head_grads,
-        bypass=bypass_grads,
-        lstm_enabled=model.lstm_enabled,
-        transformer_enabled=model.transformer_enabled,
+        lstm_stack=lstm_grads, encoder=encoder_grads, head=head_grads, bypass=bypass_grads
     )

@@ -31,14 +31,15 @@ Caches keep only what backward reads, as rows unless noted:
                   is ``act > 0``, which equals ``x W1 + b1 > 0``
     layer norm    "xhat" the normalized input, "inv" = 1/sqrt(var + eps)
     stack         "input" the (B, S, input_size) sequence, "layers"
-    head          "pooled", "act" as in the feed-forward, and "seq_len"
+    head          "x" the pooled input and "act", as in the feed-forward (the
+                  head is the same two-layer ReLU block), and "seq_len"
 
-``encoder_layer_forward`` and ``encoder_stack_forward`` take ``keep_cache``;
-with it False they return None for the cache and the stack drops each
-layer's cache as soon as the layer returns, so a forward-only pass holds one
-layer's activations, not six. ``model.forward_batch`` passes the flag for
-predictions that never go backward (validation, test and forecast passes,
-gradcheck's loss evaluations, the inference timing).
+``encoder_stack_forward`` takes ``keep_cache``; with it False it returns None
+for the caches and drops each layer's cache as soon as the layer returns, so
+a forward-only pass holds one layer's activations, not six.
+``model.forward_batch`` passes the flag for predictions that never go
+backward (validation, test and forecast passes, gradcheck's loss
+evaluations, the inference timing).
 
 Bias adds, ReLUs, residual adds and the layer norm's scale and shift run in
 place, but only on arrays the function computed itself. Nothing writes into
@@ -109,7 +110,6 @@ class PredictionHead:
     b_a: np.ndarray
     W_b: np.ndarray  # (width, 1)
     b_b: np.ndarray  # (1,)
-    pooling: str = "mean"
 
     def named_arrays(self):
         yield "W_a", self.W_a
@@ -286,31 +286,42 @@ def multi_head_attention_backward(d_out, cache, p: EncoderLayerParams):
 # feed-forward and layer norm with caches
 # ---------------------------------------------------------------------------
 
-def feed_forward(x, p: EncoderLayerParams):
-    """ReLU(x W1 + b1) W2 + b2 on rows (N, d_model). Returns (out, cache)."""
+def _relu_block(x, W1, b1, W2, b2):
+    """ReLU(x W1 + b1) W2 + b2 on rows. Returns (out, cache)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != p.W_ff1.shape[0]:
+    if x.shape[-1] != W1.shape[0]:
         raise ShapeMismatchError(
-            f"input feature size {x.shape[-1]} does not match W1 {p.W_ff1.shape}"
+            f"input feature size {x.shape[-1]} does not match W1 {W1.shape}"
         )
-    act = x @ p.W_ff1
-    act += p.b_ff1
+    act = x @ W1
+    act += b1
     np.maximum(act, 0.0, out=act)
-    out = act @ p.W_ff2
-    out += p.b_ff2
+    out = act @ W2
+    out += b2
     return out, {"x": x, "act": act}
 
 
-def feed_forward_backward(d_out, cache, p: EncoderLayerParams):
+def _relu_block_backward(d_out, cache, W1, W2):
+    """Returns (grad w.r.t. x, (dW1, db1, dW2, db2))."""
     flat = lambda a: a.reshape(-1, a.shape[-1])
     dW2 = flat(cache["act"]).T @ flat(d_out)
     db2 = flat(d_out).sum(axis=0)
-    d_pre = d_out @ p.W_ff2.T
+    d_pre = d_out @ W2.T
     d_pre *= cache["act"] > 0
     dW1 = flat(cache["x"]).T @ flat(d_pre)
     db1 = flat(d_pre).sum(axis=0)
-    dx = d_pre @ p.W_ff1.T
-    return dx, {"W_ff1": dW1, "b_ff1": db1, "W_ff2": dW2, "b_ff2": db2}
+    dx = d_pre @ W1.T
+    return dx, (dW1, db1, dW2, db2)
+
+
+def feed_forward(x, p: EncoderLayerParams):
+    """ReLU(x W1 + b1) W2 + b2 on rows (N, d_model). Returns (out, cache)."""
+    return _relu_block(x, p.W_ff1, p.b_ff1, p.W_ff2, p.b_ff2)
+
+
+def feed_forward_backward(d_out, cache, p: EncoderLayerParams):
+    dx, grads = _relu_block_backward(d_out, cache, p.W_ff1, p.W_ff2)
+    return dx, dict(zip(("W_ff1", "b_ff1", "W_ff2", "b_ff2"), grads))
 
 
 def _layer_norm_fwd(x, gain, bias):
@@ -341,11 +352,10 @@ def _layer_norm_bwd(d_out, cache, gain):
 # encoder layer / stack / head
 # ---------------------------------------------------------------------------
 
-def encoder_layer_forward(x, p: EncoderLayerParams, n_heads: int, keep_cache: bool = True):
+def encoder_layer_forward(x, p: EncoderLayerParams, n_heads: int):
     """Post-norm block: LN(x + attention(x)), then LN(y + feed_forward(y)).
 
-    ``x`` is (B, S, d_model); returns (output of the same shape, cache), the
-    cache None when ``keep_cache`` is False.
+    ``x`` is (B, S, d_model); returns (output of the same shape, cache).
     """
     x = _batch(x, "encoder layer input")
     rows = x.reshape(-1, x.shape[-1])
@@ -357,7 +367,7 @@ def encoder_layer_forward(x, p: EncoderLayerParams, n_heads: int, keep_cache: bo
     s2 += y1
     y2, ln2_cache = _layer_norm_fwd(s2, p.ln2_gain, p.ln2_bias)
     cache = {"attn": attn_cache, "ln1": ln1_cache, "ff": ff_cache, "ln2": ln2_cache}
-    return y2.reshape(x.shape), cache if keep_cache else None
+    return y2.reshape(x.shape), cache
 
 
 def encoder_layer_backward(d_out, cache, p: EncoderLayerParams):
@@ -379,9 +389,7 @@ def encoder_layer_backward(d_out, cache, p: EncoderLayerParams):
     return d_x, g
 
 
-def encoder_stack_forward(
-    hidden_seq, stack: EncoderStack, add_positional: bool = True, keep_cache: bool = True
-):
+def encoder_stack_forward(hidden_seq, stack: EncoderStack, keep_cache: bool = True):
     """Project, add positional encoding, run all layers. Returns (out, caches).
 
     ``hidden_seq`` is (B, S, input_size); the output is (B, S, d_model).
@@ -403,12 +411,13 @@ def encoder_stack_forward(
     z = xb.reshape(-1, stack.input_size) @ stack.W_in
     z += stack.b_in
     z = z.reshape(batch, seq_len, stack.d_model)
-    if add_positional:
-        z += stack.pos_table[:seq_len]
+    z += stack.pos_table[:seq_len]
     layer_caches = []
     for layer in stack.layers:
-        z, cache = encoder_layer_forward(z, layer, stack.n_heads, keep_cache)
-        layer_caches.append(cache)
+        z, cache = encoder_layer_forward(z, layer, stack.n_heads)
+        if keep_cache:
+            layer_caches.append(cache)
+        del cache  # a forward-only pass must not hold it while the next layer runs
     return z, {"input": xb, "layers": layer_caches} if keep_cache else None
 
 
@@ -440,33 +449,18 @@ def encoder_stack_backward(d_out, caches, stack: EncoderStack):
 
 def head_forward(pooled, head: PredictionHead):
     """Two-layer ReLU head on pooled features (B, d_model) -> (B,)."""
-    act = pooled @ head.W_a
-    act += head.b_a
-    np.maximum(act, 0.0, out=act)
-    out = act @ head.W_b
-    out += head.b_b
-    return out[:, 0], {"pooled": pooled, "act": act}
+    out, cache = _relu_block(pooled, head.W_a, head.b_a, head.W_b, head.b_b)
+    return out[:, 0], cache
 
 
 def head_backward(d_out, cache, head: PredictionHead):
     d = np.asarray(d_out, dtype=np.float64)[:, None]
-    d_pre = d @ head.W_b.T
-    d_pre *= cache["act"] > 0
-    g = PredictionHead(
-        W_a=cache["pooled"].T @ d_pre,
-        b_a=d_pre.sum(axis=0),
-        W_b=cache["act"].T @ d,
-        b_b=d.sum(axis=0),
-        pooling=head.pooling,
-    )
-    d_pooled = d_pre @ head.W_a.T
-    return d_pooled, g
+    d_pooled, grads = _relu_block_backward(d, cache, head.W_a, head.W_b)
+    return d_pooled, PredictionHead(*grads)
 
 
 def predict(encoded, head: PredictionHead):
     """Mean-pool sequence positions of (B, S, d_model), run the head; (B,)."""
-    if head.pooling != "mean":
-        raise ValueError(f"unsupported pooling mode {head.pooling!r}")
     z = _batch(encoded, "encoded sequence")
     if z.shape[-1] != head.W_a.shape[0]:
         raise ShapeMismatchError(

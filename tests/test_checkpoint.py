@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import struct
 
 import numpy as np
@@ -6,12 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltpnet.checkpoint import (
-    CheckpointError,
-    checkpoint_byte_length,
-    load_checkpoint,
-    save_checkpoint,
-)
+from ltpnet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from ltpnet.model import build_model, forward_batch, forward_full
 from ltpnet.rng import SeededRng
 
@@ -24,6 +21,21 @@ def tiny_model(seed=0, **overrides):
     )
     args.update(overrides)
     return build_model(**args)
+
+
+def edit_header(path, edit):
+    """Rewrite the header of the checkpoint at ``path`` by ``edit(header)``.
+
+    The payload keeps its length, so only the header checks can object.
+    """
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16 : 16 + header_len])
+    edit(header)
+    edited = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(
+        blob[:8] + struct.pack("<Q", len(edited)) + edited + blob[16 + header_len :]
+    )
 
 
 class TestRoundTrip:
@@ -105,18 +117,31 @@ class TestErrors:
         (3, 1, [5]),                 # lstm.0.b_i is (4,) in the structure
     ])
     def test_manifest_must_fit_structure(self, tmp_path, entry, field, value):
-        # The payload keeps its length, so only the manifest check can object.
         path = tmp_path / "manifest.ckpt"
         save_checkpoint(tiny_model(), path)
-        blob = path.read_bytes()
-        (header_len,) = struct.unpack("<Q", blob[8:16])
-        header = json.loads(blob[16 : 16 + header_len])
-        header["manifest"][entry][field] = value
-        edited = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        path.write_bytes(
-            blob[:8] + struct.pack("<Q", len(edited)) + edited + blob[16 + header_len :]
-        )
+
+        def edit(header):
+            header["manifest"][entry][field] = value
+
+        edit_header(path, edit)
         with pytest.raises(CheckpointError, match="manifest"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("part, key, value", [
+        (None, "lstm_enabled", False),        # the model has LSTM layers
+        (None, "transformer_enabled", False),  # the model has an encoder
+        ("head", "pooling", "max"),            # the head only mean-pools
+    ])
+    def test_structure_must_agree_with_its_components(self, tmp_path, part, key, value):
+        path = tmp_path / "structure.ckpt"
+        save_checkpoint(tiny_model(), path)
+
+        def edit(header):
+            structure = header["structure"]
+            (structure[part] if part else structure)[key] = value
+
+        edit_header(path, edit)
+        with pytest.raises(CheckpointError, match="contradicts"):
             load_checkpoint(path)
 
 
@@ -125,7 +150,6 @@ class TestByteLength:
         model = tiny_model(seed=6)
         path = tmp_path / "len.ckpt"
         written = save_checkpoint(model, path)
-        assert written == checkpoint_byte_length(model)
         assert path.stat().st_size == written
 
     def test_zeroed_reference_model_length_is_stable(self, tmp_path):
@@ -133,12 +157,12 @@ class TestByteLength:
         # preamble + 1401 byte header + 8 * 1273 parameter payload
         model = tiny_model(seed=0)
         model.flat[...] = 0.0
-        expected = checkpoint_byte_length(model)
         n_params = sum(a.size for _, a in model.named_arrays())
         assert n_params == 1273
-        assert expected == 16 + 1401 + 8 * 1273
         path = tmp_path / "frozen.ckpt"
-        assert save_checkpoint(model, path) == expected
+        written = save_checkpoint(model, path)
+        assert written == path.stat().st_size
+        assert written == 16 + 1401 + 8 * 1273
 
 
 @st.composite
@@ -167,9 +191,20 @@ def small_structures(draw):
 def test_round_trip_is_bit_exact_over_random_structures(tmp_path_factory, args, data_seed):
     model = build_model(**args)
     path = tmp_path_factory.mktemp("prop") / "model.ckpt"
-    assert save_checkpoint(model, path) == checkpoint_byte_length(model)
+    assert save_checkpoint(model, path) == path.stat().st_size
     loaded = load_checkpoint(path)
     assert loaded.structure() == model.structure()
     assert loaded.flat.tobytes() == model.flat.tobytes()
     windows = SeededRng(data_seed).uniform(-1, 1, (2, args["lookback"], args["n_features"]))
     assert forward_batch(windows, loaded)[0].tobytes() == forward_batch(windows, model)[0].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(args=small_structures())
+def test_variant_flags_are_the_components_present(tmp_path_factory, args):
+    model = build_model(**args)
+    path = tmp_path_factory.mktemp("flags") / "model.ckpt"
+    save_checkpoint(model, path)
+    for m in (model, copy.deepcopy(model), pickle.loads(pickle.dumps(model)), load_checkpoint(path)):
+        assert m.lstm_enabled == bool(m.lstm_stack) == args["lstm_enabled"]
+        assert m.transformer_enabled == (m.encoder is not None) == args["transformer_enabled"]

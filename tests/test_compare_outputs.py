@@ -1,0 +1,61 @@
+import importlib.util
+import json
+from pathlib import Path
+
+_ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "compare_outputs", _ROOT / "scripts" / "compare_outputs.py"
+)
+compare_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_outputs)
+
+
+def _smoke():
+    return json.loads((_ROOT / compare_outputs.SMOKE_SPEC).read_text())
+
+
+class TestVariantSpecs:
+    def test_every_variant_writes_to_one_path(self):
+        specs = compare_outputs.variant_specs(_smoke(), "shared/out")
+        assert list(specs) == [
+            "smoke", "adam", "adaptive-momentum", "no-lstm", "no-transformer",
+            "clipped", "pso-search", "grid-search",
+        ]
+        assert {s["output_dir"] for s in specs.values()} == {"shared/out"}
+
+    def test_changes_merge_into_the_smoke_spec(self):
+        smoke = _smoke()
+        specs = compare_outputs.variant_specs(smoke, "out")
+        assert specs["smoke"] == {**smoke, "output_dir": "out"}
+        assert specs["clipped"]["train"] == {**smoke["train"], "grad_clip_norm": 0.05}
+        assert specs["grid-search"]["train"] == {**smoke["train"], "epochs": 1}
+        pso = specs["pso-search"]
+        assert pso["swarm"] == {"n_particles": 3, "iterations": 2}
+        assert pso["budget"] == {"epochs": 1}
+        assert specs["no-lstm"]["variant"] == "no-lstm"
+        assert specs["adam"]["optimizer"] == "adam"
+        # the smoke spec itself is left as it was
+        assert smoke == _smoke()
+
+
+class TestDigestsAndCompare:
+    def test_digests_cover_the_outputs_present(self, tmp_path):
+        (tmp_path / "reports").mkdir()
+        (tmp_path / "reports" / "run_report.json").write_bytes(b"{}")
+        (tmp_path / "reports" / "timing.json").write_bytes(b"{}")
+        got = compare_outputs.digests(tmp_path)
+        assert list(got) == [str(Path("reports") / "run_report.json")]
+        assert got[str(Path("reports") / "run_report.json")] == (
+            "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"
+        )
+
+    def test_differences_and_one_sided_files(self):
+        base = {"a": {"r": "1", "c": "2"}, "b": {"r": "3"}}
+        change = {"a": {"r": "1", "c": "9"}, "b": {"r": "3", "h": "4"}}
+        rows = compare_outputs.compare(base, change)
+        assert rows == [
+            ("a", "c", "2", "9", False),
+            ("a", "r", "1", "1", True),
+            ("b", "h", None, "4", False),
+            ("b", "r", "3", "3", True),
+        ]

@@ -65,6 +65,11 @@ class TestForward:
         with pytest.raises(ValueError):
             tiny_model(lstm_enabled=False, transformer_enabled=False)
 
+    def test_enabled_lstm_without_layers_rejected(self):
+        # without layers the model would be a no-lstm model, whatever was asked
+        with pytest.raises(ValueError, match="at least one layer"):
+            tiny_model(lstm_layers=0)
+
     def test_bad_window_rank(self):
         with pytest.raises(ValueError, match="lookback"):
             forward_full(np.zeros((6,)), tiny_model())
@@ -222,6 +227,12 @@ class TestFlatVector:
         assert layer.W_xi is before
         assert not np.shares_memory(layer.W_xi, model.flat)
         assert model.lstm_size == model.flat.size == 2 * 4 * 3 + 7 * 3 * 3 + 4 * 3
+
+    def test_variant_flags_follow_the_given_components(self):
+        layer = L.init_layer(2, 3, SeededRng(27))
+        model = ModelParams(lstm_stack=[layer], encoder=None, head=None)
+        assert model.lstm_enabled
+        assert not model.transformer_enabled
 
     def test_lstm_prefix(self):
         model = tiny_model(seed=28)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -187,8 +189,9 @@ class TestEncoderStack:
         with_pe, _ = T.encoder_stack_forward(x, stack)
         with_pe_perm, _ = T.encoder_stack_forward(x[:, perm], stack)
         assert not np.allclose(with_pe_perm, with_pe[:, perm], atol=1e-6)
-        without, _ = T.encoder_stack_forward(x, stack, add_positional=False)
-        without_perm, _ = T.encoder_stack_forward(x[:, perm], stack, add_positional=False)
+        no_pe = replace(stack, pos_table=np.zeros_like(stack.pos_table))
+        without, _ = T.encoder_stack_forward(x, no_pe)
+        without_perm, _ = T.encoder_stack_forward(x[:, perm], no_pe)
         np.testing.assert_allclose(without_perm, without[:, perm], atol=1e-10)
 
     def test_sequence_too_long(self):
@@ -219,12 +222,6 @@ class TestPredictionHead:
         hidden = np.maximum(row @ head.W_a + head.b_a, 0.0)
         expected = float((hidden @ head.W_b + head.b_b)[0])
         np.testing.assert_allclose(out, expected, atol=1e-12)
-
-    def test_unsupported_pooling(self):
-        head = T.init_prediction_head(4, 3, SeededRng(3))
-        head.pooling = "max"
-        with pytest.raises(ValueError, match="pooling"):
-            T.predict(np.zeros((1, 2, 4)), head)
 
 
 def _fd_grads(loss, params, eps=DEFAULT_EPS):
@@ -366,7 +363,7 @@ def encoders(draw):
 def _relu_inputs(caches, head_cache, stack, head):
     """Every ReLU pre-activation of one forward, recomputed from its caches."""
     pre = [c["ff"]["x"] @ p.W_ff1 + p.b_ff1 for c, p in zip(caches["layers"], stack.layers)]
-    pre.append(head_cache["pooled"] @ head.W_a + head.b_a)
+    pre.append(head_cache["x"] @ head.W_a + head.b_a)
     return np.concatenate([a.ravel() for a in pre])
 
 
