@@ -10,12 +10,15 @@ Layout, all little-endian:
                  order, and optional provenance metadata
     payload      float64 arrays concatenated in manifest order
 
-The payload is the model's ``flat`` vector. Loading builds a zero model from
-the stored structure, checks that the model gives back that structure (so a
-header whose variant flags or pooling contradict its components is refused)
-and that the manifest fits it, and fills ``flat`` in one copy. Round-trips
-are bit-exact. The positional table is rebuilt from the stored dimensions
-rather than serialized (it is a constant).
+The payload is the model's ``flat`` vector; format 2 holds each LSTM layer
+as its fused ``W_x``, ``W_h``, ``W_c`` and ``b``, and other versions (format
+1's per-gate arrays) are refused. Loading builds a zero model from the stored
+structure, checks that the model gives back that structure (so a header
+whose variant flags or pooling contradict its components is refused) and
+that the manifest fits it, and fills ``flat`` in one copy. Every malformed
+file, header included, raises ``CheckpointError``. Round-trips are
+bit-exact. The positional table is rebuilt from the stored dimensions rather
+than serialized (it is a constant).
 """
 
 import json
@@ -26,7 +29,7 @@ import numpy as np
 from .model import ModelParams
 
 MAGIC = b"LTPC"
-VERSION = 1
+VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -67,11 +70,15 @@ def load_checkpoint(path) -> ModelParams:
         )
     if len(blob) < 16 + header_len:
         raise CheckpointError(f"{path}: truncated header")
-    header = json.loads(blob[16 : 16 + header_len].decode())
-    model = ModelParams.from_structure(header["structure"])
-    if model.structure() != header["structure"]:
+    try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        header = json.loads(blob[16 : 16 + header_len].decode())
+        structure, manifest = header["structure"], header["manifest"]
+        model = ModelParams.from_structure(structure)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed header: {exc!r}") from exc
+    if model.structure() != structure:
         raise CheckpointError(f"{path}: the stored structure contradicts itself")
-    if header["manifest"] != _manifest(model):
+    if manifest != _manifest(model):
         raise CheckpointError(f"{path}: manifest does not fit the stored structure")
     extra = len(blob) - 16 - header_len - 8 * model.flat.size
     if extra < 0:

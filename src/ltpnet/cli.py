@@ -33,12 +33,28 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least ``low``."""
+
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as an invalid integer
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+        return value
+
+    return integer
+
+
+_count = _int_at_least(1)
+_seed = _int_at_least(0)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="ltpnet", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
     def common(p):
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_seed, default=None,
                        help="override all spec seeds (data/init/shuffle/swarm = seed..seed+3); "
                             "the data seed is recorded but unused until folds are wired in")
         p.add_argument("--out-dir", default=None, help="override the output directory")
@@ -57,23 +73,23 @@ def build_parser() -> _Parser:
 
     p_pso = sub.add_parser("pso-study", help="swarm run-distribution study")
     p_pso.add_argument("--objective", default="sphere", choices=["sphere", "rastrigin"])
-    p_pso.add_argument("--runs", type=int, default=10)
-    p_pso.add_argument("--dim", type=int, default=5)
+    p_pso.add_argument("--runs", type=_count, default=10)
+    p_pso.add_argument("--dim", type=_count, default=5)
     common(p_pso)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p_grad.add_argument("--seeds", type=int, default=20, help="number of random configurations")
+    p_grad.add_argument("--seeds", type=_count, default=20, help="number of random configurations")
     p_grad.add_argument("--tolerance", type=float, default=1e-4)
     common(p_grad)
 
     p_synth = sub.add_parser("synth", help="write a synthetic dataset CSV")
     p_synth.add_argument("--out", required=True)
-    p_synth.add_argument("--length", type=int, default=400)
-    p_synth.add_argument("--features", type=int, default=2)
+    p_synth.add_argument("--length", type=_count, default=400)
+    p_synth.add_argument("--features", type=_count, default=2)
     p_synth.add_argument("--period", type=float, default=12.0)
     p_synth.add_argument("--slope", type=float, default=0.0)
     p_synth.add_argument("--noise", type=float, default=0.1)
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--seed", type=_seed, default=0)
     return parser
 
 

@@ -12,12 +12,12 @@ state:
     c_t = f_t * c_{t-1} + i_t * g_t
     h_t = o_t * tanh(c_t)
 
-The parameters stay per gate (``LstmLayerParams``, views into the model's
-``flat`` vector). Every call concatenates them into fused matrices in gate
-order i, f, o, g, so the three sigmoid gates sit side by side: ``W_x``
-(4H, F), ``W_h`` (4H, H), ``b`` (4H), and ``W_c`` (3H, H), since the
-candidate g has no peephole. The fused copies are never kept across calls,
-because callers nudge the per-gate arrays in place between calls.
+Each layer stores its weights fused (``LstmLayerParams``, views into the
+model's ``flat`` vector), with the gates as row blocks in the order i, f, o,
+g, so the three sigmoid gates sit side by side: ``W_x`` (4H, F) stacks
+W_xi, W_xf, W_xo, W_xc; ``W_h`` (4H, H) and ``b`` (4H) stack the same way;
+``W_c`` (3H, H) stacks W_ci, W_cf, W_co, since the candidate g has no
+peephole. Every layer starts from zero hidden and cell states.
 
 A layer projects its whole input for all four gates in one GEMM over the
 B*L rows; each step then adds one ``h @ W_h.T`` and, on the sigmoid block,
@@ -40,7 +40,6 @@ and forms the weight and input gradients from that buffer after the loop.
 """
 
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 import numpy as np
 
@@ -50,31 +49,20 @@ from .rng import SeededRng
 
 @dataclass
 class LstmLayerParams:
-    """Weights for one layer; W_x* are (H, F), W_h*/W_c* are (H, H)."""
+    """One layer's fused weights, gate blocks in the order i, f, o, g (module docstring)."""
 
-    W_xi: np.ndarray
-    W_hi: np.ndarray
-    W_ci: np.ndarray
-    b_i: np.ndarray
-    W_xf: np.ndarray
-    W_hf: np.ndarray
-    W_cf: np.ndarray
-    b_f: np.ndarray
-    W_xc: np.ndarray
-    W_hc: np.ndarray
-    b_c: np.ndarray
-    W_xo: np.ndarray
-    W_ho: np.ndarray
-    W_co: np.ndarray
-    b_o: np.ndarray
+    W_x: np.ndarray
+    W_h: np.ndarray
+    W_c: np.ndarray
+    b: np.ndarray
 
     @property
     def hidden_size(self) -> int:
-        return self.W_xi.shape[0]
+        return self.W_h.shape[1]
 
     @property
     def input_size(self) -> int:
-        return self.W_xi.shape[1]
+        return self.W_x.shape[1]
 
     def named_arrays(self):
         for f in fields(self):
@@ -82,73 +70,45 @@ class LstmLayerParams:
 
 
 def init_layer(input_size: int, hidden_size: int, rng: SeededRng) -> LstmLayerParams:
-    """Uniform [-1/sqrt(H), 1/sqrt(H)] weights, zero biases."""
+    """Uniform [-1/sqrt(H), 1/sqrt(H)] weights, zero biases.
+
+    Drawn per gate in the order i, f, g, o (input, recurrent, peephole), then stacked.
+    """
     bound = 1.0 / np.sqrt(hidden_size)
     h, f = hidden_size, input_size
 
     def w(rows, cols):
         return rng.uniform(-bound, bound, (rows, cols))
 
+    drawn = {gate: [w(h, f), w(h, h)] + ([] if gate == "g" else [w(h, h)]) for gate in "ifgo"}
     return LstmLayerParams(
-        W_xi=w(h, f), W_hi=w(h, h), W_ci=w(h, h), b_i=np.zeros(h),
-        W_xf=w(h, f), W_hf=w(h, h), W_cf=w(h, h), b_f=np.zeros(h),
-        W_xc=w(h, f), W_hc=w(h, h), b_c=np.zeros(h),
-        W_xo=w(h, f), W_ho=w(h, h), W_co=w(h, h), b_o=np.zeros(h),
+        W_x=np.concatenate([drawn[gate][0] for gate in "ifog"]),
+        W_h=np.concatenate([drawn[gate][1] for gate in "ifog"]),
+        W_c=np.concatenate([drawn[gate][2] for gate in "ifo"]),
+        b=np.zeros(4 * h),
     )
 
 
-class FusedWeights(NamedTuple):
-    """One layer's gate weights stacked in gate order i, f, o, g."""
-
-    W_x: np.ndarray  # (4H, F)
-    W_h: np.ndarray  # (4H, H)
-    W_c: np.ndarray  # (3H, H); the candidate g has no peephole
-    b: np.ndarray  # (4H,)
-
-
-def fuse(p: LstmLayerParams) -> FusedWeights:
-    """Fresh fused copies of ``p``'s per-gate arrays."""
-    return FusedWeights(
-        W_x=np.concatenate([p.W_xi, p.W_xf, p.W_xo, p.W_xc]),
-        W_h=np.concatenate([p.W_hi, p.W_hf, p.W_ho, p.W_hc]),
-        W_c=np.concatenate([p.W_ci, p.W_cf, p.W_co]),
-        b=np.concatenate([p.b_i, p.b_f, p.b_o, p.b_c]),
-    )
-
-
-@dataclass
-class LstmState:
-    """Hidden and cell vectors carried between steps; shape (B, H)."""
-
-    h: np.ndarray
-    c: np.ndarray
-
-
-def zero_state(batch: int, hidden_size: int) -> LstmState:
-    return LstmState(h=np.zeros((batch, hidden_size)), c=np.zeros((batch, hidden_size)))
-
-
-def lstm_cell_forward(act_t, state_prev: LstmState, w: FusedWeights):
+def lstm_cell_forward(act_t, h_prev, c_prev, p: LstmLayerParams):
     """One step, computed in place in ``act_t`` (B, 4H).
 
     ``act_t`` holds the step's input projection on entry and the step's gate
-    activations, [i, f, o | g], on return. Returns (LstmState, tanh(c)).
+    activations, [i, f, o | g], on return. Returns (h, c, tanh(c)).
     """
-    hidden = state_prev.h.shape[1]
+    hidden = h_prev.shape[1]
     s = 3 * hidden
     sig, g = act_t[:, :s], act_t[:, s:]
-    act_t += state_prev.h @ w.W_h.T
-    sig += state_prev.c @ w.W_c.T
-    act_t += w.b
+    act_t += h_prev @ p.W_h.T
+    sig += c_prev @ p.W_c.T
+    act_t += p.b
     sig[...] = sigmoid(sig)
     np.tanh(g, out=g)
-    c = sig[:, hidden : 2 * hidden] * state_prev.c + sig[:, :hidden] * g
+    c = sig[:, hidden : 2 * hidden] * c_prev + sig[:, :hidden] * g
     tanh_c = np.tanh(c)
-    h = sig[:, 2 * hidden :] * tanh_c
-    return LstmState(h=h, c=c), tanh_c
+    return sig[:, 2 * hidden :] * tanh_c, c, tanh_c
 
 
-def _check_shapes(window, stack, init_states):
+def _check_shapes(window, stack):
     if window.ndim != 3:
         raise ShapeMismatchError(f"expected (batch, length, features), got {window.shape}")
     if window.shape[2] != stack[0].input_size:
@@ -161,57 +121,41 @@ def _check_shapes(window, stack, init_states):
                 f"layer input {above.input_size} does not match "
                 f"hidden size {below.hidden_size} of the layer below"
             )
-    if init_states is None:
-        return
-    if len(init_states) != len(stack):
-        raise ValueError(f"{len(init_states)} initial states do not match {len(stack)} layers")
-    for state, p in zip(init_states, stack):
-        want = (window.shape[0], p.hidden_size)
-        if np.shape(state.h) != want or np.shape(state.c) != want:
-            raise ShapeMismatchError(
-                f"state shapes {np.shape(state.h)}/{np.shape(state.c)} do not match {want}"
-            )
 
 
-def lstm_sequence_forward(window, stack, init_states=None, keep_cache=True):
-    """Run a stack of layers over a batch of windows (B, L, F).
+def lstm_sequence_forward(window, stack, keep_cache=True):
+    """Run a stack of layers over a batch of windows (B, L, F) from zero states.
 
     Layer l > 0 consumes the full hidden sequence of layer l-1. Returns
-    (top hidden sequence (B, L, H), final states per layer, caches per layer).
-    With ``keep_cache=False`` the caches are None and each layer's buffers
-    are dropped once the layer above has read its hidden sequence.
+    (top hidden sequence (B, L, H), caches per layer). With
+    ``keep_cache=False`` the caches are None and each layer's buffers are
+    dropped once the layer above has read its hidden sequence.
     """
     window = np.asarray(window, dtype=np.float64)
     if not stack:
         raise ValueError("empty layer stack")
-    _check_shapes(window, stack, init_states)
+    _check_shapes(window, stack)
     batch, length = window.shape[0], window.shape[1]
 
     seq = np.ascontiguousarray(window.transpose(1, 0, 2))
     caches = []
-    finals = []
-    for idx, p in enumerate(stack):
+    for p in stack:
         hidden = p.hidden_size
-        w = fuse(p)
         # the input projection for all steps; each step turns its slice into
         # that step's activations
-        act = (seq.reshape(length * batch, -1) @ w.W_x.T).reshape(length, batch, 4 * hidden)
-        hs = np.empty((length + 1, batch, hidden))
-        cs = np.empty((length + 1, batch, hidden))
+        act = (seq.reshape(length * batch, -1) @ p.W_x.T).reshape(length, batch, 4 * hidden)
+        hs = np.zeros((length + 1, batch, hidden))
+        cs = np.zeros((length + 1, batch, hidden))
         tanh_c = np.empty((length, batch, hidden))
-        state = init_states[idx] if init_states is not None else zero_state(batch, hidden)
-        hs[0], cs[0] = state.h, state.c
         for t in range(length):
-            state, tanh_c[t] = lstm_cell_forward(act[t], state, w)
-            hs[t + 1], cs[t + 1] = state.h, state.c
+            hs[t + 1], cs[t + 1], tanh_c[t] = lstm_cell_forward(act[t], hs[t], cs[t], p)
         if keep_cache:
             caches.append({
                 "inputs": seq, "h": hs, "c": cs,
                 "gates": act[:, :, : 3 * hidden], "g": act[:, :, 3 * hidden :], "tanh_c": tanh_c,
             })
-        finals.append(state)
         seq = hs[1:]
-    return seq.transpose(1, 0, 2), finals, caches if keep_cache else None
+    return seq.transpose(1, 0, 2), caches if keep_cache else None
 
 
 def lstm_layer_backward(cache, d_hidden, p: LstmLayerParams):
@@ -223,7 +167,6 @@ def lstm_layer_backward(cache, d_hidden, p: LstmLayerParams):
             f"upstream gradient shape {d_hidden.shape} does not match "
             f"cache length {length} / hidden size {hidden}"
         )
-    w = fuse(p)
     s = 3 * hidden
     d_pre = np.empty((length, batch, 4 * hidden))
     dh_next = np.zeros((batch, hidden))
@@ -241,8 +184,8 @@ def lstm_layer_backward(cache, d_hidden, p: LstmLayerParams):
         d_sig *= sig
         d_sig *= 1.0 - sig
         d_pre[t, :, s:] = dc * i * (1.0 - g[t] ** 2)
-        dh_next = d_pre[t] @ w.W_h
-        dc_next = dc * f + d_sig @ w.W_c
+        dh_next = d_pre[t] @ p.W_h
+        dc_next = dc * f + d_sig @ p.W_c
 
     rows = d_pre.reshape(length * batch, 4 * hidden)
     x = cache["inputs"]
@@ -250,16 +193,9 @@ def lstm_layer_backward(cache, d_hidden, p: LstmLayerParams):
     dW_h = rows.T @ cache["h"][:-1].reshape(length * batch, hidden)
     dW_c = rows[:, :s].T @ cs[:-1].reshape(length * batch, hidden)
     db = rows.sum(axis=0)
-    dX = (rows @ w.W_x).reshape(x.shape)
+    dX = (rows @ p.W_x).reshape(x.shape)
 
-    gi, gf, go, gg = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
-    grads = LstmLayerParams(
-        W_xi=dW_x[gi], W_hi=dW_h[gi], W_ci=dW_c[gi], b_i=db[gi],
-        W_xf=dW_x[gf], W_hf=dW_h[gf], W_cf=dW_c[gf], b_f=db[gf],
-        W_xc=dW_x[gg], W_hc=dW_h[gg], b_c=db[gg],
-        W_xo=dW_x[go], W_ho=dW_h[go], W_co=dW_c[go], b_o=db[go],
-    )
-    return grads, dX
+    return LstmLayerParams(W_x=dW_x, W_h=dW_h, W_c=dW_c, b=db), dX
 
 
 def lstm_backward(caches, d_hidden_top, stack):

@@ -14,8 +14,9 @@ are read from them, never stored beside them:
 
 Every ``ModelParams`` owns one contiguous float64 vector, ``flat``. Each array
 that ``named_arrays`` yields is a view into it, at the offset where the
-traversal reaches it: the LSTM layers first, then the encoder, the head and
-the bypass. Gradients from ``backward_batch`` are packed the same way, so the
+traversal reaches it: the LSTM layers first (each as its fused ``W_x``,
+``W_h``, ``W_c`` and ``b``, the only copy of its weights), then the encoder,
+the head and the bypass. Gradients from ``backward_batch`` are packed the same way, so the
 optimizers, gradient clipping, best-epoch snapshots, checkpoints and gradient
 checks all work on whole vectors. This module alone knows the layout. The
 positional table is a constant and never appears in it.
@@ -159,10 +160,7 @@ def _components(s: dict, take):
     """
     stack = [
         L.LstmLayerParams(
-            W_xi=take(h, f), W_hi=take(h, h), W_ci=take(h, h), b_i=take(h),
-            W_xf=take(h, f), W_hf=take(h, h), W_cf=take(h, h), b_f=take(h),
-            W_xc=take(h, f), W_hc=take(h, h), b_c=take(h),
-            W_xo=take(h, f), W_ho=take(h, h), W_co=take(h, h), b_o=take(h),
+            W_x=take(4 * h, f), W_h=take(4 * h, h), W_c=take(3 * h, h), b=take(4 * h)
         )
         for f, h in s["lstm"]
     ]
@@ -264,7 +262,7 @@ def forward_batch(windows: np.ndarray, model: ModelParams, keep_cache: bool = Tr
         raise ValueError(f"expected (batch, lookback, features), got {windows.shape}")
     caches = {}
     if model.lstm_enabled:
-        hidden, _, caches["lstm"] = L.lstm_sequence_forward(
+        hidden, caches["lstm"] = L.lstm_sequence_forward(
             windows, model.lstm_stack, keep_cache=keep_cache
         )
     else:

@@ -23,19 +23,25 @@ def tiny_model(seed=0, **overrides):
     return build_model(**args)
 
 
-def edit_header(path, edit):
-    """Rewrite the header of the checkpoint at ``path`` by ``edit(header)``.
+def rewrite_header(path, rewrite):
+    """Replace the header bytes of the checkpoint at ``path`` by ``rewrite(header)``.
 
     The payload keeps its length, so only the header checks can object.
     """
     blob = path.read_bytes()
     (header_len,) = struct.unpack("<Q", blob[8:16])
-    header = json.loads(blob[16 : 16 + header_len])
-    edit(header)
-    edited = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    path.write_bytes(
-        blob[:8] + struct.pack("<Q", len(edited)) + edited + blob[16 + header_len :]
-    )
+    new = rewrite(json.loads(blob[16 : 16 + header_len]))
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(new)) + new + blob[16 + header_len :])
+
+
+def edit_header(path, edit):
+    """Rewrite the header of the checkpoint at ``path`` by ``edit(header)``."""
+
+    def rewrite(header):
+        edit(header)
+        return json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+
+    rewrite_header(path, rewrite)
 
 
 class TestRoundTrip:
@@ -96,6 +102,35 @@ class TestErrors:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
+    def test_format_1_is_refused(self, tmp_path):
+        # format 1 stored every LSTM gate apart; its files are not read
+        path = tmp_path / "v1.ckpt"
+        save_checkpoint(tiny_model(), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
+        with pytest.raises(CheckpointError, match="version"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("rewrite", [
+        pytest.param(
+            lambda h: json.dumps({k: v for k, v in h.items() if k != "structure"}).encode(),
+            id="no-structure",
+        ),
+        pytest.param(lambda h: b"\xff\xfe" + json.dumps(h).encode(), id="not-utf8"),
+        pytest.param(lambda h: json.dumps(h).encode()[:-1], id="not-json"),
+        pytest.param(lambda h: json.dumps([h]).encode(), id="json-list"),
+        pytest.param(
+            lambda h: json.dumps({**h, "structure": {**h["structure"], "lstm": "x"}}).encode(),
+            id="lstm-not-a-list",
+        ),
+    ])
+    def test_malformed_header(self, tmp_path, rewrite):
+        path = tmp_path / "header.ckpt"
+        save_checkpoint(tiny_model(), path)
+        rewrite_header(path, rewrite)
+        with pytest.raises(CheckpointError, match="malformed header"):
+            load_checkpoint(path)
+
     def test_truncated_payload(self, tmp_path):
         model = tiny_model()
         path = tmp_path / "t.ckpt"
@@ -114,7 +149,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("entry, field, value", [
         (0, 0, "lstm.0.W_renamed"),  # a name the structure does not have
-        (3, 1, [5]),                 # lstm.0.b_i is (4,) in the structure
+        (3, 1, [5]),                 # lstm.0.b is (16,) in the structure
     ])
     def test_manifest_must_fit_structure(self, tmp_path, entry, field, value):
         path = tmp_path / "manifest.ckpt"
@@ -154,7 +189,7 @@ class TestByteLength:
 
     def test_zeroed_reference_model_length_is_stable(self, tmp_path):
         # frozen for the zero-initialized reference tiny model: 16 byte
-        # preamble + 1401 byte header + 8 * 1273 parameter payload
+        # preamble + 933 byte header (format 2) + 8 * 1273 parameter payload
         model = tiny_model(seed=0)
         model.flat[...] = 0.0
         n_params = sum(a.size for _, a in model.named_arrays())
@@ -162,7 +197,7 @@ class TestByteLength:
         path = tmp_path / "frozen.ckpt"
         written = save_checkpoint(model, path)
         assert written == path.stat().st_size
-        assert written == 16 + 1401 + 8 * 1273
+        assert written == 16 + 933 + 8 * 1273
 
 
 @st.composite

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ltpnet.cli import cli
 
 
@@ -78,6 +80,29 @@ class TestUsage:
         spec_path = self._malformed(tmp_path, variant="no-pso", hyperparams={"bogus": 1})
         assert cli(["ablate", "--config", str(spec_path)]) == 1
         assert "bogus" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["gradcheck", "--seeds", "0"], "--seeds"),
+        (["gradcheck", "--seed", "-3"], "--seed"),
+        (["pso-study", "--runs", "0"], "--runs"),
+        (["pso-study", "--dim", "0"], "--dim"),
+        (["pso-study", "--runs", "two"], "--runs"),
+        (["synth", "--length", "0"], "--length"),
+    ])
+    def test_counts_below_one_and_negative_seeds_are_usage_errors(
+        self, tmp_path, capsys, argv, flag
+    ):
+        out = tmp_path / "out"
+        paths = ["--out", str(out / "s.csv")] if argv[0] == "synth" else ["--out-dir", str(out)]
+        assert cli(argv + paths) == 1
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_for_a_run_is_usage_error(self, tmp_path, capsys):
+        spec_path = write_spec(tmp_path, tmp_path / "out")
+        assert cli(["run", "--config", str(spec_path), "--seed", "-1"]) == 1
+        assert "--seed" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_runtime_failure_exits_two(self, tmp_path, capsys):

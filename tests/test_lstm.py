@@ -16,71 +16,86 @@ def zero_layer(input_size, hidden_size):
     return model.lstm_stack[0]
 
 
-def state(h, c):
-    return L.LstmState(h=np.asarray(h, dtype=float), c=np.asarray(c, dtype=float))
+def block(arr, gate, hidden):
+    """The rows of a fused array that belong to ``gate`` (order i, f, o, g)."""
+    k = "ifog".index(gate)
+    return arr[k * hidden : (k + 1) * hidden]
 
 
-def step(x, st_prev, p):
-    """One cell step for one window, through ``lstm_sequence_forward``.
+def step(x, h, c, p):
+    """One cell step for one window, through ``lstm_cell_forward``.
 
     ``x`` is (F,) or (1, F) and the state (H,) or (1, H). Returns the next
-    state, shaped like the given one, and the step's gate values read from
-    the cache.
+    h and c, shaped like the given ones, and the step's gate values.
     """
     one = lambda a: np.reshape(np.asarray(a, dtype=float), (1, -1))
-    _, finals, caches = L.lstm_sequence_forward(
-        one(x)[None], [p], [L.LstmState(one(st_prev.h), one(st_prev.c))]
-    )
-    h = p.hidden_size
-    sig = caches[0]["gates"][0, 0]
-    gates = {"i": sig[:h], "f": sig[h : 2 * h], "o": sig[2 * h :], "g": caches[0]["g"][0, 0]}
-    shape = np.shape(st_prev.h)
-    return L.LstmState(finals[0].h.reshape(shape), finals[0].c.reshape(shape)), gates
+    act = one(x) @ p.W_x.T
+    h_next, c_next, _ = L.lstm_cell_forward(act, one(h), one(c), p)
+    hidden = p.hidden_size
+    gates = {gate: block(act[0], gate, hidden) for gate in "ifog"}
+    shape = np.shape(h)
+    return h_next.reshape(shape), c_next.reshape(shape), gates
+
+
+class TestInitLayer:
+    def test_fused_arrays_are_the_per_gate_draws_concatenated(self):
+        f, h = 3, 2
+        p = L.init_layer(f, h, SeededRng(60))
+        rng, bound = SeededRng(60), 1.0 / np.sqrt(h)
+        w = lambda rows, cols: rng.uniform(-bound, bound, (rows, cols))
+        W_xi, W_hi, W_ci = w(h, f), w(h, h), w(h, h)
+        W_xf, W_hf, W_cf = w(h, f), w(h, h), w(h, h)
+        W_xc, W_hc = w(h, f), w(h, h)
+        W_xo, W_ho, W_co = w(h, f), w(h, h), w(h, h)
+        np.testing.assert_array_equal(p.W_x, np.concatenate([W_xi, W_xf, W_xo, W_xc]))
+        np.testing.assert_array_equal(p.W_h, np.concatenate([W_hi, W_hf, W_ho, W_hc]))
+        np.testing.assert_array_equal(p.W_c, np.concatenate([W_ci, W_cf, W_co]))
+        np.testing.assert_array_equal(p.b, np.zeros(4 * h))
 
 
 class TestCellForward:
     def test_zero_params_zero_state(self):
         p = zero_layer(3, 2)
-        out, cache = step(np.array([1.0, -2.0, 0.5]), state([0, 0], [0, 0]), p)
+        h, c, cache = step(np.array([1.0, -2.0, 0.5]), [0, 0], [0, 0], p)
         np.testing.assert_allclose(cache["i"], 0.5)
         np.testing.assert_allclose(cache["f"], 0.5)
         np.testing.assert_allclose(cache["o"], 0.5)
-        np.testing.assert_allclose(out.c, 0.0)
-        np.testing.assert_allclose(out.h, 0.0)
+        np.testing.assert_allclose(c, 0.0)
+        np.testing.assert_allclose(h, 0.0)
 
     def test_zero_params_carried_cell(self):
         p = zero_layer(1, 1)
-        out, _ = step(np.array([0.3]), state([0.0], [1.0]), p)
-        np.testing.assert_allclose(out.c, [0.5])
-        np.testing.assert_allclose(out.h, [0.5 * np.tanh(0.5)], atol=1e-12)
+        h, c, _ = step(np.array([0.3]), [0.0], [1.0], p)
+        np.testing.assert_allclose(c, [0.5])
+        np.testing.assert_allclose(h, [0.5 * np.tanh(0.5)], atol=1e-12)
 
     def test_saturated_forget_gate_preserves_cell(self):
         p = zero_layer(1, 1)
-        p.b_f[:] = 50.0
-        out, _ = step(np.array([0.0]), state([0.0], [3.0]), p)
-        np.testing.assert_allclose(out.c, [3.0], atol=1e-9)
+        block(p.b, "f", 1)[:] = 50.0
+        _, c, _ = step(np.array([0.0]), [0.0], [3.0], p)
+        np.testing.assert_allclose(c, [3.0], atol=1e-9)
 
     def test_shape_mismatch(self):
         p = zero_layer(2, 3)
         with pytest.raises(ShapeMismatchError):
-            step(np.zeros(4), state(np.zeros(3), np.zeros(3)), p)
+            L.lstm_sequence_forward(np.zeros((1, 1, 4)), [p])
 
     def test_gates_strictly_inside_unit_interval(self):
         rng = SeededRng(21)
         for trial in range(30):
             p = L.init_layer(2, 3, rng.split(trial))
-            st = state(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
-            _, cache = step(rng.uniform(-2, 2, 2), st, p)
+            h, c = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
+            _, _, cache = step(rng.uniform(-2, 2, 2), h, c, p)
             for gate in ("i", "f", "o"):
                 assert np.all(cache[gate] > 0.0) and np.all(cache[gate] < 1.0)
 
     def test_hidden_state_bounded_by_one(self):
         rng = SeededRng(22)
         p = L.init_layer(2, 4, rng)
-        st = L.zero_state(1, 4)
+        h, c = np.zeros((1, 4)), np.zeros((1, 4))
         for t in range(50):
-            st, _ = step(rng.uniform(-3, 3, (1, 2)), st, p)
-            assert np.all(np.abs(st.h) <= 1.0)
+            h, c, _ = step(rng.uniform(-3, 3, (1, 2)), h, c, p)
+            assert np.all(np.abs(h) <= 1.0)
 
 
 class TestSequenceForward:
@@ -88,14 +103,14 @@ class TestSequenceForward:
         rng = SeededRng(30)
         p = L.init_layer(2, 3, rng)
         x = rng.uniform(-1, 1, (1, 2))
-        hidden, finals, _ = L.lstm_sequence_forward(x[None], [p])
-        cell_state, _ = step(x[0], L.LstmState(np.zeros(3), np.zeros(3)), p)
-        np.testing.assert_allclose(hidden[0, 0], cell_state.h)
-        np.testing.assert_allclose(finals[0].h[0], cell_state.h)
+        hidden, caches = L.lstm_sequence_forward(x[None], [p])
+        h, c, _ = step(x[0], np.zeros(3), np.zeros(3), p)
+        np.testing.assert_allclose(hidden[0, 0], h)
+        np.testing.assert_allclose(caches[0]["c"][-1, 0], c)
 
     def test_two_zero_layers_output_zero(self):
         stack = [zero_layer(2, 3), zero_layer(3, 3)]
-        hidden, _, _ = L.lstm_sequence_forward(SeededRng(1).uniform(-1, 1, (1, 4, 2)), stack)
+        hidden, _ = L.lstm_sequence_forward(SeededRng(1).uniform(-1, 1, (1, 4, 2)), stack)
         np.testing.assert_allclose(hidden, 0.0)
 
     def test_order_sensitivity(self):
@@ -103,8 +118,8 @@ class TestSequenceForward:
         p = L.init_layer(2, 3, rng)
         a = rng.uniform(-1, 1, 2)
         b = rng.uniform(-1, 1, 2)
-        h_ab, _, _ = L.lstm_sequence_forward(np.stack([a, b])[None], [p])
-        h_ba, _, _ = L.lstm_sequence_forward(np.stack([b, a])[None], [p])
+        h_ab, _ = L.lstm_sequence_forward(np.stack([a, b])[None], [p])
+        h_ba, _ = L.lstm_sequence_forward(np.stack([b, a])[None], [p])
         assert not np.allclose(h_ab[0, -1], h_ba[0, -1])
 
     def test_interlayer_mismatch(self):
@@ -117,9 +132,9 @@ class TestSequenceForward:
         rng = SeededRng(32)
         stack = [L.init_layer(2, 3, rng.split(0)), L.init_layer(3, 2, rng.split(1))]
         windows = rng.uniform(-1, 1, (4, 5, 2))
-        batched, _, _ = L.lstm_sequence_forward(windows, stack)
+        batched, _ = L.lstm_sequence_forward(windows, stack)
         for b in range(4):
-            single, _, _ = L.lstm_sequence_forward(windows[b : b + 1], stack)
+            single, _ = L.lstm_sequence_forward(windows[b : b + 1], stack)
             np.testing.assert_allclose(batched[b], single[0], atol=1e-14)
 
     def test_cell_conservation_under_forced_gates(self):
@@ -127,20 +142,20 @@ class TestSequenceForward:
         # state must then persist across steps
         rng = SeededRng(33)
         p = L.init_layer(2, 3, rng)
-        p.b_f[:] = 60.0
-        p.b_i[:] = -60.0
-        st = L.LstmState(h=np.zeros((1, 3)), c=np.full((1, 3), 0.7))
+        block(p.b, "f", 3)[:] = 60.0
+        block(p.b, "i", 3)[:] = -60.0
+        h, c = np.zeros((1, 3)), np.full((1, 3), 0.7)
         for _ in range(10):
-            before = st.c.copy()
-            st, _ = step(rng.uniform(-1, 1, (1, 2)), st, p)
-            np.testing.assert_allclose(st.c, before, atol=1e-8)
+            before = c.copy()
+            h, c, _ = step(rng.uniform(-1, 1, (1, 2)), h, c, p)
+            np.testing.assert_allclose(c, before, atol=1e-8)
 
     def test_determinism(self):
         rng = SeededRng(34)
         stack = [L.init_layer(3, 4, rng)]
         w = rng.uniform(-1, 1, (2, 6, 3))
-        h1, _, _ = L.lstm_sequence_forward(w, stack)
-        h2, _, _ = L.lstm_sequence_forward(w, stack)
+        h1, _ = L.lstm_sequence_forward(w, stack)
+        h2, _ = L.lstm_sequence_forward(w, stack)
         np.testing.assert_array_equal(h1, h2)
 
 
@@ -159,10 +174,10 @@ def _central_differences(arr, loss, eps=DEFAULT_EPS):
     return g
 
 
-def _fd_layer_grads(window, upstream, stack, eps=DEFAULT_EPS, init_states=None):
+def _fd_layer_grads(window, upstream, stack, eps=DEFAULT_EPS):
     """Finite differences of sum(upstream * hidden) w.r.t. every weight."""
     def loss():
-        hidden, _, _ = L.lstm_sequence_forward(window, stack, init_states)
+        hidden, _ = L.lstm_sequence_forward(window, stack)
         return float(np.sum(upstream * hidden))
 
     return [
@@ -185,7 +200,7 @@ class TestBackward:
         rng = SeededRng(40)
         stack = [L.init_layer(2, 3, rng)]
         w = rng.uniform(-1, 1, (2, 4, 2))
-        _, _, caches = L.lstm_sequence_forward(w, stack)
+        _, caches = L.lstm_sequence_forward(w, stack)
         grads, dX = L.lstm_backward(caches, np.zeros((2, 4, 3)), stack)
         for name, g in grads[0].named_arrays():
             np.testing.assert_array_equal(g, 0.0)
@@ -196,7 +211,7 @@ class TestBackward:
         stack = [L.init_layer(1, 2, rng.split(0))]
         window = rng.split(1).uniform(-1, 1, (1, 3, 1))
         upstream = rng.split(2).uniform(-1, 1, (1, 3, 2))
-        _, _, caches = L.lstm_sequence_forward(window, stack)
+        _, caches = L.lstm_sequence_forward(window, stack)
         grads, _ = L.lstm_backward(caches, upstream, stack)
         numeric = _fd_layer_grads(window, upstream, stack)
         assert _max_rel(grads, numeric) < 1e-4
@@ -206,13 +221,13 @@ class TestBackward:
         # cell is 0, so dh1/db_o = tanh(c1) * o * (1 - o) = 0 exactly; with a
         # nonzero candidate bias the closed form is tanh(c1)*o*(1-o)
         p = zero_layer(1, 1)
-        p.b_c[:] = 0.8
+        block(p.b, "g", 1)[:] = 0.8
         x = np.array([[0.0]])
-        hidden, _, caches = L.lstm_sequence_forward(x[None], [p])
+        hidden, caches = L.lstm_sequence_forward(x[None], [p])
         grads, _ = L.lstm_backward(caches, np.ones((1, 1, 1)), [p])
         c1 = 0.5 * np.tanh(0.8)  # i=0.5 gate on tanh(b_c)
         expected = np.tanh(c1) * 0.5 * 0.5
-        np.testing.assert_allclose(grads[0].b_o, [expected], atol=1e-10)
+        np.testing.assert_allclose(block(grads[0].b, "o", 1), [expected], atol=1e-10)
 
     def test_gradient_check_sweep(self):
         # 36 seeded configurations across widths, depths, sequence lengths
@@ -230,7 +245,7 @@ class TestBackward:
                         ]
                         window = r.split(2).uniform(-1, 1, (1, length, feat))
                         upstream = r.split(3).uniform(-1, 1, (1, length, hidden))
-                        _, _, caches = L.lstm_sequence_forward(window, stack)
+                        _, caches = L.lstm_sequence_forward(window, stack)
                         grads, _ = L.lstm_backward(caches, upstream, stack)
                         numeric = _fd_layer_grads(window, upstream, stack)
                         err = _max_rel(grads, numeric)
@@ -241,7 +256,7 @@ class TestBackward:
         stack = [L.init_layer(2, 3, rng.split(0))]
         window = rng.split(1).uniform(-1, 1, (1, 4, 2))
         upstream = rng.split(2).uniform(-1, 1, (1, 4, 3))
-        _, _, caches = L.lstm_sequence_forward(window, stack)
+        _, caches = L.lstm_sequence_forward(window, stack)
         _, dX = L.lstm_backward(caches, upstream, stack)
 
         eps = DEFAULT_EPS
@@ -260,25 +275,34 @@ class TestBackward:
     def test_cache_layer_count_mismatch(self):
         rng = SeededRng(44)
         stack = [L.init_layer(2, 2, rng)]
-        _, _, caches = L.lstm_sequence_forward(rng.uniform(-1, 1, (1, 3, 2)), stack)
+        _, caches = L.lstm_sequence_forward(rng.uniform(-1, 1, (1, 3, 2)), stack)
         with pytest.raises(ValueError, match="caches"):
             L.lstm_backward(caches, np.zeros((1, 3, 2)), stack + stack)
 
 
-def reference_forward(window, stack, init_states):
-    """The recurrence one gate at a time, as the module docstring writes it."""
+def reference_forward(window, stack):
+    """The recurrence one gate at a time, as the module docstring writes it.
+
+    Every layer starts from zero states; each gate's weights are its row
+    block of the fused arrays.
+    """
     sigmoid = lambda a: 1.0 / (1.0 + np.exp(-a))
     seq = window
     finals = []
-    for p, st0 in zip(stack, init_states):
-        h, c = st0.h, st0.c
+    for p in stack:
+        H = p.hidden_size
+        W_xi, W_xf, W_xo, W_xc = (block(p.W_x, k, H) for k in "ifog")
+        W_hi, W_hf, W_ho, W_hc = (block(p.W_h, k, H) for k in "ifog")
+        W_ci, W_cf, W_co = (block(p.W_c, k, H) for k in "ifo")
+        b_i, b_f, b_o, b_c = (block(p.b, k, H) for k in "ifog")
+        h = c = np.zeros((seq.shape[0], H))
         out = []
         for t in range(seq.shape[1]):
             x = seq[:, t]
-            i = sigmoid(x @ p.W_xi.T + h @ p.W_hi.T + c @ p.W_ci.T + p.b_i)
-            f = sigmoid(x @ p.W_xf.T + h @ p.W_hf.T + c @ p.W_cf.T + p.b_f)
-            o = sigmoid(x @ p.W_xo.T + h @ p.W_ho.T + c @ p.W_co.T + p.b_o)
-            g = np.tanh(x @ p.W_xc.T + h @ p.W_hc.T + p.b_c)
+            i = sigmoid(x @ W_xi.T + h @ W_hi.T + c @ W_ci.T + b_i)
+            f = sigmoid(x @ W_xf.T + h @ W_hf.T + c @ W_cf.T + b_f)
+            o = sigmoid(x @ W_xo.T + h @ W_ho.T + c @ W_co.T + b_o)
+            g = np.tanh(x @ W_xc.T + h @ W_hc.T + b_c)
             c = f * c + i * g
             h = o * np.tanh(c)
             out.append(h)
@@ -289,48 +313,42 @@ def reference_forward(window, stack, init_states):
 
 @st.composite
 def stacks(draw):
-    """A random small stack, a batch of windows, initial states and upstream."""
+    """A random small stack with random biases, a batch of windows and upstream."""
     batch, length = draw(st.integers(1, 3)), draw(st.integers(1, 5))
     feat, hidden = draw(st.integers(1, 3)), draw(st.integers(1, 5))
     rng = SeededRng(draw(st.integers(0, 2**16)))
     sizes = [feat] + [hidden] * draw(st.integers(1, 2))
     stack = [L.init_layer(f, h, rng.split(k)) for k, (f, h) in enumerate(zip(sizes, sizes[1:]))]
     for k, p in enumerate(stack):
-        for j, b in enumerate((p.b_i, p.b_f, p.b_c, p.b_o)):
-            b[:] = rng.split(40 + 4 * k + j).uniform(-1, 1, b.shape)
+        p.b[:] = rng.split(40 + k).uniform(-1, 1, p.b.shape)
     window = rng.split(11).uniform(-1, 1, (batch, length, feat))
-    init = [
-        L.LstmState(rng.split(20 + k).uniform(-1, 1, (batch, hidden)),
-                    rng.split(30 + k).uniform(-1, 1, (batch, hidden)))
-        for k in range(len(stack))
-    ]
     upstream = rng.split(12).uniform(-1, 1, (batch, length, hidden))
-    return stack, window, init, upstream
+    return stack, window, upstream
 
 
 class TestFusedProperties:
     @settings(max_examples=30, deadline=None)
     @given(case=stacks())
     def test_forward_matches_per_gate_reference(self, case):
-        stack, window, init, _ = case
-        hidden, finals, _ = L.lstm_sequence_forward(window, stack, init)
-        ref_hidden, ref_finals = reference_forward(window, stack, init)
+        stack, window, _ = case
+        hidden, caches = L.lstm_sequence_forward(window, stack)
+        ref_hidden, ref_finals = reference_forward(window, stack)
         np.testing.assert_allclose(hidden, ref_hidden, rtol=0, atol=1e-12)
-        for got, (h, c) in zip(finals, ref_finals):
-            np.testing.assert_allclose(got.h, h, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(got.c, c, rtol=0, atol=1e-12)
+        for cache, (h, c) in zip(caches, ref_finals):
+            np.testing.assert_allclose(cache["h"][-1], h, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(cache["c"][-1], c, rtol=0, atol=1e-12)
 
     @settings(max_examples=15, deadline=None)
     @given(case=stacks())
     def test_backward_matches_finite_differences(self, case):
-        stack, window, init, upstream = case
+        stack, window, upstream = case
 
         def loss():
-            return float(np.sum(upstream * L.lstm_sequence_forward(window, stack, init)[0]))
+            return float(np.sum(upstream * L.lstm_sequence_forward(window, stack)[0]))
 
-        _, _, caches = L.lstm_sequence_forward(window, stack, init)
+        _, caches = L.lstm_sequence_forward(window, stack)
         grads, dX = L.lstm_backward(caches, upstream, stack)
-        numeric = _fd_layer_grads(window, upstream, stack, init_states=init)
+        numeric = _fd_layer_grads(window, upstream, stack)
         assert _max_rel(grads, numeric) < 1e-4
 
         numeric_dX = _central_differences(window, loss)
@@ -345,18 +363,14 @@ class TestBatchOnlyInputs:
 
     def test_single_window_upstream_rejected(self):
         stack = [zero_layer(2, 3)]
-        _, _, caches = L.lstm_sequence_forward(np.zeros((1, 4, 2)), stack)
+        _, caches = L.lstm_sequence_forward(np.zeros((1, 4, 2)), stack)
         with pytest.raises(ShapeMismatchError):
             L.lstm_backward(caches, np.zeros((4, 3)), stack)
-
-    def test_init_state_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            L.lstm_sequence_forward(np.zeros((2, 4, 2)), [zero_layer(2, 3)], [L.zero_state(1, 3)])
 
 
 class TestFusedGuards:
     def test_nudging_any_gate_array_through_flat_changes_the_forecast(self):
-        # the fused matrices are rebuilt from the per-gate views on every call
+        # every fused array is a view of flat, read afresh on every call
         model = build_model(n_features=2, lookback=4, lstm_hidden=3, lstm_layers=2,
                             transformer_layers=1, attention_heads=2, d_model=4,
                             head_width=3, rng=SeededRng(50))

@@ -221,11 +221,11 @@ class TestFlatVector:
 
     def test_construction_copies_the_given_components(self):
         layer = L.init_layer(2, 3, SeededRng(27))
-        before = layer.W_xi
+        before = layer.W_x
         model = ModelParams(lstm_stack=[layer], encoder=None, head=None)
         assert_views_into_flat(model)
-        assert layer.W_xi is before
-        assert not np.shares_memory(layer.W_xi, model.flat)
+        assert layer.W_x is before
+        assert not np.shares_memory(layer.W_x, model.flat)
         assert model.lstm_size == model.flat.size == 2 * 4 * 3 + 7 * 3 * 3 + 4 * 3
 
     def test_variant_flags_follow_the_given_components(self):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltpnet import pso as P
 from ltpnet.rng import SeededRng
@@ -189,6 +191,26 @@ class TestHyperparamCodec:
                 assert back.d_model == h.d_model
                 assert back.lstm_lr == pytest.approx(h.lstm_lr, rel=1e-12)
                 assert back.transformer_lr == pytest.approx(h.transformer_lr, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_in_bounds_positions_decode_to_admissible_points_that_round_trip(self, data):
+        space = P.SearchSpace()
+        x = np.array([data.draw(st.floats(lo, hi)) for lo, hi in space.bounds()])
+        h = P.decode_position(x, space)
+        assert h.lstm_hidden in space.lstm_hidden
+        assert h.transformer_layers in space.transformer_layers
+        assert h.attention_heads in space.attention_heads
+        assert h.d_model in space.d_model and h.d_model % h.attention_heads == 0
+        assert space.lstm_lr_bounds[0] <= h.lstm_lr <= space.lstm_lr_bounds[1]
+        lo, hi = space.transformer_lr_bounds
+        assert lo <= h.transformer_lr <= hi
+
+        back = P.decode_position(P.encode_hyperparams(h, space), space)
+        axes = lambda p: (p.lstm_hidden, p.transformer_layers, p.attention_heads, p.d_model)
+        assert axes(back) == axes(h)
+        assert back.lstm_lr == pytest.approx(h.lstm_lr, rel=1e-12)
+        assert back.transformer_lr == pytest.approx(h.transformer_lr, rel=1e-12)
 
     def test_log_axis_midpoint(self):
         space = P.SearchSpace()

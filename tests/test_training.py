@@ -129,7 +129,7 @@ class TestSgd:
         before = {n: a.copy() for n, a in model.named_arrays()}
         SgdOptimizer(lstm_lr=0.1, transformer_lr=0.01).step(model, grads_like(model, 1.0))
         after = dict(model.named_arrays())
-        np.testing.assert_allclose(before["lstm.0.b_i"] - after["lstm.0.b_i"], 0.1)
+        np.testing.assert_allclose(before["lstm.0.b"] - after["lstm.0.b"], 0.1)
         np.testing.assert_allclose(before["head.b_b"] - after["head.b_b"], 0.01)
         np.testing.assert_allclose(
             before["encoder.b_in"] - after["encoder.b_in"], 0.01
