@@ -16,10 +16,10 @@ Every ``ModelParams`` owns one contiguous float64 vector, ``flat``. Each array
 that ``named_arrays`` yields is a view into it, at the offset where the
 traversal reaches it: the LSTM layers first (each as its fused ``W_x``,
 ``W_h``, ``W_c`` and ``b``, the only copy of its weights), then the encoder,
-the head and the bypass. Gradients from ``backward_batch`` are packed the same way, so the
-optimizers, gradient clipping, best-epoch snapshots, checkpoints and gradient
-checks all work on whole vectors. This module alone knows the layout. The
-positional table is a constant and never appears in it.
+the head and the bypass. Gradients from ``backward_batch`` are packed the
+same way, so the optimizers, gradient clipping, best-epoch snapshots,
+checkpoints and gradient checks all work on whole vectors. This module alone
+knows the layout. The positional table is a constant and never appears in it.
 
 ``forward_batch`` keeps the backward caches by default, as a training step
 needs them; predictions that never go backward pass ``keep_cache=False`` and
