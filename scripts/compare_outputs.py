@@ -7,14 +7,19 @@ The trees of the base commit and of HEAD are exported with
 afterwards. The bundled smoke spec of HEAD and seven variants of it (adam,
 adaptive-momentum, no-lstm, no-transformer, clipped gradients, a small swarm
 search and a one-epoch grid search) then run through ``ltpnet run`` in each
-tree, all at one output path, because the report echoes its spec. The sha256
-of every ``run_report.json``, ``model.ckpt`` and ``pso_history.csv`` written
-is printed. Exits 1 when a file differs or is written on one side only.
+tree, and the small-search variant through ``ltpnet ablate`` and
+``ltpnet compare-optimizers``, all at one output path, because the report
+echoes its spec. The sha256 of every ``run_report.json``, ``model.ckpt`` and
+``pso_history.csv`` written, and of each suite's table and summary, is
+printed; ``optimizer_table.csv`` is hashed without its two wall-clock
+columns. Exits 1 when a file differs or is written on one side only.
 """
 
 import argparse
 import copy
+import csv
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -32,6 +37,11 @@ OUTPUTS = (
     Path("checkpoints") / "model.ckpt",
     Path("histories") / "pso_history.csv",
 )
+SUITE_OUTPUTS = {
+    "ablate": (Path("ablation_table.csv"), Path("ablation_summary.json")),
+    "compare-optimizers": (Path("optimizer_table.csv"), Path("optimizer_summary.json")),
+}
+TIMING_COLUMNS = ("inference_ms_per_window", "training_time_s")
 
 
 def variant_specs(smoke: dict, out_dir: str) -> dict:
@@ -63,13 +73,26 @@ def variant_specs(smoke: dict, out_dir: str) -> dict:
     return specs
 
 
-def digests(out_dir: Path) -> dict:
-    """sha256 of each output in ``OUTPUTS`` that exists under ``out_dir``."""
-    return {
-        str(rel): hashlib.sha256((out_dir / rel).read_bytes()).hexdigest()
-        for rel in OUTPUTS
-        if (out_dir / rel).exists()
-    }
+def without_timing(table: bytes) -> bytes:
+    """The CSV ``table`` without its ``TIMING_COLUMNS``, written as the suites write it."""
+    rows = list(csv.reader(io.StringIO(table.decode())))
+    keep = [i for i, name in enumerate(rows[0]) if name not in TIMING_COLUMNS]
+    out = io.StringIO()
+    csv.writer(out).writerows([row[i] for i in keep] for row in rows)
+    return out.getvalue().encode()
+
+
+def digests(out_dir: Path, outputs=OUTPUTS) -> dict:
+    """sha256 of each of ``outputs`` that exists under ``out_dir``; the
+    optimizer table loses its wall-clock columns first."""
+    found = {}
+    for rel in outputs:
+        if (out_dir / rel).exists():
+            data = (out_dir / rel).read_bytes()
+            if rel.name == "optimizer_table.csv":
+                data = without_timing(data)
+            found[str(rel)] = hashlib.sha256(data).hexdigest()
+    return found
 
 
 def compare(base: dict, change: dict) -> list:
@@ -86,20 +109,21 @@ def compare(base: dict, change: dict) -> list:
     return rows
 
 
-def run_spec(tree: Path, spec: dict, work: Path) -> dict:
-    """Run ``spec`` with the sources of ``tree``; the digests of its outputs."""
+def run_spec(tree: Path, spec: dict, work: Path, command="run", outputs=OUTPUTS) -> dict:
+    """``ltpnet <command>`` on ``spec`` with the sources of ``tree``; the
+    digests of its ``outputs``."""
     out_dir = Path(spec["output_dir"])
     shutil.rmtree(out_dir, ignore_errors=True)
     spec_path = work / "spec.json"
     spec_path.write_text(json.dumps(spec))
     proc = subprocess.run(
-        [sys.executable, "-m", "ltpnet.cli", "run", "--config", str(spec_path)],
+        [sys.executable, "-m", "ltpnet.cli", command, "--config", str(spec_path)],
         cwd=work, capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(tree / "src")},
     )
     if proc.returncode != 0:
-        raise RuntimeError(f"ltpnet run failed in {tree} (exit {proc.returncode}):\n{proc.stderr[-2000:]}")
-    return digests(out_dir)
+        raise RuntimeError(f"ltpnet {command} failed in {tree} (exit {proc.returncode}):\n{proc.stderr[-2000:]}")
+    return digests(out_dir, outputs)
 
 
 def main(argv=None) -> int:
@@ -114,9 +138,13 @@ def main(argv=None) -> int:
         for side, sha in shas.items():
             export_tree(sha, work / side)
         smoke = json.loads((work / "change" / SMOKE_SPEC).read_text())
-        for name, spec in variant_specs(smoke, str(work / "out")).items():
+        specs = variant_specs(smoke, str(work / "out"))
+        runs = {name: (spec, "run", OUTPUTS) for name, spec in specs.items()}
+        for command, outputs in SUITE_OUTPUTS.items():
+            runs[command] = (specs["pso-search"], command, outputs)
+        for name, (spec, command, outputs) in runs.items():
             for side in shas:
-                results[side][name] = run_spec(work / side, spec, work)
+                results[side][name] = run_spec(work / side, spec, work, command, outputs)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 

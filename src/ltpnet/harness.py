@@ -10,17 +10,14 @@ writes its results under the spec's output directory:
     checkpoints/model.ckpt    final parameters
     histories/pso_history.csv swarm search trace, when a search ran
 
-Suite runners (ablations, optimizer comparison, swarm study) fan out over
-independent experiments and emit comparison tables as CSV. The LTPNET_THREADS
-environment variable caps suite-level parallelism.
+Suite runners (ablations, optimizer comparison, swarm study) run their
+independent experiments one after another and emit comparison tables as CSV.
 """
 
-import concurrent.futures
 import csv
 import hashlib
 import json
-import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 from pathlib import Path
 
 import jsonschema
@@ -55,15 +52,6 @@ OPTIMIZER_CSV_HEADER = [
     "optimizer", "parameter_count", "flops_per_forward",
     "inference_ms_per_window", "training_time_s", "mae", "mape", "rmse", "mse",
 ]
-
-
-def suite_thread_count(n_jobs: int) -> int:
-    raw = os.environ.get("LTPNET_THREADS", "")
-    try:
-        cap = int(raw) if raw else (os.cpu_count() or 1)
-    except ValueError:
-        cap = 1
-    return max(1, min(cap, n_jobs))
 
 
 @dataclass
@@ -108,6 +96,12 @@ class ExperimentSpec:
             raise ValueError(
                 f"unknown hyperparameter source {self.hyperparameter_source!r}"
             )
+        if self.lookback < 1 or self.horizon < 1:
+            raise ValueError(
+                f"lookback and horizon must be >= 1, got {self.lookback} and {self.horizon}"
+            )
+        if not 0.0 < self.train_ratio < 1.0:
+            raise ValueError(f"train_ratio must be in (0, 1), got {self.train_ratio}")
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -262,6 +256,8 @@ def build_configs(spec: ExperimentSpec) -> RunConfigs:
     """
     cfg = TR.TrainConfig(**{**spec.train, "optimizer": spec.optimizer})
     cfg.validate()
+    if spec.variant != "no-lstm" and cfg.lstm_layers < 1:
+        raise ValueError(f"variant {spec.variant} needs lstm_layers >= 1, got {cfg.lstm_layers}")
     configs = RunConfigs(
         train=cfg, swarm=P.SwarmConfig(**{"seed": spec.seeds.swarm, **spec.swarm})
     )
@@ -396,38 +392,34 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
     return report
 
 
-def _run_suite(specs: dict) -> dict:
-    """Run named experiments, possibly in parallel; deterministic outputs."""
-    threads = suite_thread_count(len(specs))
-    if threads == 1:
-        return {name: run_experiment(s) for name, s in specs.items()}
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {name: pool.submit(run_experiment, s) for name, s in specs.items()}
-        return {name: f.result() for name, f in futures.items()}
+def _metric_cells(e: EvalReport) -> list:
+    """MAE, MAPE, RMSE and MSE as table cells; a MAPE of None is empty."""
+    return ["" if v is None else repr(float(v)) for v in (e.mae, e.mape, e.rmse, e.mse)]
 
 
-def _metric_cell(value):
-    return "" if value is None else repr(float(value))
+def _write_table(path, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _row_spec(base: ExperimentSpec, subdir: str, **changes) -> ExperimentSpec:
+    """``base`` with ``changes``, writing to ``subdir`` of its output directory."""
+    return replace(
+        base, output_dir=str(Path(base.output_dir) / subdir), dataset=dict(base.dataset), **changes
+    )
 
 
 def ablation_specs(base: ExperimentSpec) -> dict:
     """The spec of each ablation row: ``base`` with the row's variant."""
-    out_dir = Path(base.output_dir)
-    return {
-        label: replace(
-            base,
-            variant=variant,
-            output_dir=str(out_dir / variant),
-            dataset=dict(base.dataset),
-        )
-        for label, variant in ABLATION_ROWS
-    }
+    return {label: _row_spec(base, variant, variant=variant) for label, variant in ABLATION_ROWS}
 
 
 def run_ablation_suite(base: ExperimentSpec) -> dict:
     """Run all four variants with shared data and seeds; emit the 4x4 table."""
     out_dir = Path(base.output_dir)
-    reports = _run_suite(ablation_specs(base))
+    reports = {label: run_experiment(s) for label, s in ablation_specs(base).items()}
 
     test_sets = {
         label: tuple(int(i) for i in r.split.test) for label, r in reports.items()
@@ -435,16 +427,12 @@ def run_ablation_suite(base: ExperimentSpec) -> dict:
     if len(set(test_sets.values())) != 1:
         raise RuntimeError(f"ablation rows disagree on test indices: {test_sets}")
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     table_path = out_dir / "ablation_table.csv"
-    with open(table_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ABLATION_CSV_HEADER)
-        for label, _ in ABLATION_ROWS:
-            e = reports[label].eval
-            writer.writerow(
-                [label] + [_metric_cell(v) for v in (e.mae, e.mape, e.rmse, e.mse)]
-            )
+    _write_table(
+        table_path,
+        ABLATION_CSV_HEADER,
+        ([label, *_metric_cells(reports[label].eval)] for label, _ in ABLATION_ROWS),
+    )
 
     full_mse = reports["ALL"].eval.mse
     summary = {
@@ -461,72 +449,44 @@ def run_ablation_suite(base: ExperimentSpec) -> dict:
     return {"reports": reports, "summary": summary}
 
 
-OPTIMIZER_ROWS = ("adam", "adaptive-momentum", "sgd+pso")
+# row: (optimizer, hyperparameter source, train overrides)
+OPTIMIZER_ROWS = {
+    "adam": ("adam", "fixed", {"adam_lr": 1e-3, "batch_size": 64}),
+    "adaptive-momentum": (
+        "adaptive-momentum",
+        "fixed",
+        {"momentum_lr": 1e-3, "momentum_init": 0.9, "momentum_update_rate": 0.1, "batch_size": 64},
+    ),
+    "sgd+pso": ("sgd", "pso-search", {}),
+}
 
 
 def optimizer_specs(base: ExperimentSpec) -> dict:
     """The spec of each optimizer row: the full model with the row's update rule."""
-    out_dir = Path(base.output_dir)
-    specs = {}
-    for row in OPTIMIZER_ROWS:
-        spec = replace(
-            base,
-            variant="full",
-            output_dir=str(out_dir / row.replace("+", "-")),
-            dataset=dict(base.dataset),
-            train=dict(base.train),
+    return {
+        row: _row_spec(
+            base, row.replace("+", "-"), variant="full", optimizer=optimizer,
+            hyperparameter_source=source, train={**base.train, **overrides},
         )
-        if row == "adam":
-            spec.optimizer = "adam"
-            spec.hyperparameter_source = "fixed"
-            spec.train.update({"adam_lr": 1e-3, "batch_size": 64})
-        elif row == "adaptive-momentum":
-            spec.optimizer = "adaptive-momentum"
-            spec.hyperparameter_source = "fixed"
-            spec.train.update(
-                {
-                    "momentum_lr": 1e-3,
-                    "momentum_init": 0.9,
-                    "momentum_update_rate": 0.1,
-                    "batch_size": 64,
-                }
-            )
-        else:
-            spec.optimizer = "sgd"
-            spec.hyperparameter_source = "pso-search"
-        specs[row] = spec
-    return specs
+        for row, (optimizer, source, overrides) in OPTIMIZER_ROWS.items()
+    }
 
 
 def run_optimizer_comparison(base: ExperimentSpec) -> dict:
     """Compare update rules on the full model; emit efficiency + accuracy."""
     out_dir = Path(base.output_dir)
-    reports = _run_suite(optimizer_specs(base))
+    reports = {row: run_experiment(s) for row, s in optimizer_specs(base).items()}
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     table_path = out_dir / "optimizer_table.csv"
-    with open(table_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(OPTIMIZER_CSV_HEADER)
-        for row in OPTIMIZER_ROWS:
-            r = reports[row]
-            writer.writerow(
-                [
-                    row,
-                    r.efficiency.parameter_count,
-                    r.efficiency.flops_per_forward,
-                    repr(r.efficiency.inference_ms_per_window),
-                    repr(r.efficiency.training_time_s),
-                ]
-                + [
-                    _metric_cell(v)
-                    for v in (r.eval.mae, r.eval.mape, r.eval.rmse, r.eval.mse)
-                ]
-            )
+    _write_table(
+        table_path,
+        OPTIMIZER_CSV_HEADER,  # the EfficiencyReport fields, in order, sit after the row name
+        ([row, *astuple(r.efficiency), *_metric_cells(r.eval)] for row, r in reports.items()),
+    )
     summary = {
         "rows": list(OPTIMIZER_ROWS),
         "table": str(table_path),
-        "versions": {row: reports[row].version for row in OPTIMIZER_ROWS},
+        "versions": {row: r.version for row, r in reports.items()},
     }
     (out_dir / "optimizer_summary.json").write_text(canonical_json(summary))
     return {"reports": reports, "summary": summary}

@@ -171,7 +171,7 @@ def _components(s: dict, take):
         W_in, b_in = take(e["input_size"], d), take(d)
         layers = [
             T.EncoderLayerParams(
-                W_q=take(d, d), W_k=take(d, d), W_v=take(d, d), W_o=take(d, d),
+                W_qkv=take(3, d, d), W_o=take(d, d),
                 W_ff1=take(d, d_ff), b_ff1=take(d_ff), W_ff2=take(d_ff, d), b_ff2=take(d),
                 ln1_gain=take(d), ln1_bias=take(d), ln2_gain=take(d), ln2_bias=take(d),
             )

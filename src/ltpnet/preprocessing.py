@@ -220,6 +220,8 @@ def make_windows(
     row i + lookback + horizon - 1, so every feature row strictly precedes
     the target row.
     """
+    if lookback < 1 or horizon < 1:
+        raise ValueError(f"lookback and horizon must be >= 1, got {lookback} and {horizon}")
     if target_column not in table.columns:
         raise ValueError(f"target column {target_column!r} not in table")
     if feature_columns is None:

@@ -7,11 +7,13 @@ Velocity update per particle and iteration:
 
 where r1, r2 are fresh uniform draws in [0, 1): one scalar per term per
 particle by default, or one per dimension with ``per_dimension_rand``. Each
-particle owns an RNG stream derived from (seed, particle index), so results
-do not depend on evaluation order. Positions initialize uniformly inside the
-bounds; velocities start at zero. Positions clamp to the bounds after every
-move, zeroing the velocity on any clamped dimension; velocities clamp to a
-fraction of the per-dimension range to keep the swarm from exploding.
+particle owns an RNG stream derived from (seed, particle index). A step moves
+the whole swarm as (N, D) arrays against the global best it started with,
+then evaluates the particles in index order. Positions initialize uniformly
+inside the bounds; velocities start at zero. Positions clamp to the bounds
+after every move, zeroing the velocity on any clamped dimension; velocities
+clamp to a fraction of the per-dimension range to keep the swarm from
+exploding.
 
 The inertia weight is either static or linearly interpolated from
 ``omega_start`` to ``omega_end`` across iterations (exploration early,
@@ -116,11 +118,9 @@ def init_swarm(cfg: SwarmConfig, obj: Objective, streams=None) -> SwarmState:
             f"{len(cfg.bounds)} bounds do not match objective dimension {obj.dim}"
         )
     streams = streams or _particle_streams(cfg)
-    lo = np.array([b[0] for b in cfg.bounds])
-    hi = np.array([b[1] for b in cfg.bounds])
-    positions = np.stack(
-        [lo + streams[i].uniform(size=obj.dim) * (hi - lo) for i in range(cfg.n_particles)]
-    )
+    lo, hi = np.array(cfg.bounds, dtype=np.float64).T
+    draws = np.stack([streams[i].uniform(size=obj.dim) for i in range(cfg.n_particles)])
+    positions = lo + draws * (hi - lo)
     values = np.array([obj.fn(x) for x in positions])
     best_idx = int(np.argmin(values))  # ties: lowest particle index
     return SwarmState(
@@ -134,37 +134,35 @@ def init_swarm(cfg: SwarmConfig, obj: Objective, streams=None) -> SwarmState:
 
 
 def velocity_update(v, x, p, g, omega, c1, c2, r1, r2):
-    """Single-particle velocity rule; exposed for direct verification."""
+    """Velocity rule on one particle or on rows of them; exposed for direct verification."""
     return omega * v + c1 * r1 * (p - x) + c2 * r2 * (g - x)
 
 
 def step(state: SwarmState, cfg: SwarmConfig, obj: Objective, streams) -> SwarmState:
     """Advance one synchronous iteration in place; returns the state."""
-    lo = np.array([b[0] for b in cfg.bounds])
-    hi = np.array([b[1] for b in cfg.bounds])
+    lo, hi = np.array(cfg.bounds, dtype=np.float64).T
     v_max = cfg.velocity_clamp_fraction * (hi - lo)
-    omega = cfg.inertia_at(state.iteration)
-    g = state.global_best_position
+    rand_size = obj.dim if cfg.per_dimension_rand else 1
+    r = np.array([
+        [streams[i].uniform(size=rand_size), streams[i].uniform(size=rand_size)]
+        for i in range(cfg.n_particles)
+    ])
+    v = velocity_update(
+        state.velocities, state.positions, state.best_positions,
+        state.global_best_position, cfg.inertia_at(state.iteration),
+        cfg.c1, cfg.c2, r[:, 0], r[:, 1],
+    )
+    v = np.clip(v, -v_max, v_max)
+    x = state.positions + v
+    v[(x < lo) | (x > hi)] = 0.0
+    state.positions = np.clip(x, lo, hi)
+    state.velocities = v
 
-    for i in range(cfg.n_particles):
-        rand_size = obj.dim if cfg.per_dimension_rand else None
-        r1 = streams[i].uniform(size=rand_size)
-        r2 = streams[i].uniform(size=rand_size)
-        v = velocity_update(
-            state.velocities[i], state.positions[i], state.best_positions[i],
-            g, omega, cfg.c1, cfg.c2, r1, r2,
-        )
-        v = np.clip(v, -v_max, v_max)
-        x = state.positions[i] + v
-        clamped = (x < lo) | (x > hi)
-        x = np.clip(x, lo, hi)
-        v[clamped] = 0.0
-        state.positions[i] = x
-        state.velocities[i] = v
+    for i, x in enumerate(state.positions):
         value = obj.fn(x)
         if value < state.best_values[i]:
             state.best_values[i] = value
-            state.best_positions[i] = x.copy()
+            state.best_positions[i] = x
 
     best_idx = int(np.argmin(state.best_values))
     if state.best_values[best_idx] < state.global_best_value:
@@ -280,7 +278,8 @@ def decode_position(x: np.ndarray, space: SearchSpace) -> HyperparamPoint:
     """Snap a continuous position back to an admissible configuration.
 
     Integer axes round to the nearest admissible value; the heads axis snaps
-    only to admissible head counts that divide the decoded d_model.
+    only to admissible head counts that divide the decoded d_model. Learning
+    rates clamp into their bounds, which 10**x can overshoot by rounding.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (6,):
@@ -291,9 +290,9 @@ def decode_position(x: np.ndarray, space: SearchSpace) -> HyperparamPoint:
         raise ValueError(f"no admissible head count divides d_model {d_model}")
     return HyperparamPoint(
         lstm_hidden=_nearest(x[0], space.lstm_hidden),
-        lstm_lr=float(10.0 ** x[1]),
+        lstm_lr=float(np.clip(10.0 ** x[1], *space.lstm_lr_bounds)),
         transformer_layers=_nearest(x[2], space.transformer_layers),
         attention_heads=_nearest(x[3], head_choices),
         d_model=d_model,
-        transformer_lr=float(10.0 ** x[5]),
+        transformer_lr=float(np.clip(10.0 ** x[5], *space.transformer_lr_bounds)),
     )

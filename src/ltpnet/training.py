@@ -82,6 +82,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive, got {value}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
         if self.optimizer not in ("sgd", "adam", "adaptive-momentum"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 

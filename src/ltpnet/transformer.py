@@ -6,15 +6,16 @@ position-wise feed-forward block, each wrapped in residual + layer norm).
 Predictions mean-pool the encoded sequence through a two-layer ReLU head.
 
 Attention inside each layer is scaled dot-product: softmax(Q K^T / sqrt(d_head)) V.
-Per-head query/key/value projections are stored concatenated column-wise in
-(d_model, d_model) matrices; head h owns columns [h*d_head, (h+1)*d_head).
+The query, key and value projections are stacked in one (3, d_model, d_model)
+``W_qkv``; in each, head h owns columns [h*d_head, (h+1)*d_head). Its
+``named_arrays`` yields the three slices as ``W_q``, ``W_k`` and ``W_v``.
 
 Row layout. Public functions take and return batches, (B, S, D) arrays.
 Inside, an activation is a (B*S, D) row matrix, one row per window position,
 taken from the batch as a free reshape. Every activation-by-weight product
-(Q, K, V, the output projection, both feed-forward GEMMs, the input
-projection and their ``@ W.T`` partners in backward) is therefore one 2-D
-GEMM rather than B small ones. Only attention views the rows per head, as
+(the stacked ``rows @ W_qkv``, the output projection, both feed-forward GEMMs,
+the input projection and their ``@ W.T`` partners in backward) therefore runs
+as 2-D GEMMs rather than B small ones. Only attention views the rows per head, as
 (B, H, S, d_head); ``_merge_heads`` turns the context back into rows.
 
 Inputs are batch-only: a single (S, D) window raises ``ShapeMismatchError``
@@ -62,9 +63,7 @@ LAYER_NORM_EPS = 1e-5
 
 @dataclass
 class EncoderLayerParams:
-    W_q: np.ndarray  # (d_model, d_model), head-blocked columns
-    W_k: np.ndarray
-    W_v: np.ndarray
+    W_qkv: np.ndarray  # (3, d_model, d_model): W_q, W_k, W_v, head-blocked columns
     W_o: np.ndarray  # (d_model, d_model)
     W_ff1: np.ndarray  # (d_model, d_ff)
     b_ff1: np.ndarray
@@ -76,7 +75,8 @@ class EncoderLayerParams:
     ln2_bias: np.ndarray
 
     def named_arrays(self):
-        for f in fields(self):
+        yield from zip(("W_q", "W_k", "W_v"), self.W_qkv)
+        for f in fields(self)[1:]:
             yield f.name, getattr(self, f.name)
 
 
@@ -140,9 +140,7 @@ def _uniform_fan_in(rows, cols, rng):
 
 def init_encoder_layer(d_model: int, d_ff: int, rng: SeededRng) -> EncoderLayerParams:
     return EncoderLayerParams(
-        W_q=_uniform_fan_in(d_model, d_model, rng),
-        W_k=_uniform_fan_in(d_model, d_model, rng),
-        W_v=_uniform_fan_in(d_model, d_model, rng),
+        W_qkv=np.stack([_uniform_fan_in(d_model, d_model, rng) for _ in range(3)]),
         W_o=_uniform_fan_in(d_model, d_model, rng),
         W_ff1=_uniform_fan_in(d_model, d_ff, rng),
         b_ff1=np.zeros(d_ff),
@@ -233,16 +231,14 @@ def multi_head_attention(x, p: EncoderLayerParams, n_heads: int):
     "weights".
     """
     x = np.asarray(x, dtype=np.float64)
-    d_model = p.W_q.shape[0]
+    d_model = p.W_o.shape[0]
     if x.ndim not in (2, 3) or x.shape[-1] != d_model:
         raise ShapeMismatchError(
             f"input of shape {x.shape} is not (S, {d_model}) or (B, S, {d_model})"
         )
     batch = 1 if x.ndim == 2 else x.shape[0]
     rows = x.reshape(-1, d_model)
-    Q = _split_heads(rows @ p.W_q, batch, n_heads)
-    K = _split_heads(rows @ p.W_k, batch, n_heads)
-    V = _split_heads(rows @ p.W_v, batch, n_heads)
+    Q, K, V = (_split_heads(a, batch, n_heads) for a in rows @ p.W_qkv)
     ctx, weights = scaled_attention(Q, K, V)
     merged = _merge_heads(ctx)
     out = merged @ p.W_o
@@ -251,7 +247,7 @@ def multi_head_attention(x, p: EncoderLayerParams, n_heads: int):
 
 
 def multi_head_attention_backward(d_out, cache, p: EncoderLayerParams):
-    """Returns (grad w.r.t. x (B, S, D), dict of grads for W_q/W_k/W_v/W_o)."""
+    """Returns (grad w.r.t. x (B, S, D), dict of grads for W_qkv and W_o)."""
     Q, K, V, weights = cache["Q"], cache["K"], cache["V"], cache["weights"]
     d_out = _batch(d_out, "attention output gradient")
     batch, n_heads = Q.shape[0], Q.shape[1]
@@ -271,15 +267,10 @@ def multi_head_attention_backward(d_out, cache, p: EncoderLayerParams):
     dK = np.swapaxes(dS, -1, -2) @ Q
     dK *= scale
 
-    x = cache["x"]
-    dQr, dKr, dVr = (_merge_heads(a) for a in (dQ, dK, dV))
-    dW_q = x.T @ dQr
-    dW_k = x.T @ dKr
-    dW_v = x.T @ dVr
-    dx = dQr @ p.W_q.T
-    dx += dKr @ p.W_k.T
-    dx += dVr @ p.W_v.T
-    return dx.reshape(d_out.shape), {"W_q": dW_q, "W_k": dW_k, "W_v": dW_v, "W_o": dW_o}
+    d_qkv = np.stack([_merge_heads(a) for a in (dQ, dK, dV)])
+    dW_qkv = cache["x"].T @ d_qkv
+    dx = (d_qkv @ p.W_qkv.transpose(0, 2, 1)).sum(axis=0)
+    return dx.reshape(d_out.shape), {"W_qkv": dW_qkv, "W_o": dW_o}
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,21 @@ class TestUsage:
         assert "no-encoder" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("change, key", [
+        ({"horizon": 0}, "horizon"),
+        ({"lookback": 0}, "lookback"),
+        ({"train_ratio": 1.5}, "train_ratio"),
+        ({"train_ratio": 0.0}, "train_ratio"),
+        ({"train": {"val_fraction": 1.0}}, "val_fraction"),
+        ({"train": {"val_fraction": 0.0}}, "val_fraction"),
+        ({"train": {"lstm_layers": 0}}, "lstm_layers"),
+    ])
+    def test_out_of_range_values_are_usage_errors(self, tmp_path, capsys, change, key):
+        spec_path = self._malformed(tmp_path, **change)
+        assert cli(["run", "--config", str(spec_path)]) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_ablate_checks_the_spec_of_every_row(self, tmp_path, capsys):
         # a no-pso spec ignores its hyperparams, but the suite's other rows use them
         spec_path = self._malformed(tmp_path, variant="no-pso", hyperparams={"bogus": 1})

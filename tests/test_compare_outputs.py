@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -59,3 +60,36 @@ class TestDigestsAndCompare:
             ("b", "h", None, "4", False),
             ("b", "r", "3", "3", True),
         ]
+
+
+class TestSuiteTables:
+    HEADER = "optimizer,parameter_count,inference_ms_per_window,training_time_s,mae\r\n"
+
+    def test_timing_columns_are_dropped(self):
+        table = (self.HEADER + "adam,10,0.25,1.5,0.1\r\n").encode()
+        assert compare_outputs.without_timing(table) == (
+            b"optimizer,parameter_count,mae\r\nadam,10,0.1\r\n"
+        )
+
+    def test_optimizer_table_digest_ignores_timings_only(self, tmp_path):
+        rel = compare_outputs.SUITE_OUTPUTS["compare-optimizers"]
+        got = []
+        for row in ("adam,10,0.25,1.5,0.1", "adam,10,9.75,3.0,0.1", "adam,11,0.25,1.5,0.1"):
+            (tmp_path / rel[0]).write_text(self.HEADER + row + "\r\n", newline="")
+            (tmp_path / rel[1]).write_text("{}")
+            got.append(compare_outputs.digests(tmp_path, rel))
+        assert list(got[0]) == [str(r) for r in rel]
+        assert got[0] == got[1]
+        assert got[0][str(rel[0])] != got[2][str(rel[0])]
+
+    def test_other_tables_are_hashed_whole(self, tmp_path):
+        rel = compare_outputs.SUITE_OUTPUTS["ablate"]
+        (tmp_path / rel[0]).write_bytes(b"model,training_time_s\r\nALL,1.0\r\n")
+        (tmp_path / rel[1]).write_bytes(b"{}")
+        got = compare_outputs.digests(tmp_path, rel)
+        assert got[str(rel[1])] == (
+            "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"
+        )
+        assert got[str(rel[0])] == hashlib.sha256(
+            b"model,training_time_s\r\nALL,1.0\r\n"
+        ).hexdigest()

@@ -19,7 +19,6 @@ from ltpnet.harness import (
     run_experiment,
     run_optimizer_comparison,
     run_pso_distribution_study,
-    suite_thread_count,
     validate_run_report,
 )
 from ltpnet.preprocessing import build_dataset
@@ -68,6 +67,13 @@ class TestSpecValidation:
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="variant"):
             ExperimentSpec(dataset={"synthetic": {}}, variant="no-head")
+
+    def test_lstm_layers_may_be_zero_only_without_the_lstm(self, tmp_path):
+        train = {"epochs": 1, "lstm_layers": 0}
+        build_configs(tiny_spec(tmp_path, variant="no-lstm", train=train))
+        for variant in ("full", "no-transformer", "no-pso"):
+            with pytest.raises(ValueError, match="lstm_layers"):
+                build_configs(tiny_spec(tmp_path, variant=variant, train=train))
 
     def test_json_round_trip(self, tmp_path):
         spec = tiny_spec(tmp_path)
@@ -256,19 +262,3 @@ class TestPsoStudy:
     def test_unknown_objective(self, tmp_path):
         with pytest.raises(ValueError, match="unknown objective"):
             run_pso_distribution_study("ackley", run_count=1, out_dir=tmp_path)
-
-
-class TestThreadCap:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("LTPNET_THREADS", "2")
-        assert suite_thread_count(8) == 2
-        assert suite_thread_count(1) == 1
-
-    def test_default_positive(self, monkeypatch):
-        monkeypatch.delenv("LTPNET_THREADS", raising=False)
-        assert suite_thread_count(4) >= 1
-
-    def test_suite_runs_under_thread_cap(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LTPNET_THREADS", "2")
-        result = run_ablation_suite(tiny_spec(tmp_path / "thr"))
-        assert len(result["reports"]) == 4

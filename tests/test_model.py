@@ -200,6 +200,22 @@ class TestFlatVector:
             assert [n for n, _ in grads.named_arrays()] == [n for n, _ in model.named_arrays()]
             assert grads.flat.size == model.flat.size
 
+    def test_query_key_value_are_slices_of_the_stacked_projection(self):
+        model = tiny_model(seed=29, transformer_layers=2)
+        offsets, offset = {}, 0
+        for name, arr in model.named_arrays():
+            offsets[name], offset = offset, offset + arr.size
+        arrays = dict(model.named_arrays())
+        for i, layer in enumerate(model.encoder.layers):
+            assert layer.W_qkv.shape == (3, 8, 8)
+            for j, part in enumerate(("W_q", "W_k", "W_v")):
+                arr = arrays[f"encoder.layers.{i}.{part}"]
+                assert arr.ctypes.data == layer.W_qkv[j].ctypes.data, part
+                assert arr.ctypes.data == model.flat.ctypes.data + 8 * offsets[
+                    f"encoder.layers.{i}.{part}"
+                ], part
+            assert offsets[f"encoder.layers.{i}.W_o"] == offsets[f"encoder.layers.{i}.W_q"] + 3 * 64
+
     def test_deepcopy_and_pickle_own_their_flat(self):
         model = tiny_model(seed=24)
         for copied in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ltpnet.preprocessing import (
     RawTable,
@@ -204,6 +206,33 @@ class TestMakeWindows:
         ds = make_windows(self._table(30), "target", lookback=4, feature_columns=["x"])
         assert ds.n_features == 1
         assert ds.feature_names == ["x"]
+
+    @pytest.mark.parametrize("lookback, horizon", [(0, 1), (24, 0), (-1, 1), (24, -2)])
+    def test_lookback_and_horizon_below_one_rejected(self, lookback, horizon):
+        # a horizon of 0 would make each target the last row of its own window
+        with pytest.raises(ValueError, match="lookback and horizon"):
+            make_windows(self._table(40), "target", lookback=lookback, horizon=horizon)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        n_rows=st.integers(2, 80), lookback=st.integers(1, 30),
+        horizon=st.integers(1, 10), ratio=st.floats(0.01, 0.99),
+    )
+    def test_windows_precede_their_targets_and_the_split_partitions_them(
+        self, n_rows, lookback, horizon, ratio
+    ):
+        assume(n_rows - lookback - horizon + 1 >= 2)
+        rows = np.arange(float(n_rows))
+        # both columns hold the row index, the target among the features
+        ds = make_windows(RawTable({"x": rows, "target": rows}), "target", lookback, horizon)
+        assert np.all(ds.features.max(axis=(1, 2)) < ds.targets)
+        np.testing.assert_array_equal(ds.targets - ds.features[:, -1, 0], horizon)
+        split = split_train_test(ds.n_windows, ratio)
+        assert len(split.train) >= 1 and len(split.test) >= 1
+        # disjoint, covering every window, and every train window before every test one
+        np.testing.assert_array_equal(
+            np.concatenate([split.train, split.test]), np.arange(ds.n_windows)
+        )
 
 
 class TestSplits:

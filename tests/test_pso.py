@@ -128,6 +128,67 @@ class TestStep:
             np.testing.assert_allclose(after, 0.5 * before, rtol=1e-12)
 
 
+def reference_step(state, cfg, obj, streams):
+    """The iteration written one particle at a time, as a reference."""
+    lo, hi = (np.array(b) for b in zip(*cfg.bounds))
+    v_max = cfg.velocity_clamp_fraction * (hi - lo)
+    omega = cfg.inertia_at(state.iteration)
+    g = state.global_best_position.copy()
+    size = obj.dim if cfg.per_dimension_rand else None
+    for i in range(cfg.n_particles):
+        r1 = streams[i].uniform(size=size)
+        r2 = streams[i].uniform(size=size)
+        x = state.positions[i]
+        v = omega * state.velocities[i] + cfg.c1 * r1 * (state.best_positions[i] - x) \
+            + cfg.c2 * r2 * (g - x)
+        v = np.clip(v, -v_max, v_max)
+        x = x + v
+        v[(x < lo) | (x > hi)] = 0.0
+        x = np.clip(x, lo, hi)
+        state.positions[i], state.velocities[i] = x, v
+        value = obj.fn(x)
+        if value < state.best_values[i]:
+            state.best_values[i], state.best_positions[i] = value, x
+    best = int(np.argmin(state.best_values))
+    if state.best_values[best] < state.global_best_value:
+        state.global_best_value = float(state.best_values[best])
+        state.global_best_position = state.best_positions[best].copy()
+    state.iteration += 1
+    state.history.append(state.global_best_value)
+
+
+class TestWholeSwarmStep:
+    @pytest.mark.parametrize("schedule", ["static", "linear"])
+    @pytest.mark.parametrize("per_dimension_rand", [False, True])
+    def test_matches_the_per_particle_loop_bit_for_bit(self, schedule, per_dimension_rand):
+        # c1, c2 = 2 and a narrow box make both clamps fire
+        cfg = sphere_cfg(dim=3, n_particles=9, iterations=12, seed=31, c1=2.0, c2=2.0,
+                         bounds=[(-1.0, 1.0), (0.5, 3.0), (-4.0, -2.0)],
+                         inertia_schedule=schedule, per_dimension_rand=per_dimension_rand)
+        calls = {"swarm": [], "reference": []}
+
+        def objective(side):
+            def fn(x):
+                calls[side].append(np.array(x))
+                return P.rastrigin(x)
+            return P.Objective("rastrigin", 3, fn)
+
+        states = {}
+        for side, advance in (("swarm", P.step), ("reference", reference_step)):
+            obj, streams = objective(side), P._particle_streams(cfg)
+            states[side] = state = P.init_swarm(cfg, obj, streams)
+            for _ in range(cfg.iterations):
+                advance(state, cfg, obj, streams)
+        swarm, ref = states["swarm"], states["reference"]
+        for name in ("positions", "velocities", "best_positions", "best_values",
+                     "global_best_position"):
+            np.testing.assert_array_equal(getattr(swarm, name), getattr(ref, name), name)
+        assert swarm.history == ref.history
+        assert len(calls["swarm"]) == len(calls["reference"]) == 9 * 13
+        for a, b in zip(calls["swarm"], calls["reference"]):
+            np.testing.assert_array_equal(a, b)
+
+
 class TestRun:
     def test_zero_iterations_returns_initial_best(self):
         cfg = sphere_cfg(dim=2, iterations=0, n_particles=15)
@@ -252,6 +313,21 @@ class TestHyperparamCodec:
         assert decoded.attention_heads == 4
         assert decoded.d_model == 32
         assert decoded.lstm_lr == pytest.approx(1e-3, rel=1e-8)
+
+
+    def test_decoded_learning_rates_stay_inside_their_bounds(self):
+        space = P.SearchSpace(lstm_lr_bounds=(3e-4, 2e-3))
+        x = P.encode_hyperparams(P.HyperparamPoint(), space)
+        x[1] = space.bounds()[1][1]
+        h = P.decode_position(x, space)
+        assert h.lstm_lr <= 2e-3
+        np.testing.assert_array_equal(P.encode_hyperparams(h, space), x)
+
+    def test_degenerate_rate_axis_decodes_to_its_value(self):
+        space = P.SearchSpace(lstm_lr_bounds=(1e-3, 1e-3))
+        x = P.encode_hyperparams(P.HyperparamPoint(), space)
+        x[1] = space.bounds()[1][1]
+        assert P.decode_position(x, space).lstm_lr == 1e-3
 
 
 class TestBenchmarks:

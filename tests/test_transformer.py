@@ -88,9 +88,7 @@ class TestMultiHeadAttention:
     def test_single_identity_head_reduces_to_scaled_attention(self):
         d = 4
         p = self._params(d, SeededRng(2))
-        p.W_q = np.eye(d)
-        p.W_k = np.eye(d)
-        p.W_v = np.eye(d)
+        p.W_qkv = np.stack([np.eye(d)] * 3)
         p.W_o = np.eye(d)
         x = SeededRng(3).uniform(-1, 1, (6, d))
         out, _ = T.multi_head_attention(x, p, 1)
