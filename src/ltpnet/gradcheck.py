@@ -3,9 +3,17 @@
 Central differences with eps=1e-5 against the analytic backward pass. The
 relative error between analytic value a and numeric value n is
 |a - n| / max(|a| + |n|, 1e-6), so zero-gradient parameters compare cleanly.
+
+The differences are staged. The forward runs once and keeps each stage's
+input (``model.Stage``); a nudged element of ``flat`` can change only its
+owner stage and the stages after it, so each loss evaluation reruns just
+those, from the kept input, without caches. The numeric gradient is the same
+vector, bit for bit, as nudging a full forward (``finite_difference_grads``
+over a plain loss, the generic reference) gives.
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -17,9 +25,10 @@ DEFAULT_EPS = 1e-5
 REL_ERR_FLOOR = 1e-6
 
 
-def finite_difference_grads(loss_fn, params: ModelParams, eps: float = DEFAULT_EPS) -> np.ndarray:
+def finite_difference_grads(loss_fn, params, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Numeric gradient of ``loss_fn()`` w.r.t. ``params.flat``, packed the same way.
 
+    ``params`` is a model, or anything whose ``flat`` is a view into one.
     ``loss_fn`` must read the parameter arrays in place; each element of
     ``flat`` is nudged up and down by ``eps`` and restored.
     """
@@ -36,18 +45,29 @@ def finite_difference_grads(loss_fn, params: ModelParams, eps: float = DEFAULT_E
     return grads
 
 
-def check_model_gradients(model: ModelParams, windows, targets, eps=DEFAULT_EPS):
-    """Compare backward_batch with finite differences of the MSE loss."""
-    windows = np.asarray(windows, dtype=np.float64)
+def staged_finite_difference_grads(model: ModelParams, windows, targets, eps=DEFAULT_EPS):
+    """Numeric gradient of the MSE loss w.r.t. ``model.flat``, stage by stage."""
     targets = np.asarray(targets, dtype=np.float64)
+    inputs = [np.asarray(windows, dtype=np.float64)]
+    for stage in model.stages[:-1]:
+        inputs.append(stage.forward(inputs[-1])[0])
+    numeric = np.empty_like(model.flat)
+    for k, (stage, x) in enumerate(zip(model.stages, inputs)):
+        def loss_fn(x=x, k=k):
+            preds, _ = forward_batch(x, model, keep_cache=False, start=k)
+            return mse_loss(preds, targets)[0]
 
-    def loss_fn():
-        preds, _ = forward_batch(windows, model, keep_cache=False)
-        loss, _ = mse_loss(preds, targets)
-        return loss
+        for start, stop in stage.ranges:  # a view: each nudge reaches the model
+            owned = SimpleNamespace(flat=model.flat[start:stop])
+            numeric[start:stop] = finite_difference_grads(loss_fn, owned, eps)
+    return numeric
 
+
+def check_model_gradients(model: ModelParams, windows, targets, eps=DEFAULT_EPS):
+    """Compare backward_batch with staged finite differences of the MSE loss."""
+    windows = np.asarray(windows, dtype=np.float64)
     analytic = loss_and_gradients(windows, targets, model)[1].flat
-    numeric = finite_difference_grads(loss_fn, model, eps)
+    numeric = staged_finite_difference_grads(model, windows, targets, eps)
     denom = np.maximum(np.abs(analytic) + np.abs(numeric), REL_ERR_FLOOR)
     return float(np.max(np.abs(analytic - numeric) / denom))
 

@@ -261,6 +261,7 @@ def build_configs(spec: ExperimentSpec) -> RunConfigs:
     configs = RunConfigs(
         train=cfg, swarm=P.SwarmConfig(**{"seed": spec.seeds.swarm, **spec.swarm})
     )
+    configs.swarm.validate()
     if spec.variant == "no-pso":
         configs.hyperparams = P.HyperparamPoint()
     elif spec.hyperparameter_source == "pso-search":
@@ -268,6 +269,7 @@ def build_configs(spec: ExperimentSpec) -> RunConfigs:
             k: tuple(v) for k, v in spec.search_space.items()
         })
         configs.budget = TR.SearchBudget(**spec.budget)
+        configs.budget.validate()
     else:  # fixed or grid-search
         configs.hyperparams = P.HyperparamPoint(**spec.hyperparams)
     return configs

@@ -123,13 +123,14 @@ def _check_shapes(window, stack):
             )
 
 
-def lstm_sequence_forward(window, stack, keep_cache=True):
+def lstm_sequence_forward(window, stack):
     """Run a stack of layers over a batch of windows (B, L, F) from zero states.
 
     Layer l > 0 consumes the full hidden sequence of layer l-1. Returns
-    (top hidden sequence (B, L, H), caches per layer). With
-    ``keep_cache=False`` the caches are None and each layer's buffers are
-    dropped once the layer above has read its hidden sequence.
+    (top hidden sequence (B, L, H), caches per layer). The model runs each
+    layer as a stage of its own, a one-layer stack; the top hidden sequence
+    is a view of that layer's cached "h", so the layer above reads it
+    without a copy.
     """
     window = np.asarray(window, dtype=np.float64)
     if not stack:
@@ -149,13 +150,12 @@ def lstm_sequence_forward(window, stack, keep_cache=True):
         tanh_c = np.empty((length, batch, hidden))
         for t in range(length):
             hs[t + 1], cs[t + 1], tanh_c[t] = lstm_cell_forward(act[t], hs[t], cs[t], p)
-        if keep_cache:
-            caches.append({
-                "inputs": seq, "h": hs, "c": cs,
-                "gates": act[:, :, : 3 * hidden], "g": act[:, :, 3 * hidden :], "tanh_c": tanh_c,
-            })
+        caches.append({
+            "inputs": seq, "h": hs, "c": cs,
+            "gates": act[:, :, : 3 * hidden], "g": act[:, :, 3 * hidden :], "tanh_c": tanh_c,
+        })
         seq = hs[1:]
-    return seq.transpose(1, 0, 2), caches if keep_cache else None
+    return seq.transpose(1, 0, 2), caches
 
 
 def lstm_layer_backward(cache, d_hidden, p: LstmLayerParams):

@@ -21,13 +21,28 @@ same way, so the optimizers, gradient clipping, best-epoch snapshots,
 checkpoints and gradient checks all work on whole vectors. This module alone
 knows the layout. The positional table is a constant and never appears in it.
 
-``forward_batch`` keeps the backward caches by default, as a training step
-needs them; predictions that never go backward pass ``keep_cache=False`` and
-hold about one layer's activations at a time.
+The forward pass is a list of stages, ``ModelParams.stages``, built once per
+model. Each stage has a name, the ranges of ``flat`` it owns, a forward from
+its input to its output and a backward, over the layer functions. In run order:
+
+    lstm.<i>            each LSTM layer, (B, L, F or H) -> (B, L, H)
+    encoder.input       input projection plus positional encoding -> (B, L, d)
+    encoder.layers.<i>  each encoder layer, (B, L, d) -> (B, L, d)
+    pool+head           mean-pool plus head, (B, L, d) -> (B,)
+    bypass+head         (no encoder) last hidden state, bypass, head -> (B,)
+
+The bypass lies after the head in ``flat`` but runs before it, so each stage
+records its own ranges. ``forward_batch`` and ``backward_batch`` loop over the
+list, and gradcheck reruns only the stages after a nudged weight. The forward
+keeps the caches by default, as a training step needs them; predictions that
+never go backward pass ``keep_cache=False`` and hold about one stage's
+activations at a time.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -78,6 +93,19 @@ class ModelParams:
     def from_structure(cls, s: dict) -> "ModelParams":
         """A zero-valued model of the structure that ``structure()`` returns."""
         return cls(*_components(s, lambda *shape: np.zeros(shape)))
+
+    @classmethod
+    def over(cls, s: dict, flat: np.ndarray) -> "ModelParams":
+        """The model of structure ``s`` whose arrays are views of ``flat`` (no copy)."""
+        model = cls.__new__(cls)
+        model.flat = flat
+        model.lstm_stack, model.encoder, model.head, model.bypass = _components(s, _slicer(flat))
+        return model
+
+    @cached_property
+    def stages(self) -> list:
+        """The forward pass as ``Stage``s in run order, built on first use."""
+        return _stages(self)
 
     @property
     def lstm_enabled(self) -> bool:
@@ -195,6 +223,68 @@ def _components(s: dict, take):
     return stack, encoder, head, bypass
 
 
+class Stage(NamedTuple):
+    """One step of the forward pass (module docstring)."""
+
+    name: str
+    ranges: tuple  # ((start, stop), ...) of ``flat`` that the stage owns, ascending
+    forward: Callable  # x -> (output, cache)
+    backward: Callable  # (d_output, cache) -> (d_x, grads of a component, or a list of them)
+
+
+def _arrays(part) -> list:
+    return [arr for _, arr in part.named_arrays()]
+
+
+def _stages(m: ModelParams) -> list:
+    """The stages of ``m``. Their closures hold components, never ``m``, so a
+    model and its cached stages form no reference cycle."""
+    enc, head, bypass, offset = m.encoder, m.head, m.bypass, 0
+
+    def own(*arrays):  # the next range of ``flat``
+        nonlocal offset
+        start, offset = offset, offset + sum(arr.size for arr in arrays)
+        return start, offset
+
+    stages = [
+        Stage(f"lstm.{i}", (own(*_arrays(p)),),
+              lambda x, p=p: L.lstm_sequence_forward(x, [p]),
+              lambda d, cache, p=p: L.lstm_backward(cache, d, [p])[::-1])  # (d_x, [grads])
+        for i, p in enumerate(m.lstm_stack)
+    ]
+    if enc is not None:
+        stages.append(Stage(
+            "encoder.input", (own(enc.W_in, enc.b_in),),
+            lambda x: T.encoder_input_forward(x, enc),
+            lambda d, cache: T.encoder_input_backward(d, cache, enc),
+        ))
+        stages += [
+            Stage(f"encoder.layers.{i}", (own(*_arrays(layer)),),
+                  lambda x, layer=layer: T.encoder_layer_forward(x, layer, enc.n_heads),
+                  lambda d, cache, layer=layer: T.encoder_layer_backward(d, cache, layer))
+            for i, layer in enumerate(enc.layers)
+        ]
+        return stages + [Stage(
+            "pool+head", (own(*_arrays(head)),),
+            lambda x: T.predict(x, head), lambda d, cache: T.predict_backward(d, cache, head),
+        )]
+
+    def bypass_forward(x):  # x is the top LSTM hidden sequence (B, L, H)
+        preds, cache = T.head_forward(x[:, -1, :] @ bypass.W + bypass.b, head)
+        return preds, (cache, x[:, -1, :], x.shape)
+
+    def bypass_backward(d, cache):
+        head_cache, last, shape = cache
+        d_projected, g = T.head_backward(d, head_cache, head)
+        d_hidden = np.zeros(shape)
+        d_hidden[:, -1, :] = d_projected @ bypass.W.T
+        return d_hidden, [g, BypassProjection(W=last.T @ d_projected, b=d_projected.sum(axis=0))]
+
+    # the bypass runs before the head but lies after it in ``flat``
+    ranges = (own(*_arrays(head)), own(bypass.W, bypass.b))
+    return stages + [Stage("bypass+head", ranges, bypass_forward, bypass_backward)]
+
+
 def build_model(
     n_features: int,
     lookback: int,
@@ -246,39 +336,26 @@ def build_model(
     return ModelParams(lstm_stack=stack, encoder=encoder, head=head, bypass=bypass)
 
 
-def forward_batch(windows: np.ndarray, model: ModelParams, keep_cache: bool = True):
+def forward_batch(windows: np.ndarray, model: ModelParams, keep_cache: bool = True, start: int = 0):
     """Predict a batch of windows (B, L, F). Returns (preds (B,), caches).
 
-    With ``keep_cache=False`` the caches are None, and the LSTM and encoder
-    drop each layer's cache as soon as that layer returns, so a prediction
-    holds about one layer's activations instead of every backward cache; the
-    predictions are the same bits. ``training._batched_predictions`` (the
-    validation, test and forecast passes), gradcheck's loss evaluations and
-    the inference timing of ``harness.run_experiment`` predict this way; only
-    a training step keeps the caches for ``backward_batch``.
+    Runs ``model.stages`` in order, keeping one cache per stage. With
+    ``start`` k, ``windows`` is stage k's input and only stages k onward run.
+    With ``keep_cache=False`` the caches are None and each stage's cache is
+    dropped as soon as the stage returns, so a prediction holds about one
+    layer's activations instead of every backward cache; the predictions
+    are the same bits. Every pass but a training step predicts this way.
     """
-    windows = np.asarray(windows, dtype=np.float64)
-    if windows.ndim != 3:
-        raise ValueError(f"expected (batch, lookback, features), got {windows.shape}")
-    caches = {}
-    if model.lstm_enabled:
-        hidden, caches["lstm"] = L.lstm_sequence_forward(
-            windows, model.lstm_stack, keep_cache=keep_cache
-        )
-    else:
-        hidden = windows
-
-    if model.transformer_enabled:
-        encoded, caches["encoder"] = T.encoder_stack_forward(
-            hidden, model.encoder, keep_cache=keep_cache
-        )
-        preds, caches["head"] = T.predict(encoded, model.head)
-    else:
-        last_hidden = hidden[:, -1, :]
-        projected = last_hidden @ model.bypass.W + model.bypass.b
-        caches["bypass"] = {"last_hidden": last_hidden, "hidden_shape": hidden.shape}
-        preds, caches["head"] = T.head_forward(projected, model.head)
-    return preds, caches if keep_cache else None
+    x = np.asarray(windows, dtype=np.float64)
+    if x.ndim != 3:
+        raise ValueError(f"expected (batch, lookback, features), got {x.shape}")
+    caches = []
+    for stage in model.stages[start:]:
+        x, cache = stage.forward(x)
+        if keep_cache:
+            caches.append(cache)
+        del cache  # a forward-only pass must not hold it while the next stage runs
+    return x, caches if keep_cache else None
 
 
 def forward_full(window: np.ndarray, model: ModelParams):
@@ -290,27 +367,20 @@ def forward_full(window: np.ndarray, model: ModelParams):
     return float(preds[0]), caches
 
 
-def backward_batch(d_preds: np.ndarray, caches: dict, model: ModelParams) -> ModelParams:
-    """Exact gradients of the batch predictions, packed like ``model.flat``."""
-    d_preds = np.atleast_1d(np.asarray(d_preds, dtype=np.float64))
-    lstm_grads, encoder_grads, bypass_grads = [], None, None
+def backward_batch(d_preds: np.ndarray, caches: list, model: ModelParams) -> ModelParams:
+    """Exact gradients of the batch predictions, packed like ``model.flat``.
 
-    if model.transformer_enabled:
-        d_encoded, head_grads = T.predict_backward(d_preds, caches["head"], model.head)
-        encoder_grads, d_hidden = T.encoder_stack_backward(
-            d_encoded, caches["encoder"], model.encoder
-        )
-    else:
-        d_projected, head_grads = T.head_backward(d_preds, caches["head"], model.head)
-        last_hidden = caches["bypass"]["last_hidden"]
-        bypass_grads = BypassProjection(
-            W=last_hidden.T @ d_projected, b=d_projected.sum(axis=0)
-        )
-        d_hidden = np.zeros(caches["bypass"]["hidden_shape"])
-        d_hidden[:, -1, :] = d_projected @ model.bypass.W.T
-
-    if model.lstm_enabled:
-        lstm_grads, _ = L.lstm_backward(caches["lstm"], d_hidden, model.lstm_stack)
-    return ModelParams(
-        lstm_stack=lstm_grads, encoder=encoder_grads, head=head_grads, bypass=bypass_grads
-    )
+    Runs the stages in reverse, then writes each stage's gradients into its
+    ranges of one new vector, a component per range.
+    """
+    d = np.atleast_1d(np.asarray(d_preds, dtype=np.float64))
+    pieces = []
+    for stage, cache in zip(reversed(model.stages), reversed(caches)):
+        d, parts = stage.backward(d, cache)
+        pieces += zip(stage.ranges, parts if isinstance(parts, list) else [parts])
+    # Allocated last: allocated before the stages ran, it left the heap so
+    # that glibc returned and re-faulted every step's buffers in some runs.
+    grads = np.empty_like(model.flat)
+    for (start, stop), part in pieces:
+        np.concatenate([arr.reshape(-1) for arr in _arrays(part)], out=grads[start:stop])
+    return ModelParams.over(model.structure(), grads)

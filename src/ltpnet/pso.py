@@ -247,33 +247,6 @@ def _nearest(value: float, admissible) -> int:
     return int(min(ordered, key=lambda a: (abs(a - value), a)))
 
 
-def encode_hyperparams(h: HyperparamPoint, space: SearchSpace) -> np.ndarray:
-    """Map a point onto the continuous search axes."""
-    checks = [
-        (h.lstm_hidden, space.lstm_hidden, "lstm_hidden"),
-        (h.transformer_layers, space.transformer_layers, "transformer_layers"),
-        (h.attention_heads, space.attention_heads, "attention_heads"),
-        (h.d_model, space.d_model, "d_model"),
-    ]
-    for value, admissible, label in checks:
-        if value not in admissible:
-            raise ValueError(f"{label}={value} not in admissible set {admissible}")
-    for value, (lo, hi), label in [
-        (h.lstm_lr, space.lstm_lr_bounds, "lstm_lr"),
-        (h.transformer_lr, space.transformer_lr_bounds, "transformer_lr"),
-    ]:
-        if not lo <= value <= hi:
-            raise ValueError(f"{label}={value} outside range [{lo}, {hi}]")
-    return np.array([
-        float(h.lstm_hidden),
-        np.log10(h.lstm_lr),
-        float(h.transformer_layers),
-        float(h.attention_heads),
-        float(h.d_model),
-        np.log10(h.transformer_lr),
-    ])
-
-
 def decode_position(x: np.ndarray, space: SearchSpace) -> HyperparamPoint:
     """Snap a continuous position back to an admissible configuration.
 

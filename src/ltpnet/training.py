@@ -450,6 +450,10 @@ class SearchBudget:
     patience: int = 2
     fitness_seed: int = 1234
 
+    def validate(self):
+        if self.epochs < 1 or self.patience < 1 or self.fitness_seed < 0:
+            raise ValueError(f"budget needs epochs, patience >= 1 and fitness_seed >= 0: {self}")
+
 
 def pso_hyperparameter_search(
     dataset: WindowedDataset,

@@ -31,16 +31,15 @@ Caches keep only what backward reads, as rows unless noted:
     feed-forward  "x" the input and "act" = max(x W1 + b1, 0); the ReLU mask
                   is ``act > 0``, which equals ``x W1 + b1 > 0``
     layer norm    "xhat" the normalized input, "inv" = 1/sqrt(var + eps)
-    stack         "input" the (B, S, input_size) sequence, "layers"
+    input stage   "input" the (B, S, input_size) sequence; a stack adds "layers"
     head          "x" the pooled input and "act", as in the feed-forward (the
                   head is the same two-layer ReLU block), and "seq_len"
 
-``encoder_stack_forward`` takes ``keep_cache``; with it False it returns None
-for the caches and drops each layer's cache as soon as the layer returns, so
-a forward-only pass holds one layer's activations, not six.
-``model.forward_batch`` passes the flag for predictions that never go
-backward (validation, test and forecast passes, gradcheck's loss
-evaluations, the inference timing).
+The model runs the input projection (``encoder_input_forward``) and each
+layer as stages of their own (model.py), and a prediction that never goes
+backward drops each stage's cache as soon as the stage returns.
+``encoder_stack_forward`` and ``encoder_stack_backward`` compose the same
+functions over a whole stack.
 
 Bias adds, ReLUs, residual adds and the layer norm's scale and shift run in
 place, but only on arrays the function computed itself. Nothing writes into
@@ -256,18 +255,18 @@ def multi_head_attention_backward(d_out, cache, p: EncoderLayerParams):
     dW_o = cache["merged"].T @ d_rows
     d_ctx = _split_heads(d_rows @ p.W_o.T, batch, n_heads)
 
+    # dQ, dK and dV go straight into the rows of one stacked buffer
+    d_qkv = np.empty((3, *d_rows.shape))
+    dQ, dK, dV = (_split_heads(a, batch, n_heads) for a in d_qkv)
     dS = d_ctx @ np.swapaxes(V, -1, -2)
-    dV = np.swapaxes(weights, -1, -2) @ d_ctx
+    dV[...] = np.swapaxes(weights, -1, -2) @ d_ctx
     # softmax rows: dS = W * (dW - sum(dW * W))
     dS -= np.sum(dS * weights, axis=-1, keepdims=True)
     dS *= weights
     scale = 1.0 / np.sqrt(Q.shape[-1])
-    dQ = dS @ K
-    dQ *= scale
-    dK = np.swapaxes(dS, -1, -2) @ Q
-    dK *= scale
-
-    d_qkv = np.stack([_merge_heads(a) for a in (dQ, dK, dV)])
+    np.multiply(dS @ K, scale, out=dQ)
+    np.multiply(np.swapaxes(dS, -1, -2) @ Q, scale, out=dK)
+    del dS, d_ctx
     dW_qkv = cache["x"].T @ d_qkv
     dx = (d_qkv @ p.W_qkv.transpose(0, 2, 1)).sum(axis=0)
     return dx.reshape(d_out.shape), {"W_qkv": dW_qkv, "W_o": dW_o}
@@ -380,12 +379,10 @@ def encoder_layer_backward(d_out, cache, p: EncoderLayerParams):
     return d_x, g
 
 
-def encoder_stack_forward(hidden_seq, stack: EncoderStack, keep_cache: bool = True):
-    """Project, add positional encoding, run all layers. Returns (out, caches).
+def encoder_input_forward(hidden_seq, stack: EncoderStack):
+    """Project (B, S, input_size) to d_model and add the positional encoding.
 
-    ``hidden_seq`` is (B, S, input_size); the output is (B, S, d_model).
-    With ``keep_cache=False`` the caches are None and each layer's cache is
-    dropped as soon as the layer returns; the output is the same bits.
+    Returns (out (B, S, d_model), cache).
     """
     xb = _batch(hidden_seq, "sequence")
     if xb.shape[-1] != stack.input_size:
@@ -403,39 +400,46 @@ def encoder_stack_forward(hidden_seq, stack: EncoderStack, keep_cache: bool = Tr
     z += stack.b_in
     z = z.reshape(batch, seq_len, stack.d_model)
     z += stack.pos_table[:seq_len]
-    layer_caches = []
-    for layer in stack.layers:
-        z, cache = encoder_layer_forward(z, layer, stack.n_heads)
-        if keep_cache:
-            layer_caches.append(cache)
-        del cache  # a forward-only pass must not hold it while the next layer runs
-    return z, {"input": xb, "layers": layer_caches} if keep_cache else None
+    return z, {"input": xb}
 
 
-def encoder_stack_backward(d_out, caches, stack: EncoderStack):
-    """Returns (EncoderStack-shaped grads, grad w.r.t. the input sequence).
+def encoder_input_backward(d_out, cache, stack: EncoderStack):
+    """Returns (grad w.r.t. the input sequence, grads of W_in and b_in as an
+    EncoderStack without layers).
 
     The positional table is constant, so the additive encoding passes the
     gradient through untouched.
     """
+    xb = cache["input"]
+    d_rows = d_out.reshape(-1, d_out.shape[-1])
+    g = EncoderStack(
+        layers=[], n_heads=stack.n_heads, W_in=xb.reshape(-1, xb.shape[-1]).T @ d_rows,
+        b_in=d_rows.sum(axis=0), pos_table=stack.pos_table,
+    )
+    return (d_rows @ stack.W_in.T).reshape(xb.shape), g
+
+
+def encoder_stack_forward(hidden_seq, stack: EncoderStack):
+    """The input stage, then every layer. Returns (out (B, S, d_model), caches)."""
+    z, caches = encoder_input_forward(hidden_seq, stack)
+    caches["layers"] = []
+    for layer in stack.layers:
+        z, cache = encoder_layer_forward(z, layer, stack.n_heads)
+        caches["layers"].append(cache)
+    return z, caches
+
+
+def encoder_stack_backward(d_out, caches, stack: EncoderStack):
+    """Returns (EncoderStack-shaped grads, grad w.r.t. the input sequence)."""
     d = _batch(d_out, "encoder output gradient")
     layer_grads = [None] * len(stack.layers)
     for idx in reversed(range(len(stack.layers))):
         d, layer_grads[idx] = encoder_layer_backward(
             d, caches["layers"][idx], stack.layers[idx]
         )
-    xb = caches["input"]
-    flat = lambda a: a.reshape(-1, a.shape[-1])
-    d_rows = flat(d)
-    g = EncoderStack(
-        layers=layer_grads,
-        n_heads=stack.n_heads,
-        W_in=flat(xb).T @ d_rows,
-        b_in=d_rows.sum(axis=0),
-        pos_table=stack.pos_table,
-    )
-    d_input = d_rows @ stack.W_in.T
-    return g, d_input.reshape(xb.shape)
+    d_input, g = encoder_input_backward(d, caches, stack)
+    g.layers = layer_grads
+    return g, d_input
 
 
 def head_forward(pooled, head: PredictionHead):

@@ -83,6 +83,8 @@ class TestUsage:
         ({"train": {"val_fraction": 1.0}}, "val_fraction"),
         ({"train": {"val_fraction": 0.0}}, "val_fraction"),
         ({"train": {"lstm_layers": 0}}, "lstm_layers"),
+        ({"hyperparameter_source": "pso-search", "swarm": {"n_particles": 0}}, "particle"),
+        ({"hyperparameter_source": "pso-search", "budget": {"epochs": 0}}, "epochs"),
     ])
     def test_out_of_range_values_are_usage_errors(self, tmp_path, capsys, change, key):
         spec_path = self._malformed(tmp_path, **change)

@@ -8,9 +8,15 @@ from hypothesis import strategies as st
 
 from ltpnet import lstm as L
 from ltpnet.checkpoint import load_checkpoint, save_checkpoint
-from ltpnet.gradcheck import check_model_gradients
+from ltpnet.gradcheck import (
+    check_model_gradients,
+    composed_gradcheck_suite,
+    finite_difference_grads,
+    staged_finite_difference_grads,
+)
 from ltpnet.model import ModelParams, backward_batch, build_model, forward_batch, forward_full
 from ltpnet.rng import SeededRng
+from ltpnet.training import mse_loss
 
 
 def tiny_model(seed=0, **overrides):
@@ -162,6 +168,68 @@ class TestComposedGradients:
         windows = rng.uniform(-1, 1, (2, 6, 2))
         targets = rng.uniform(-1, 1, 2)
         assert check_model_gradients(model, windows, targets) < 1e-4
+
+
+    def test_relu_kink_seeds_keep_their_errors(self):
+        # Seeds outside criterion 01's 0-19 where a ReLU input lies within
+        # eps of zero, so the central difference straddles the kink; the
+        # analytic gradient is believed right. Documented, not exempted:
+        # both stay above the 1e-4 tolerance, at the same values as the
+        # unstaged check gave.
+        assert composed_gradcheck_suite(1, 44)[0].error == 0.08835967895164785
+        assert composed_gradcheck_suite(1, 111)[0].error == 1.0
+
+
+class TestStages:
+    VARIANTS = ({}, {"lstm_enabled": False}, {"transformer_enabled": False})
+
+    def test_run_order(self):
+        names = lambda **flags: [s.name for s in tiny_model(**flags).stages]
+        assert names() == ["lstm.0", "lstm.1", "encoder.input", "encoder.layers.0", "pool+head"]
+        assert names(lstm_enabled=False) == ["encoder.input", "encoder.layers.0", "pool+head"]
+        assert names(transformer_enabled=False) == ["lstm.0", "lstm.1", "bypass+head"]
+
+    @pytest.mark.parametrize("layers", [0, 2])
+    def test_ranges_partition_flat_exactly_once(self, layers):
+        for flags in self.VARIANTS:
+            model = tiny_model(transformer_layers=layers, **flags)
+            owned = np.zeros(model.flat.size, dtype=int)
+            for stage in model.stages:
+                assert all(start < stop for start, stop in stage.ranges), stage.name
+                for start, stop in stage.ranges:
+                    owned[start:stop] += 1
+            np.testing.assert_array_equal(owned, 1, err_msg=str(flags))
+
+    def test_bypass_range_follows_the_head_range(self):
+        model = tiny_model(transformer_enabled=False)
+        offsets, offset = {}, 0
+        for name, arr in model.named_arrays():
+            offsets[name], offset = offset, offset + arr.size
+        stage = model.stages[-1]
+        head, bypass = stage.ranges
+        assert head == (offsets["head.W_a"], offsets["bypass.W"])
+        assert bypass == (offsets["bypass.W"], model.flat.size)
+        assert head[1] <= bypass[0]
+
+    def test_stages_are_built_once_per_model(self):
+        model = tiny_model()
+        assert model.stages is model.stages
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(case=small_cases())
+    def test_staged_differences_equal_full_forward_differences(self, case):
+        model, windows = case
+        targets = SeededRng(len(windows)).uniform(-1, 1, len(windows))
+
+        def loss_fn():
+            preds, _ = forward_batch(windows, model, keep_cache=False)
+            return mse_loss(preds, targets)[0]
+
+        before = model.flat.copy()
+        naive = finite_difference_grads(loss_fn, model)
+        staged = staged_finite_difference_grads(model, windows, targets)
+        assert np.array_equal(staged, naive)
+        np.testing.assert_array_equal(model.flat, before)
 
 
 def assert_views_into_flat(model):

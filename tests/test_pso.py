@@ -236,16 +236,27 @@ class TestHistoryCsv:
         assert len(lines) == 4
 
 
+def position(h: P.HyperparamPoint) -> np.ndarray:
+    """The point's coordinates on the search axes (rates on log10 axes)."""
+    return np.array([
+        h.lstm_hidden, np.log10(h.lstm_lr), h.transformer_layers,
+        h.attention_heads, h.d_model, np.log10(h.transformer_lr),
+    ], dtype=np.float64)
+
+
 class TestHyperparamCodec:
     def test_round_trip_on_admissible_lattice(self):
         space = P.SearchSpace()
+        bounds = space.bounds()
         for hidden in space.lstm_hidden:
             for layers in space.transformer_layers:
                 h = P.HyperparamPoint(
                     lstm_hidden=hidden, lstm_lr=1e-3, transformer_layers=layers,
                     attention_heads=8, d_model=256, transformer_lr=1e-4,
                 )
-                back = P.decode_position(P.encode_hyperparams(h, space), space)
+                x = position(h)
+                assert all(lo <= v <= hi for v, (lo, hi) in zip(x, bounds))
+                back = P.decode_position(x, space)
                 assert back.lstm_hidden == h.lstm_hidden
                 assert back.transformer_layers == h.transformer_layers
                 assert back.attention_heads == h.attention_heads
@@ -257,7 +268,8 @@ class TestHyperparamCodec:
     @given(data=st.data())
     def test_in_bounds_positions_decode_to_admissible_points_that_round_trip(self, data):
         space = P.SearchSpace()
-        x = np.array([data.draw(st.floats(lo, hi)) for lo, hi in space.bounds()])
+        bounds = space.bounds()
+        x = np.array([data.draw(st.floats(lo, hi)) for lo, hi in bounds])
         h = P.decode_position(x, space)
         assert h.lstm_hidden in space.lstm_hidden
         assert h.transformer_layers in space.transformer_layers
@@ -267,7 +279,10 @@ class TestHyperparamCodec:
         lo, hi = space.transformer_lr_bounds
         assert lo <= h.transformer_lr <= hi
 
-        back = P.decode_position(P.encode_hyperparams(h, space), space)
+        # the decoded point sits inside the bounds and decodes to itself
+        x_h = position(h)
+        assert all(lo <= v <= hi for v, (lo, hi) in zip(x_h, bounds))
+        back = P.decode_position(x_h, space)
         axes = lambda p: (p.lstm_hidden, p.transformer_layers, p.attention_heads, p.d_model)
         assert axes(back) == axes(h)
         assert back.lstm_lr == pytest.approx(h.lstm_lr, rel=1e-12)
@@ -275,24 +290,17 @@ class TestHyperparamCodec:
 
     def test_log_axis_midpoint(self):
         space = P.SearchSpace()
-        x = P.encode_hyperparams(P.HyperparamPoint(), space)
+        x = position(P.HyperparamPoint())
         x[1] = (np.log10(1e-3) + np.log10(1e-4)) / 2.0
         decoded = P.decode_position(x, space)
         assert decoded.lstm_lr == pytest.approx(10**-3.5, rel=1e-12)
 
     def test_heads_snap_to_divisor(self):
         space = P.SearchSpace()
-        x = P.encode_hyperparams(P.HyperparamPoint(), space)
+        x = position(P.HyperparamPoint())
         x[3] = 7.0  # nearest admissible divisor of 256 is 8
         decoded = P.decode_position(x, space)
         assert decoded.attention_heads == 8
-
-    def test_out_of_range_rejected(self):
-        space = P.SearchSpace()
-        with pytest.raises(ValueError, match="lstm_hidden"):
-            P.encode_hyperparams(P.HyperparamPoint(lstm_hidden=48), space)
-        with pytest.raises(ValueError, match="lstm_lr"):
-            P.encode_hyperparams(P.HyperparamPoint(lstm_lr=0.5), space)
 
     def test_heads_must_divide_d_model(self):
         with pytest.raises(ValueError, match="divide"):
@@ -317,15 +325,15 @@ class TestHyperparamCodec:
 
     def test_decoded_learning_rates_stay_inside_their_bounds(self):
         space = P.SearchSpace(lstm_lr_bounds=(3e-4, 2e-3))
-        x = P.encode_hyperparams(P.HyperparamPoint(), space)
+        x = position(P.HyperparamPoint())
         x[1] = space.bounds()[1][1]
         h = P.decode_position(x, space)
         assert h.lstm_lr <= 2e-3
-        np.testing.assert_array_equal(P.encode_hyperparams(h, space), x)
+        np.testing.assert_array_equal(position(h), x)
 
     def test_degenerate_rate_axis_decodes_to_its_value(self):
         space = P.SearchSpace(lstm_lr_bounds=(1e-3, 1e-3))
-        x = P.encode_hyperparams(P.HyperparamPoint(), space)
+        x = position(P.HyperparamPoint())
         x[1] = space.bounds()[1][1]
         assert P.decode_position(x, space).lstm_lr == 1e-3
 
