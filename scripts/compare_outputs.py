@@ -9,10 +9,12 @@ adaptive-momentum, no-lstm, no-transformer, clipped gradients, a small swarm
 search and a one-epoch grid search) then run through ``ltpnet run`` in each
 tree, and the small-search variant through ``ltpnet ablate`` and
 ``ltpnet compare-optimizers``, all at one output path, because the report
-echoes its spec. The sha256 of every ``run_report.json``, ``model.ckpt`` and
-``pso_history.csv`` written, and of each suite's table and summary, is
-printed; ``optimizer_table.csv`` is hashed without its two wall-clock
-columns. Exits 1 when a file differs or is written on one side only.
+echoes its spec. A small ``ltpnet pso-study`` on sphere and one on rastrigin
+write to the same path. The sha256 of every ``run_report.json``,
+``model.ckpt`` and ``pso_history.csv`` written, of each suite's table and
+summary, and of each study's history CSVs and summary is printed;
+``optimizer_table.csv`` is hashed without its two wall-clock columns. Exits 1
+when a file differs or is written on one side only.
 """
 
 import argparse
@@ -42,6 +44,15 @@ SUITE_OUTPUTS = {
     "compare-optimizers": (Path("optimizer_table.csv"), Path("optimizer_summary.json")),
 }
 TIMING_COLUMNS = ("inference_ms_per_window", "training_time_s")
+# ``ltpnet pso-study`` runs: name -> objective; each writes both inertia configurations
+STUDIES = {"pso-study-sphere": "sphere", "pso-study-rastrigin": "rastrigin"}
+STUDY_ARGS = ["--runs", "2", "--dim", "3"]
+
+
+def study_outputs(objective: str) -> tuple:
+    """What ``ltpnet pso-study --objective <objective>`` writes."""
+    histories = (Path("histories") / f"pso_{objective}_{c}.csv" for c in ("static", "dynamic"))
+    return (*histories, Path("pso_study_summary.json"))
 
 
 def variant_specs(smoke: dict, out_dir: str) -> dict:
@@ -109,21 +120,26 @@ def compare(base: dict, change: dict) -> list:
     return rows
 
 
-def run_spec(tree: Path, spec: dict, work: Path, command="run", outputs=OUTPUTS) -> dict:
-    """``ltpnet <command>`` on ``spec`` with the sources of ``tree``; the
-    digests of its ``outputs``."""
-    out_dir = Path(spec["output_dir"])
+def run_cli(tree: Path, argv: list, out_dir: Path, work: Path, outputs) -> dict:
+    """``ltpnet <argv>`` with the sources of ``tree`` on an emptied
+    ``out_dir``; the digests of its ``outputs``."""
     shutil.rmtree(out_dir, ignore_errors=True)
-    spec_path = work / "spec.json"
-    spec_path.write_text(json.dumps(spec))
     proc = subprocess.run(
-        [sys.executable, "-m", "ltpnet.cli", command, "--config", str(spec_path)],
+        [sys.executable, "-m", "ltpnet.cli", *argv],
         cwd=work, capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(tree / "src")},
     )
     if proc.returncode != 0:
-        raise RuntimeError(f"ltpnet {command} failed in {tree} (exit {proc.returncode}):\n{proc.stderr[-2000:]}")
+        raise RuntimeError(f"ltpnet {argv[0]} failed in {tree} (exit {proc.returncode}):\n{proc.stderr[-2000:]}")
     return digests(out_dir, outputs)
+
+
+def run_spec(tree: Path, spec: dict, work: Path, command="run", outputs=OUTPUTS) -> dict:
+    """``ltpnet <command>`` on ``spec`` with the sources of ``tree``; the
+    digests of its ``outputs``."""
+    spec_path = work / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    return run_cli(tree, [command, "--config", str(spec_path)], Path(spec["output_dir"]), work, outputs)
 
 
 def main(argv=None) -> int:
@@ -138,20 +154,25 @@ def main(argv=None) -> int:
         for side, sha in shas.items():
             export_tree(sha, work / side)
         smoke = json.loads((work / "change" / SMOKE_SPEC).read_text())
-        specs = variant_specs(smoke, str(work / "out"))
+        out_dir = work / "out"
+        specs = variant_specs(smoke, str(out_dir))
         runs = {name: (spec, "run", OUTPUTS) for name, spec in specs.items()}
         for command, outputs in SUITE_OUTPUTS.items():
             runs[command] = (specs["pso-search"], command, outputs)
         for name, (spec, command, outputs) in runs.items():
             for side in shas:
                 results[side][name] = run_spec(work / side, spec, work, command, outputs)
+        for name, objective in STUDIES.items():
+            argv = ["pso-study", "--objective", objective, *STUDY_ARGS, "--out-dir", str(out_dir)]
+            for side in shas:
+                results[side][name] = run_cli(work / side, argv, out_dir, work, study_outputs(objective))
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
     rows = compare(results["base"], results["change"])
     print(f"base {shas['base']}  change {shas['change']}")
     for run, rel, b, c, same in rows:
-        print(f"{'same' if same else 'DIFF'}  {run:<18} {rel:<26} {b}  {c}")
+        print(f"{'same' if same else 'DIFF'}  {run:<19} {rel:<35} {b}  {c}")
     differing = sum(not same for *_, same in rows)
     print(f"{len(rows) - differing} of {len(rows)} files byte-identical")
     return 1 if differing else 0

@@ -12,16 +12,19 @@ Layout, all little-endian:
 
 The payload is the model's ``flat`` vector; format 2 holds each LSTM layer
 as its fused ``W_x``, ``W_h``, ``W_c`` and ``b``, and other versions (format
-1's per-gate arrays) are refused. Loading builds a zero model from the stored
-structure, checks that the model gives back that structure (so a header
-whose variant flags or pooling contradict its components is refused) and
-that the manifest fits it, and fills ``flat`` in one copy. Every malformed
-file, header included, raises ``CheckpointError``. Round-trips are
+1's per-gate arrays) are refused. Loading first checks the payload length
+that the manifest implies against the bytes present, so a header that claims
+more weights than the file holds allocates nothing. It then builds the model
+over one copy of the payload (``ModelParams.over``) and checks that the model
+gives back the stored structure (so a header whose variant flags or pooling
+contradict its components is refused) and that the manifest fits it. Every
+malformed file, header included, raises ``CheckpointError``. Round-trips are
 bit-exact. The positional table is rebuilt from the stored dimensions rather
 than serialized (it is a constant).
 """
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -73,17 +76,20 @@ def load_checkpoint(path) -> ModelParams:
     try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
         header = json.loads(blob[16 : 16 + header_len].decode())
         structure, manifest = header["structure"], header["manifest"]
-        model = ModelParams.from_structure(structure)
+        size = sum(math.prod(shape) for _, shape in manifest)
+        extra = len(blob) - 16 - header_len - 8 * size
+        if extra < 0:
+            raise CheckpointError(f"{path}: truncated payload, {-extra} bytes short of manifest")
+        if extra > 0:
+            raise CheckpointError(f"{path}: {extra} trailing bytes after the manifest's payload")
+        payload = np.frombuffer(blob, "<f8", size, 16 + header_len).astype(np.float64)
+        model = ModelParams.over(structure, payload)
+    except CheckpointError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed header: {exc!r}") from exc
     if model.structure() != structure:
         raise CheckpointError(f"{path}: the stored structure contradicts itself")
     if manifest != _manifest(model):
         raise CheckpointError(f"{path}: manifest does not fit the stored structure")
-    extra = len(blob) - 16 - header_len - 8 * model.flat.size
-    if extra < 0:
-        raise CheckpointError(f"{path}: truncated payload, {-extra} bytes short")
-    if extra > 0:
-        raise CheckpointError(f"{path}: {extra} trailing bytes")
-    model.flat[...] = np.frombuffer(blob, "<f8", model.flat.size, 16 + header_len)
     return model

@@ -80,7 +80,7 @@ def build_parser() -> _Parser:
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p_grad.add_argument("--seeds", type=_count, default=20, help="number of random configurations")
     p_grad.add_argument("--tolerance", type=float, default=1e-4)
-    common(p_grad)
+    p_grad.add_argument("--seed", type=_seed, default=0, help="seed of the first configuration")
 
     p_synth = sub.add_parser("synth", help="write a synthetic dataset CSV")
     p_synth.add_argument("--out", required=True)
@@ -112,7 +112,7 @@ def _load_spec(args, rows=None) -> ExperimentSpec:
             spec.seeds.swarm = args.seed + 3
         for run_spec in (rows(spec).values() if rows else (spec,)):
             build_configs(run_spec)
-    except (TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:  # OSError: an unreadable file
         raise UsageError(f"invalid spec {args.config}: {exc}") from exc
     return spec
 
@@ -170,7 +170,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "gradcheck":
-        cases = composed_gradcheck_suite(n_seeds=args.seeds, seed_base=args.seed or 0)
+        cases = composed_gradcheck_suite(n_seeds=args.seeds, seed_base=args.seed)
         worst = max(c.error for c in cases)
         print(f"max relative error over {len(cases)} seeds: {worst:.3e}")
         if worst >= args.tolerance:

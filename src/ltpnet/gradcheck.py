@@ -13,7 +13,6 @@ over a plain loss, the generic reference) gives.
 """
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -28,7 +27,7 @@ REL_ERR_FLOOR = 1e-6
 def finite_difference_grads(loss_fn, params, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Numeric gradient of ``loss_fn()`` w.r.t. ``params.flat``, packed the same way.
 
-    ``params`` is a model, or anything whose ``flat`` is a view into one.
+    ``params`` is a model or one of its ``stages``, whose ``flat`` is a view.
     ``loss_fn`` must read the parameter arrays in place; each element of
     ``flat`` is nudged up and down by ``eps`` and restored.
     """
@@ -51,16 +50,15 @@ def staged_finite_difference_grads(model: ModelParams, windows, targets, eps=DEF
     inputs = [np.asarray(windows, dtype=np.float64)]
     for stage in model.stages[:-1]:
         inputs.append(stage.forward(inputs[-1])[0])
-    numeric = np.empty_like(model.flat)
-    for k, (stage, x) in enumerate(zip(model.stages, inputs)):
-        def loss_fn(x=x, k=k):
-            preds, _ = forward_batch(x, model, keep_cache=False, start=k)
-            return mse_loss(preds, targets)[0]
 
-        for start, stop in stage.ranges:  # a view: each nudge reaches the model
-            owned = SimpleNamespace(flat=model.flat[start:stop])
-            numeric[start:stop] = finite_difference_grads(loss_fn, owned, eps)
-    return numeric
+    def loss_from(k):  # reruns stages k onward from their kept input
+        return lambda: mse_loss(forward_batch(inputs[k], model, keep_cache=False, start=k)[0],
+                                targets)[0]
+
+    # each nudge of a stage's view reaches the model; the views tile ``flat`` in run order
+    return np.concatenate([
+        finite_difference_grads(loss_from(k), stage, eps) for k, stage in enumerate(model.stages)
+    ])
 
 
 def check_model_gradients(model: ModelParams, windows, targets, eps=DEFAULT_EPS):

@@ -494,16 +494,17 @@ def run_optimizer_comparison(base: ExperimentSpec) -> dict:
     return {"reports": reports, "summary": summary}
 
 
+# inertia configuration of the swarm study -> its changes to the default swarm
+PSO_STUDY_CONFIGS = {
+    "static": {},
+    "dynamic": {"inertia_schedule": "linear", "omega_start": 0.9, "omega_end": 0.4},
+}
+
+
 def run_pso_distribution_study(
-    objective_name: str,
-    run_count: int = 10,
-    out_dir="out",
-    dim: int = 5,
-    configs=("static", "dynamic"),
-    base_seed: int = 0,
-    swarm_overrides: dict | None = None,
+    objective_name: str, run_count: int = 10, out_dir="out", dim: int = 5, base_seed: int = 0
 ) -> dict:
-    """Repeated independent swarm runs per inertia configuration.
+    """Repeated independent swarm runs per ``PSO_STUDY_CONFIGS`` entry.
 
     Writes one history CSV per configuration plus a summary with per-run
     bests and their mean/median/std.
@@ -512,21 +513,12 @@ def run_pso_distribution_study(
     out_dir = Path(out_dir)
     (out_dir / "histories").mkdir(parents=True, exist_ok=True)
     summary = {"objective": objective_name, "dim": dim, "configs": {}}
-    for config in configs:
-        overrides = dict(swarm_overrides or {})
-        if config == "dynamic":
-            overrides.update(
-                {"inertia_schedule": "linear", "omega_start": 0.9, "omega_end": 0.4}
-            )
-        elif config != "static":
-            raise ValueError(f"unknown swarm configuration {config!r}")
+    for config, overrides in PSO_STUDY_CONFIGS.items():
         histories = {}
         bests = []
         for i in range(run_count):
             seed = base_seed + i
-            cfg = P.SwarmConfig(
-                bounds=[(-5.0, 5.0)] * dim, seed=seed, **overrides
-            )
+            cfg = P.SwarmConfig(bounds=[(-5.0, 5.0)] * dim, seed=seed, **overrides)
             _, best, history = P.run(cfg, objective)
             histories[seed] = history
             bests.append(best)

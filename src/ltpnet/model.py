@@ -22,8 +22,9 @@ checkpoints and gradient checks all work on whole vectors. This module alone
 knows the layout. The positional table is a constant and never appears in it.
 
 The forward pass is a list of stages, ``ModelParams.stages``, built once per
-model. Each stage has a name, the ranges of ``flat`` it owns, a forward from
-its input to its output and a backward, over the layer functions. In run order:
+model. Each stage has a name, the span of ``flat`` it owns (a view), a forward
+from its input to its output and a backward, over the layer functions. In run
+order, which is also ``flat`` order, so the spans tile ``flat`` end to end:
 
     lstm.<i>            each LSTM layer, (B, L, F or H) -> (B, L, H)
     encoder.input       input projection plus positional encoding -> (B, L, d)
@@ -31,12 +32,10 @@ its input to its output and a backward, over the layer functions. In run order:
     pool+head           mean-pool plus head, (B, L, d) -> (B,)
     bypass+head         (no encoder) last hidden state, bypass, head -> (B,)
 
-The bypass lies after the head in ``flat`` but runs before it, so each stage
-records its own ranges. ``forward_batch`` and ``backward_batch`` loop over the
-list, and gradcheck reruns only the stages after a nudged weight. The forward
-keeps the caches by default, as a training step needs them; predictions that
-never go backward pass ``keep_cache=False`` and hold about one stage's
-activations at a time.
+``forward_batch`` and ``backward_batch`` loop over the list, and gradcheck
+reruns only the stages after a nudged weight. The forward keeps the caches by
+default, as a training step needs them; predictions that never go backward
+pass ``keep_cache=False`` and hold about one stage's activations at a time.
 """
 
 import math
@@ -88,11 +87,6 @@ class ModelParams:
 
     def __reduce__(self):
         return ModelParams, (self.lstm_stack, self.encoder, self.head, self.bypass)
-
-    @classmethod
-    def from_structure(cls, s: dict) -> "ModelParams":
-        """A zero-valued model of the structure that ``structure()`` returns."""
-        return cls(*_components(s, lambda *shape: np.zeros(shape)))
 
     @classmethod
     def over(cls, s: dict, flat: np.ndarray) -> "ModelParams":
@@ -227,7 +221,7 @@ class Stage(NamedTuple):
     """One step of the forward pass (module docstring)."""
 
     name: str
-    ranges: tuple  # ((start, stop), ...) of ``flat`` that the stage owns, ascending
+    flat: np.ndarray  # the view of the model's ``flat`` that the stage owns
     forward: Callable  # x -> (output, cache)
     backward: Callable  # (d_output, cache) -> (d_x, grads of a component, or a list of them)
 
@@ -241,31 +235,31 @@ def _stages(m: ModelParams) -> list:
     model and its cached stages form no reference cycle."""
     enc, head, bypass, offset = m.encoder, m.head, m.bypass, 0
 
-    def own(*arrays):  # the next range of ``flat``
+    def own(*arrays):  # the next span of ``flat``
         nonlocal offset
         start, offset = offset, offset + sum(arr.size for arr in arrays)
-        return start, offset
+        return m.flat[start:offset]
 
     stages = [
-        Stage(f"lstm.{i}", (own(*_arrays(p)),),
+        Stage(f"lstm.{i}", own(*_arrays(p)),
               lambda x, p=p: L.lstm_sequence_forward(x, [p]),
               lambda d, cache, p=p: L.lstm_backward(cache, d, [p])[::-1])  # (d_x, [grads])
         for i, p in enumerate(m.lstm_stack)
     ]
     if enc is not None:
         stages.append(Stage(
-            "encoder.input", (own(enc.W_in, enc.b_in),),
+            "encoder.input", own(enc.W_in, enc.b_in),
             lambda x: T.encoder_input_forward(x, enc),
             lambda d, cache: T.encoder_input_backward(d, cache, enc),
         ))
         stages += [
-            Stage(f"encoder.layers.{i}", (own(*_arrays(layer)),),
+            Stage(f"encoder.layers.{i}", own(*_arrays(layer)),
                   lambda x, layer=layer: T.encoder_layer_forward(x, layer, enc.n_heads),
                   lambda d, cache, layer=layer: T.encoder_layer_backward(d, cache, layer))
             for i, layer in enumerate(enc.layers)
         ]
         return stages + [Stage(
-            "pool+head", (own(*_arrays(head)),),
+            "pool+head", own(*_arrays(head)),
             lambda x: T.predict(x, head), lambda d, cache: T.predict_backward(d, cache, head),
         )]
 
@@ -280,9 +274,8 @@ def _stages(m: ModelParams) -> list:
         d_hidden[:, -1, :] = d_projected @ bypass.W.T
         return d_hidden, [g, BypassProjection(W=last.T @ d_projected, b=d_projected.sum(axis=0))]
 
-    # the bypass runs before the head but lies after it in ``flat``
-    ranges = (own(*_arrays(head)), own(bypass.W, bypass.b))
-    return stages + [Stage("bypass+head", ranges, bypass_forward, bypass_backward)]
+    return stages + [Stage("bypass+head", own(*_arrays(head), bypass.W, bypass.b),
+                           bypass_forward, bypass_backward)]
 
 
 def build_model(
@@ -370,17 +363,15 @@ def forward_full(window: np.ndarray, model: ModelParams):
 def backward_batch(d_preds: np.ndarray, caches: list, model: ModelParams) -> ModelParams:
     """Exact gradients of the batch predictions, packed like ``model.flat``.
 
-    Runs the stages in reverse, then writes each stage's gradients into its
-    ranges of one new vector, a component per range.
+    Runs the stages in reverse, then concatenates their gradients in run
+    order, which is ``flat`` order, into one new vector.
     """
     d = np.atleast_1d(np.asarray(d_preds, dtype=np.float64))
-    pieces = []
+    parts = []
     for stage, cache in zip(reversed(model.stages), reversed(caches)):
-        d, parts = stage.backward(d, cache)
-        pieces += zip(stage.ranges, parts if isinstance(parts, list) else [parts])
+        d, grads = stage.backward(d, cache)
+        parts[:0] = grads if isinstance(grads, list) else [grads]
     # Allocated last: allocated before the stages ran, it left the heap so
     # that glibc returned and re-faulted every step's buffers in some runs.
-    grads = np.empty_like(model.flat)
-    for (start, stop), part in pieces:
-        np.concatenate([arr.reshape(-1) for arr in _arrays(part)], out=grads[start:stop])
-    return ModelParams.over(model.structure(), grads)
+    flat = np.concatenate([arr.reshape(-1) for part in parts for arr in _arrays(part)])
+    return ModelParams.over(model.structure(), flat)

@@ -43,9 +43,6 @@ class RawTable:
     def missing_counts(self) -> dict:
         return {n: int(np.isnan(c).sum()) for n, c in self.columns.items()}
 
-    def copy(self) -> "RawTable":
-        return RawTable({n: c.copy() for n, c in self.columns.items()})
-
 
 @dataclass
 class WindowedDataset:

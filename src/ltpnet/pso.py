@@ -9,11 +9,15 @@ where r1, r2 are fresh uniform draws in [0, 1): one scalar per term per
 particle by default, or one per dimension with ``per_dimension_rand``. Each
 particle owns an RNG stream derived from (seed, particle index). A step moves
 the whole swarm as (N, D) arrays against the global best it started with,
-then evaluates the particles in index order. Positions initialize uniformly
-inside the bounds; velocities start at zero. Positions clamp to the bounds
-after every move, zeroing the velocity on any clamped dimension; velocities
-clamp to a fraction of the per-dimension range to keep the swarm from
-exploding.
+then scores it. Positions initialize uniformly inside the bounds; velocities
+start at zero. Positions clamp to the bounds after every move, zeroing the
+velocity on any clamped dimension; velocities clamp to a fraction of the
+per-dimension range to keep the swarm from exploding.
+
+One function, ``score``, evaluates the particles in index order and updates
+the bests, for the initial swarm (from +inf bests) and after every step
+alike. A particle's best moves only on a strictly lower value, and a global
+tie goes to the lowest index, so a NaN value never becomes a best.
 
 The inertia weight is either static or linearly interpolated from
 ``omega_start`` to ``omega_end`` across iterations (exploration early,
@@ -74,8 +78,11 @@ class SwarmConfig:
     def validate(self):
         if self.n_particles <= 0 or self.iterations < 0:
             raise ValueError("particle count must be positive, iterations >= 0")
-        if not 0.0 < self.omega <= 1.0:
-            raise ValueError(f"inertia must be in (0, 1], got {self.omega}")
+        for name in ("omega", "omega_start", "omega_end"):
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise ValueError(f"inertia {name} must be in (0, 1], got {getattr(self, name)}")
+        if self.velocity_clamp_fraction <= 0:
+            raise ValueError("velocity_clamp_fraction must be positive")
         if self.c1 < 0 or self.c2 < 0:
             raise ValueError("learning factors must be non-negative")
         for lo, hi in self.bounds:
@@ -121,16 +128,29 @@ def init_swarm(cfg: SwarmConfig, obj: Objective, streams=None) -> SwarmState:
     lo, hi = np.array(cfg.bounds, dtype=np.float64).T
     draws = np.stack([streams[i].uniform(size=obj.dim) for i in range(cfg.n_particles)])
     positions = lo + draws * (hi - lo)
-    values = np.array([obj.fn(x) for x in positions])
-    best_idx = int(np.argmin(values))  # ties: lowest particle index
-    return SwarmState(
+    state = SwarmState(
         positions=positions,
         velocities=np.zeros_like(positions),
         best_positions=positions.copy(),
-        best_values=values.copy(),
-        global_best_position=positions[best_idx].copy(),
-        global_best_value=float(values[best_idx]),
+        best_values=np.full(cfg.n_particles, np.inf),
+        global_best_position=positions[0].copy(),
+        global_best_value=np.inf,
     )
+    score(state, obj)
+    return state
+
+
+def score(state: SwarmState, obj: Objective) -> None:
+    """Evaluate every particle in index order and update the bests in place."""
+    for i, x in enumerate(state.positions):
+        value = obj.fn(x)
+        if value < state.best_values[i]:
+            state.best_values[i] = value
+            state.best_positions[i] = x
+    best_idx = int(np.argmin(state.best_values))  # ties: lowest particle index
+    if state.best_values[best_idx] < state.global_best_value:
+        state.global_best_value = float(state.best_values[best_idx])
+        state.global_best_position = state.best_positions[best_idx].copy()
 
 
 def velocity_update(v, x, p, g, omega, c1, c2, r1, r2):
@@ -157,17 +177,7 @@ def step(state: SwarmState, cfg: SwarmConfig, obj: Objective, streams) -> SwarmS
     v[(x < lo) | (x > hi)] = 0.0
     state.positions = np.clip(x, lo, hi)
     state.velocities = v
-
-    for i, x in enumerate(state.positions):
-        value = obj.fn(x)
-        if value < state.best_values[i]:
-            state.best_values[i] = value
-            state.best_positions[i] = x
-
-    best_idx = int(np.argmin(state.best_values))
-    if state.best_values[best_idx] < state.global_best_value:
-        state.global_best_value = float(state.best_values[best_idx])
-        state.global_best_position = state.best_positions[best_idx].copy()
+    score(state, obj)
     state.iteration += 1
     state.history.append(state.global_best_value)
     return state
@@ -211,6 +221,11 @@ class HyperparamPoint:
     transformer_lr: float = 1e-4
 
     def __post_init__(self):
+        for name in ("lstm_hidden", "lstm_lr", "attention_heads", "d_model", "transformer_lr"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.transformer_layers < 0:
+            raise ValueError(f"transformer_layers must be >= 0, got {self.transformer_layers}")
         if self.d_model % self.attention_heads:
             raise ValueError(
                 f"attention_heads {self.attention_heads} must divide "

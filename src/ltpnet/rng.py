@@ -35,6 +35,3 @@ class SeededRng:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-    def __repr__(self):
-        return f"SeededRng(seed={self.seed}, path={self._path})"

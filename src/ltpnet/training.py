@@ -76,6 +76,9 @@ class TrainConfig:
             "patience": self.patience,
             "lstm_lr": self.lstm_lr,
             "transformer_lr": self.transformer_lr,
+            "adam_lr": self.adam_lr,
+            "momentum_lr": self.momentum_lr,
+            "head_width": self.head_width,
         }
         for name, value in positive.items():
             if value <= 0:

@@ -2,6 +2,7 @@ import copy
 import json
 import pickle
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,6 +140,28 @@ class TestErrors:
         path.write_bytes(blob[: len(blob) - 16])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
+
+    def test_a_header_claiming_more_than_the_file_holds_allocates_nothing(self, tmp_path):
+        # 224 MB of LSTM weights claimed by a file with no payload
+        h = 2000
+        header = json.dumps({
+            "manifest": [["lstm.0.W_x", [4 * h, 2]], ["lstm.0.W_h", [4 * h, h]],
+                         ["lstm.0.W_c", [3 * h, h]], ["lstm.0.b", [4 * h]]],
+            "metadata": {},
+            "structure": {"bypass": None, "encoder": None, "head": None, "lstm": [[2, h]],
+                          "lstm_enabled": True, "transformer_enabled": False},
+        }, sort_keys=True, separators=(",", ":")).encode()
+        path = tmp_path / "claims.ckpt"
+        path.write_bytes(b"LTPC" + struct.pack("<IQ", 2, len(header)) + header)
+        assert path.stat().st_size == 263
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="truncated"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "tail.ckpt"

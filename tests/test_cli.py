@@ -85,6 +85,17 @@ class TestUsage:
         ({"train": {"lstm_layers": 0}}, "lstm_layers"),
         ({"hyperparameter_source": "pso-search", "swarm": {"n_particles": 0}}, "particle"),
         ({"hyperparameter_source": "pso-search", "budget": {"epochs": 0}}, "epochs"),
+        ({"hyperparams": {"transformer_layers": -1}}, "transformer_layers"),
+        ({"hyperparams": {"lstm_lr": -1}}, "lstm_lr"),
+        ({"optimizer": "adam", "train": {"adam_lr": -1}}, "adam_lr"),
+        ({"hyperparameter_source": "pso-search", "swarm": {"velocity_clamp_fraction": -1}},
+         "velocity_clamp_fraction"),
+        ({"hyperparameter_source": "pso-search",
+          "swarm": {"inertia_schedule": "linear", "omega_start": 5}}, "omega_start"),
+        ({"hyperparams": {"attention_heads": 0}}, "attention_heads"),
+        ({"hyperparams": {"lstm_hidden": 0}}, "lstm_hidden"),
+        ({"hyperparams": {"d_model": 0}}, "d_model"),
+        ({"train": {"head_width": 0}}, "head_width"),
     ])
     def test_out_of_range_values_are_usage_errors(self, tmp_path, capsys, change, key):
         spec_path = self._malformed(tmp_path, **change)
@@ -111,10 +122,20 @@ class TestUsage:
         self, tmp_path, capsys, argv, flag
     ):
         out = tmp_path / "out"
-        paths = ["--out", str(out / "s.csv")] if argv[0] == "synth" else ["--out-dir", str(out)]
-        assert cli(argv + paths) == 1
+        paths = {"synth": ["--out", str(out / "s.csv")], "gradcheck": []}
+        assert cli(argv + paths.get(argv[0], ["--out-dir", str(out)])) == 1
         assert f"argument {flag}:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_gradcheck_has_no_output_directory(self, capsys):
+        assert cli(["gradcheck", "--seeds", "1", "--out-dir", "unused"]) == 1
+        assert "--out-dir" in capsys.readouterr().err
+
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert cli(["run", "--config", str(missing), "--out-dir", str(tmp_path / "out")]) == 1
+        assert str(missing) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_negative_seed_for_a_run_is_usage_error(self, tmp_path, capsys):
         spec_path = write_spec(tmp_path, tmp_path / "out")

@@ -93,3 +93,18 @@ class TestSuiteTables:
         assert got[str(rel[0])] == hashlib.sha256(
             b"model,training_time_s\r\nALL,1.0\r\n"
         ).hexdigest()
+
+
+class TestStudies:
+    def test_both_objectives_are_studied(self):
+        assert sorted(compare_outputs.STUDIES.values()) == ["rastrigin", "sphere"]
+
+    def test_study_outputs_are_every_file_a_study_writes(self, tmp_path):
+        from ltpnet.cli import cli
+
+        argv = ["pso-study", "--objective", "rastrigin", "--runs", "1", "--dim", "1"]
+        assert cli(argv + ["--out-dir", str(tmp_path)]) == 0
+        written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
+        outputs = compare_outputs.study_outputs("rastrigin")
+        assert written == sorted(str(rel) for rel in outputs)
+        assert list(compare_outputs.digests(tmp_path, outputs)) == [str(rel) for rel in outputs]

@@ -11,6 +11,7 @@ from ltpnet.harness import (
     ABLATION_ROWS,
     OPTIMIZER_CSV_HEADER,
     OPTIMIZER_ROWS,
+    PSO_STUDY_CONFIGS,
     ExperimentSpec,
     build_configs,
     load_table,
@@ -22,6 +23,7 @@ from ltpnet.harness import (
     validate_run_report,
 )
 from ltpnet.preprocessing import build_dataset
+from ltpnet.pso import SwarmConfig
 from ltpnet.rng import SeededRng
 
 
@@ -249,15 +251,13 @@ class TestPsoStudy:
             assert len(summary["configs"][config]["per_run_best"]) == 1
 
     def test_history_csv_schema(self, tmp_path):
-        summary = run_pso_distribution_study(
-            "sphere", run_count=2, out_dir=tmp_path,
-            swarm_overrides={"n_particles": 5, "iterations": 4},
-        )
-        path = summary["configs"]["static"]["history_csv"]
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["run_seed", "iteration", "global_best_value"]
-        assert len(rows) == 1 + 2 * 4
+        summary = run_pso_distribution_study("sphere", run_count=2, out_dir=tmp_path, dim=2)
+        iterations = SwarmConfig().iterations  # the study runs the default swarm
+        for config in PSO_STUDY_CONFIGS:
+            with open(summary["configs"][config]["history_csv"], newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == ["run_seed", "iteration", "global_best_value"]
+            assert len(rows) == 1 + 2 * iterations
 
     def test_unknown_objective(self, tmp_path):
         with pytest.raises(ValueError, match="unknown objective"):

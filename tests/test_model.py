@@ -136,15 +136,15 @@ class TestNamedArrays:
         assert not any(n.startswith("bypass.") for n in full_names)
         assert any(n.startswith("bypass.") for n in bypass_names)
 
-    def test_from_structure_mirrors_structure(self):
+    def test_over_mirrors_structure(self):
         model = tiny_model()
-        zeros = ModelParams.from_structure(model.structure())
-        model_names = [n for n, _ in model.named_arrays()]
-        zero_names = [n for n, _ in zeros.named_arrays()]
-        assert model_names == zero_names
-        for (_, a), (_, z) in zip(model.named_arrays(), zeros.named_arrays()):
-            assert a.shape == z.shape
-            np.testing.assert_array_equal(z, 0.0)
+        flat = np.arange(model.flat.size, dtype=np.float64)
+        view = ModelParams.over(model.structure(), flat)
+        assert view.flat is flat
+        assert view.structure() == model.structure()
+        shapes = lambda m: [(n, a.shape) for n, a in m.named_arrays()]
+        assert shapes(view) == shapes(model)
+        assert_views_into_flat(view)
 
 
 class TestComposedGradients:
@@ -190,26 +190,21 @@ class TestStages:
         assert names(transformer_enabled=False) == ["lstm.0", "lstm.1", "bypass+head"]
 
     @pytest.mark.parametrize("layers", [0, 2])
-    def test_ranges_partition_flat_exactly_once(self, layers):
+    def test_stage_views_tile_flat_in_run_order(self, layers):
         for flags in self.VARIANTS:
             model = tiny_model(transformer_layers=layers, **flags)
-            owned = np.zeros(model.flat.size, dtype=int)
+            offset = 0
             for stage in model.stages:
-                assert all(start < stop for start, stop in stage.ranges), stage.name
-                for start, stop in stage.ranges:
-                    owned[start:stop] += 1
-            np.testing.assert_array_equal(owned, 1, err_msg=str(flags))
-
-    def test_bypass_range_follows_the_head_range(self):
+                assert stage.flat.size > 0, stage.name
+                assert stage.flat.base is model.flat, stage.name
+                assert stage.flat.ctypes.data == model.flat.ctypes.data + 8 * offset, stage.name
+                offset += stage.flat.size
+            assert offset == model.flat.size, flags
+        # the bypass+head stage owns the head and, right after it, the bypass
         model = tiny_model(transformer_enabled=False)
-        offsets, offset = {}, 0
-        for name, arr in model.named_arrays():
-            offsets[name], offset = offset, offset + arr.size
-        stage = model.stages[-1]
-        head, bypass = stage.ranges
-        assert head == (offsets["head.W_a"], offsets["bypass.W"])
-        assert bypass == (offsets["bypass.W"], model.flat.size)
-        assert head[1] <= bypass[0]
+        last = model.stages[-1].flat
+        assert last.ctypes.data == model.head.W_a.ctypes.data
+        assert last[-1:].ctypes.data == model.bypass.b[-1:].ctypes.data
 
     def test_stages_are_built_once_per_model(self):
         model = tiny_model()

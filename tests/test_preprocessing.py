@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -314,7 +316,7 @@ class TestPipeline:
     def test_deterministic_end_to_end(self):
         table = synthesize_series(SyntheticSpec(length=120, feature_count=2, seed=5))
         d1, s1, _ = build_dataset(table, lookback=12, rng=SeededRng(2), k_folds=5)
-        d2, s2, _ = build_dataset(table.copy(), lookback=12, rng=SeededRng(2), k_folds=5)
+        d2, s2, _ = build_dataset(copy.deepcopy(table), lookback=12, rng=SeededRng(2), k_folds=5)
         np.testing.assert_array_equal(d1.features, d2.features)
         np.testing.assert_array_equal(d1.targets, d2.targets)
         np.testing.assert_array_equal(s1.train, s2.train)

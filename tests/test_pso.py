@@ -189,6 +189,49 @@ class TestWholeSwarmStep:
             np.testing.assert_array_equal(a, b)
 
 
+class TestScoring:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 4), iterations=st.integers(0, 3),
+        values=st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), min_size=16, max_size=16),
+    )
+    def test_bests_are_the_first_lowest_values_seen(self, n, iterations, values):
+        # drawn values from a small set, so ties are common
+        cfg = sphere_cfg(dim=2, n_particles=n, iterations=iterations)
+        seen = []  # (particle, value, position) in evaluation order
+
+        def fn(x):
+            value = values[len(seen) % len(values)]
+            seen.append((len(seen) % n, value, np.array(x)))
+            return value
+
+        obj = P.Objective("drawn", 2, fn)
+        streams = P._particle_streams(cfg)
+        state = P.init_swarm(cfg, obj, streams)
+        for k in range(iterations + 1):
+            if k:
+                P.step(state, cfg, obj, streams)
+            for i in range(n):
+                first = min((v, t) for t, (p, v, _) in enumerate(seen) if p == i)
+                assert state.best_values[i] == first[0]
+                np.testing.assert_array_equal(state.best_positions[i], seen[first[1]][2])
+            first = min((v, t) for t, (_, v, _) in enumerate(seen))
+            assert state.global_best_value == first[0]
+            np.testing.assert_array_equal(state.global_best_position, seen[first[1]][2])
+
+    def test_a_nan_first_value_never_becomes_the_best(self):
+        calls = []
+
+        def fn(x):
+            calls.append(None)
+            return float("nan") if len(calls) == 1 else P.sphere(x)
+
+        cfg = sphere_cfg(dim=2, n_particles=5, iterations=20)
+        _, value, history = P.run(cfg, P.Objective("nan-first", 2, fn))
+        assert np.isfinite(value)
+        assert all(np.isfinite(history))
+
+
 class TestRun:
     def test_zero_iterations_returns_initial_best(self):
         cfg = sphere_cfg(dim=2, iterations=0, n_particles=15)
