@@ -190,7 +190,8 @@ class TestStages:
         assert names(transformer_enabled=False) == ["lstm.0", "lstm.1", "bypass+head"]
 
     @pytest.mark.parametrize("layers", [0, 2])
-    def test_stage_views_tile_flat_in_run_order(self, layers):
+    def test_ranges_partition_flat_exactly_once(self, layers):
+        # each stage owns one view of flat; in run order the views tile it
         for flags in self.VARIANTS:
             model = tiny_model(transformer_layers=layers, **flags)
             offset = 0
@@ -200,11 +201,17 @@ class TestStages:
                 assert stage.flat.ctypes.data == model.flat.ctypes.data + 8 * offset, stage.name
                 offset += stage.flat.size
             assert offset == model.flat.size, flags
-        # the bypass+head stage owns the head and, right after it, the bypass
+
+    def test_bypass_range_follows_the_head_range(self):
         model = tiny_model(transformer_enabled=False)
+        offsets, offset = {}, 0
+        for name, arr in model.named_arrays():
+            offsets[name], offset = offset, offset + arr.size
         last = model.stages[-1].flat
-        assert last.ctypes.data == model.head.W_a.ctypes.data
-        assert last[-1:].ctypes.data == model.bypass.b[-1:].ctypes.data
+        start = (last.ctypes.data - model.flat.ctypes.data) // 8
+        head_size = sum(arr.size for _, arr in model.head.named_arrays())
+        assert (start, start + last.size) == (offsets["head.W_a"], model.flat.size)
+        assert offsets["bypass.W"] == start + head_size
 
     def test_stages_are_built_once_per_model(self):
         model = tiny_model()
