@@ -10,9 +10,11 @@ search and a one-epoch grid search) then run through ``ltpnet run`` in each
 tree, and the small-search variant through ``ltpnet ablate`` and
 ``ltpnet compare-optimizers``, all at one output path, because the report
 echoes its spec. A small ``ltpnet pso-study`` on sphere and one on rastrigin
-write to the same path. The sha256 of every ``run_report.json``,
-``model.ckpt`` and ``pso_history.csv`` written, of each suite's table and
-summary, and of each study's history CSVs and summary is printed;
+write to the same path. ``ltpnet synth`` writes the smoke spec's series as a
+CSV, and the smoke spec then runs again on that CSV through ``dataset.csv``.
+The sha256 of every ``run_report.json``, ``model.ckpt`` and
+``pso_history.csv`` written, of each suite's table and summary, of each
+study's history CSVs and summary, and of the synthesized CSV is printed;
 ``optimizer_table.csv`` is hashed without its two wall-clock columns. Exits 1
 when a file differs or is written on one side only.
 """
@@ -47,6 +49,22 @@ TIMING_COLUMNS = ("inference_ms_per_window", "training_time_s")
 # ``ltpnet pso-study`` runs: name -> objective; each writes both inertia configurations
 STUDIES = {"pso-study-sphere": "sphere", "pso-study-rastrigin": "rastrigin"}
 STUDY_ARGS = ["--runs", "2", "--dim", "3"]
+SYNTH_CSV = Path("series.csv")
+
+
+def synth_args(smoke: dict, csv_path) -> list:
+    """``ltpnet synth`` arguments that write the smoke spec's series to ``csv_path``."""
+    s = smoke["dataset"]["synthetic"]
+    return [
+        "synth", "--out", str(csv_path), "--length", str(s["length"]),
+        "--features", str(s["feature_count"]), "--period", str(s["seasonal_period"]),
+        "--slope", str(s["trend_slope"]), "--noise", str(s["noise_std"]), "--seed", str(s["seed"]),
+    ]
+
+
+def csv_spec(smoke: dict, csv_path, out_dir: str) -> dict:
+    """The smoke spec reading its series from ``csv_path``, writing to ``out_dir``."""
+    return {**copy.deepcopy(smoke), "dataset": {"csv": {"path": str(csv_path)}}, "output_dir": out_dir}
 
 
 def study_outputs(objective: str) -> tuple:
@@ -166,6 +184,12 @@ def main(argv=None) -> int:
             argv = ["pso-study", "--objective", objective, *STUDY_ARGS, "--out-dir", str(out_dir)]
             for side in shas:
                 results[side][name] = run_cli(work / side, argv, out_dir, work, study_outputs(objective))
+        synth_dir = work / "synth"  # one CSV path for both sides, as the CSV run's report echoes it
+        for side in shas:
+            argv = synth_args(smoke, synth_dir / SYNTH_CSV)
+            results[side]["synth"] = run_cli(work / side, argv, synth_dir, work, (SYNTH_CSV,))
+            spec = csv_spec(smoke, synth_dir / SYNTH_CSV, str(out_dir))
+            results[side]["csv-run"] = run_spec(work / side, spec, work)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 

@@ -1,7 +1,7 @@
 """Finite-difference verification of the hand-derived gradients.
 
-Central differences with eps=1e-5 against the analytic backward pass. The
-relative error between analytic value a and numeric value n is
+Central differences with one fixed step, ``DEFAULT_EPS`` = 1e-5, against the
+analytic backward pass. The relative error between analytic a and numeric n is
 |a - n| / max(|a| + |n|, 1e-6), so zero-gradient parameters compare cleanly.
 
 The differences are staged. The forward runs once and keeps each stage's
@@ -24,27 +24,27 @@ DEFAULT_EPS = 1e-5
 REL_ERR_FLOOR = 1e-6
 
 
-def finite_difference_grads(loss_fn, params, eps: float = DEFAULT_EPS) -> np.ndarray:
+def finite_difference_grads(loss_fn, params) -> np.ndarray:
     """Numeric gradient of ``loss_fn()`` w.r.t. ``params.flat``, packed the same way.
 
     ``params`` is a model or one of its ``stages``, whose ``flat`` is a view.
     ``loss_fn`` must read the parameter arrays in place; each element of
-    ``flat`` is nudged up and down by ``eps`` and restored.
+    ``flat`` is nudged up and down by ``DEFAULT_EPS`` and restored.
     """
     flat = params.flat
     grads = np.zeros_like(flat)
     for i in range(flat.size):
         original = flat[i]
-        flat[i] = original + eps
+        flat[i] = original + DEFAULT_EPS
         up = loss_fn()
-        flat[i] = original - eps
+        flat[i] = original - DEFAULT_EPS
         down = loss_fn()
         flat[i] = original
-        grads[i] = (up - down) / (2.0 * eps)
+        grads[i] = (up - down) / (2.0 * DEFAULT_EPS)
     return grads
 
 
-def staged_finite_difference_grads(model: ModelParams, windows, targets, eps=DEFAULT_EPS):
+def staged_finite_difference_grads(model: ModelParams, windows, targets):
     """Numeric gradient of the MSE loss w.r.t. ``model.flat``, stage by stage."""
     targets = np.asarray(targets, dtype=np.float64)
     inputs = [np.asarray(windows, dtype=np.float64)]
@@ -57,15 +57,14 @@ def staged_finite_difference_grads(model: ModelParams, windows, targets, eps=DEF
 
     # each nudge of a stage's view reaches the model; the views tile ``flat`` in run order
     return np.concatenate([
-        finite_difference_grads(loss_from(k), stage, eps) for k, stage in enumerate(model.stages)
+        finite_difference_grads(loss_from(k), stage) for k, stage in enumerate(model.stages)
     ])
 
 
-def check_model_gradients(model: ModelParams, windows, targets, eps=DEFAULT_EPS):
+def check_model_gradients(model: ModelParams, windows, targets):
     """Compare backward_batch with staged finite differences of the MSE loss."""
-    windows = np.asarray(windows, dtype=np.float64)
     analytic = loss_and_gradients(windows, targets, model)[1].flat
-    numeric = staged_finite_difference_grads(model, windows, targets, eps)
+    numeric = staged_finite_difference_grads(model, windows, targets)
     denom = np.maximum(np.abs(analytic) + np.abs(numeric), REL_ERR_FLOOR)
     return float(np.max(np.abs(analytic - numeric) / denom))
 

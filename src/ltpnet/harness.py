@@ -29,6 +29,7 @@ from .checkpoint import save_checkpoint
 from .metrics import EfficiencyReport, EvalReport, count_parameters, estimate_flops, time_run
 from .model import forward_batch
 from .preprocessing import (
+    IMPUTE_STRATEGIES,
     SplitSpec,
     SyntheticSpec,
     WindowedDataset,
@@ -40,6 +41,12 @@ from .rng import SeededRng
 
 VARIANTS = ("full", "no-lstm", "no-transformer", "no-pso")
 HP_SOURCES = ("fixed", "pso-search", "grid-search")
+# spec keys that another key sets: section -> {key: the key that counts}
+SHADOWED_KEYS = {
+    "swarm": {"seed": "seeds.swarm", "bounds": "search_space"},
+    "train": {"optimizer": "optimizer", "lstm_lr": "hyperparams.lstm_lr",
+              "transformer_lr": "hyperparams.transformer_lr"},
+}
 
 ABLATION_ROWS = (
     ("Transformer+PSO", "no-lstm"),
@@ -60,6 +67,10 @@ class Seeds:
     init: int = 2
     shuffle: int = 3
     swarm: int = 4
+
+    def __post_init__(self):
+        if negative := {k: v for k, v in asdict(self).items() if v < 0}:
+            raise ValueError(f"seeds must be >= 0, got {negative}")
 
 
 @dataclass
@@ -96,6 +107,8 @@ class ExperimentSpec:
             raise ValueError(
                 f"unknown hyperparameter source {self.hyperparameter_source!r}"
             )
+        if self.impute_strategy not in IMPUTE_STRATEGIES:
+            raise ValueError(f"unknown impute_strategy {self.impute_strategy!r}")
         if self.lookback < 1 or self.horizon < 1:
             raise ValueError(
                 f"lookback and horizon must be >= 1, got {self.lookback} and {self.horizon}"
@@ -234,37 +247,50 @@ def load_table(spec: ExperimentSpec):
 
 @dataclass
 class RunConfigs:
-    """The configs one run builds from its spec.
+    """The configs one run builds from its spec, and the variant's decisions.
 
-    ``hyperparams`` is the fixed point (the defaults for no-pso) or the
-    grid search's base point; a swarm search uses ``space`` and ``budget``
-    instead, and the other fields are None.
+    ``source`` is the hyperparameter source that runs ("fixed" for no-pso),
+    ``flags`` the model components the variant enables. ``hyperparams`` is
+    the fixed point (the defaults for no-pso) or the grid search's base point;
+    a swarm search uses ``space`` and ``budget`` instead, and the others are None.
     """
 
     train: TR.TrainConfig
     swarm: P.SwarmConfig
+    source: str
+    flags: dict
     hyperparams: P.HyperparamPoint | None = None
     space: P.SearchSpace | None = None
     budget: TR.SearchBudget | None = None
 
 
 def build_configs(spec: ExperimentSpec) -> RunConfigs:
-    """Build and validate the configs of ``spec``.
+    """Build and validate the configs of ``spec``, its dataset spec included.
 
-    Raises TypeError or ValueError on an unknown key or a bad value, so a
-    caller can reject a spec before any work starts.
+    Raises TypeError or ValueError on an unknown key, a bad value or a
+    ``SHADOWED_KEYS`` key, so a caller can reject a spec before any work starts.
     """
-    cfg = TR.TrainConfig(**{**spec.train, "optimizer": spec.optimizer})
+    for section, shadowed in SHADOWED_KEYS.items():
+        for key in sorted(shadowed.keys() & set(getattr(spec, section))):
+            raise ValueError(f"{section}.{key} is not accepted in a spec; {shadowed[key]} sets it")
+    if "synthetic" in spec.dataset:
+        SyntheticSpec(**spec.dataset["synthetic"])
+    cfg = TR.TrainConfig(**spec.train, optimizer=spec.optimizer)
     cfg.validate()
-    if spec.variant != "no-lstm" and cfg.lstm_layers < 1:
+    flags = {
+        "lstm_enabled": spec.variant != "no-lstm",
+        "transformer_enabled": spec.variant != "no-transformer",
+    }
+    if flags["lstm_enabled"] and cfg.lstm_layers < 1:
         raise ValueError(f"variant {spec.variant} needs lstm_layers >= 1, got {cfg.lstm_layers}")
     configs = RunConfigs(
-        train=cfg, swarm=P.SwarmConfig(**{"seed": spec.seeds.swarm, **spec.swarm})
+        train=cfg, swarm=P.SwarmConfig(**spec.swarm, seed=spec.seeds.swarm),
+        source="fixed" if spec.variant == "no-pso" else spec.hyperparameter_source, flags=flags,
     )
     configs.swarm.validate()
     if spec.variant == "no-pso":
         configs.hyperparams = P.HyperparamPoint()
-    elif spec.hyperparameter_source == "pso-search":
+    elif configs.source == "pso-search":
         configs.space = P.SearchSpace(**{
             k: tuple(v) for k, v in spec.search_space.items()
         })
@@ -275,16 +301,15 @@ def build_configs(spec: ExperimentSpec) -> RunConfigs:
     return configs
 
 
-def resolve_hyperparams(spec, dataset, split, configs: RunConfigs, out_dir):
-    """Fixed defaults, a swarm search, or a grid search, per the spec.
+def resolve_hyperparams(dataset, split, configs: RunConfigs, out_dir):
+    """Fixed defaults, a swarm search, or a grid search, per ``configs.source``.
 
-    Returns (hyperparameter point, train config, search history). A grid
-    search picks the batch size too, so the config it returns is a new one;
-    ``configs`` is never modified.
+    Returns (hyperparameter point, train config); a swarm search's history
+    goes to ``pso_history.csv``. A grid search picks the batch size too, so
+    the config it returns is a new one; ``configs`` is never modified.
     """
-    search_history = None
     cfg, swarm_cfg, hp = configs.train, configs.swarm, configs.hyperparams
-    if configs.space is not None:
+    if configs.source == "pso-search":
         hp, _, search_history = TR.pso_hyperparameter_search(
             dataset, split, configs.space, swarm_cfg, configs.budget, cfg
         )
@@ -292,12 +317,11 @@ def resolve_hyperparams(spec, dataset, split, configs: RunConfigs, out_dir):
             out_dir / "histories" / "pso_history.csv",
             {swarm_cfg.seed: search_history},
         )
-    elif spec.variant != "no-pso" and spec.hyperparameter_source == "grid-search":
-        rows = TR.grid_search(dataset, split, None, hp, cfg)
-        best = rows[0]
+    elif configs.source == "grid-search":
+        best = TR.grid_search(dataset, split, hp, cfg)[0]
         hp = replace(hp, lstm_lr=best["lr"], transformer_layers=best["transformer_layers"])
         cfg = replace(cfg, batch_size=best["batch_size"])
-    return hp, cfg, search_history
+    return hp, cfg
 
 
 def run_experiment(spec: ExperimentSpec) -> RunReport:
@@ -318,17 +342,13 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
         impute_strategy=spec.impute_strategy,
     )
 
-    hp, cfg, _search_history = resolve_hyperparams(spec, dataset, split, configs, out_dir)
+    hp, cfg = resolve_hyperparams(dataset, split, configs, out_dir)
 
-    flags = {
-        "lstm_enabled": spec.variant != "no-lstm",
-        "transformer_enabled": spec.variant != "no-transformer",
-    }
     result = TR.train(
         dataset, split, hp, cfg,
         init_rng=SeededRng(spec.seeds.init),
         shuffle_rng=SeededRng(spec.seeds.shuffle),
-        **flags,
+        **configs.flags,
     )
 
     overlap = np.intersect1d(result.used_train_indices, split.test)

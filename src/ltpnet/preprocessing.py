@@ -15,6 +15,7 @@ import numpy as np
 from .rng import SeededRng
 
 NEAR_CONSTANT_STD = 1e-12
+IMPUTE_STRATEGIES = ("mean", "median")
 
 
 @dataclass
@@ -137,7 +138,7 @@ def write_csv(table: RawTable, path) -> None:
 
 def impute_missing(table: RawTable, strategy: str = "mean") -> RawTable:
     """Fill every missing entry with the column mean or median."""
-    if strategy not in ("mean", "median"):
+    if strategy not in IMPUTE_STRATEGIES:
         raise ValueError(f"unknown imputation strategy {strategy!r}")
     out = {}
     for name, col in table.columns.items():
@@ -283,24 +284,23 @@ class SyntheticSpec:
     trend_slope: float = 0.0
     noise_std: float = 0.1
     seed: int = 0
-    amplitude: float = 1.0
+
+    def __post_init__(self):
+        if self.length <= 0:
+            raise ValueError(f"length must be positive, got {self.length}")
 
 
 def synthesize_series(spec: SyntheticSpec) -> RawTable:
     """Generate a target series plus lagged, independently-noised features.
 
-    target[t] = slope*t + amplitude*sin(2*pi*t/period) + gaussian noise.
+    target[t] = slope*t + sin(2*pi*t/period) + gaussian noise.
     feature_j is the noiseless signal lagged by j+1 steps with its own noise.
     """
-    if spec.length <= 0:
-        raise ValueError(f"length must be positive, got {spec.length}")
     rng = SeededRng(spec.seed)
     t = np.arange(spec.length, dtype=np.float64)
 
     def signal(steps):
-        return spec.trend_slope * steps + spec.amplitude * np.sin(
-            2.0 * np.pi * steps / spec.seasonal_period
-        )
+        return spec.trend_slope * steps + np.sin(2.0 * np.pi * steps / spec.seasonal_period)
 
     columns = {}
     for j in range(spec.feature_count):

@@ -6,13 +6,13 @@ Velocity update per particle and iteration:
     x <- x + v
 
 where r1, r2 are fresh uniform draws in [0, 1): one scalar per term per
-particle by default, or one per dimension with ``per_dimension_rand``. Each
-particle owns an RNG stream derived from (seed, particle index). A step moves
-the whole swarm as (N, D) arrays against the global best it started with,
-then scores it. Positions initialize uniformly inside the bounds; velocities
-start at zero. Positions clamp to the bounds after every move, zeroing the
-velocity on any clamped dimension; velocities clamp to a fraction of the
-per-dimension range to keep the swarm from exploding.
+particle by default, or one per dimension with ``per_dimension_rand``. The
+swarm state owns each particle's RNG stream, split from (seed, index). A step
+moves the whole swarm as (N, D) arrays against the global best it started
+with, then scores it. Positions initialize uniformly inside the bounds;
+velocities start at zero. Positions clamp to the bounds after every move,
+zeroing the velocity on any clamped dimension; velocities clamp to a fraction
+of the per-dimension range to keep the swarm from exploding.
 
 One function, ``score``, evaluates the particles in index order and updates
 the bests, for the initial swarm (from +inf bests) and after every step
@@ -108,25 +108,21 @@ class SwarmState:
     best_values: np.ndarray  # (N,)
     global_best_position: np.ndarray  # (D,)
     global_best_value: float
+    streams: list  # one SeededRng per particle, split from the config's seed
     iteration: int = 0
     history: list = field(default_factory=list)  # global best after each step
 
 
-def _particle_streams(cfg: SwarmConfig) -> list:
-    base = SeededRng(cfg.seed)
-    return [base.split(i) for i in range(cfg.n_particles)]
-
-
-def init_swarm(cfg: SwarmConfig, obj: Objective, streams=None) -> SwarmState:
+def init_swarm(cfg: SwarmConfig, obj: Objective) -> SwarmState:
     """Uniform positions in bounds, zero velocities, bests at the start."""
     cfg.validate()
     if len(cfg.bounds) != obj.dim:
         raise ValueError(
             f"{len(cfg.bounds)} bounds do not match objective dimension {obj.dim}"
         )
-    streams = streams or _particle_streams(cfg)
+    streams = [SeededRng(cfg.seed).split(i) for i in range(cfg.n_particles)]
     lo, hi = np.array(cfg.bounds, dtype=np.float64).T
-    draws = np.stack([streams[i].uniform(size=obj.dim) for i in range(cfg.n_particles)])
+    draws = np.stack([s.uniform(size=obj.dim) for s in streams])
     positions = lo + draws * (hi - lo)
     state = SwarmState(
         positions=positions,
@@ -135,6 +131,7 @@ def init_swarm(cfg: SwarmConfig, obj: Objective, streams=None) -> SwarmState:
         best_values=np.full(cfg.n_particles, np.inf),
         global_best_position=positions[0].copy(),
         global_best_value=np.inf,
+        streams=streams,
     )
     score(state, obj)
     return state
@@ -158,14 +155,13 @@ def velocity_update(v, x, p, g, omega, c1, c2, r1, r2):
     return omega * v + c1 * r1 * (p - x) + c2 * r2 * (g - x)
 
 
-def step(state: SwarmState, cfg: SwarmConfig, obj: Objective, streams) -> SwarmState:
+def step(state: SwarmState, cfg: SwarmConfig, obj: Objective) -> SwarmState:
     """Advance one synchronous iteration in place; returns the state."""
     lo, hi = np.array(cfg.bounds, dtype=np.float64).T
     v_max = cfg.velocity_clamp_fraction * (hi - lo)
     rand_size = obj.dim if cfg.per_dimension_rand else 1
     r = np.array([
-        [streams[i].uniform(size=rand_size), streams[i].uniform(size=rand_size)]
-        for i in range(cfg.n_particles)
+        [s.uniform(size=rand_size), s.uniform(size=rand_size)] for s in state.streams
     ])
     v = velocity_update(
         state.velocities, state.positions, state.best_positions,
@@ -185,10 +181,9 @@ def step(state: SwarmState, cfg: SwarmConfig, obj: Objective, streams) -> SwarmS
 
 def run(cfg: SwarmConfig, obj: Objective):
     """Initialize and iterate. Returns (best position, best value, history)."""
-    streams = _particle_streams(cfg)
-    state = init_swarm(cfg, obj, streams)
+    state = init_swarm(cfg, obj)
     for _ in range(cfg.iterations):
-        step(state, cfg, obj, streams)
+        step(state, cfg, obj)
     return state.global_best_position, state.global_best_value, list(state.history)
 
 
@@ -243,6 +238,10 @@ class SearchSpace:
     attention_heads: tuple = (2, 4, 8, 16)
     d_model: tuple = (32, 64, 128, 256)
     transformer_lr_bounds: tuple = (1e-5, 1e-3)
+
+    def __post_init__(self):
+        if empty := [name for name, axis in vars(self).items() if not len(axis)]:
+            raise ValueError(f"search space axes {empty} are empty")
 
     def bounds(self) -> list:
         """PSO box bounds; degenerate axes widen by epsilon to stay valid."""

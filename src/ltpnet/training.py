@@ -18,6 +18,7 @@ relaxes its momentum factor toward a ceiling once per epoch:
 mu <- mu + rate * (mu_target - mu).
 """
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -392,42 +393,23 @@ def evaluate_on_indices(
 # grid search, swarm search
 # ---------------------------------------------------------------------------
 
-DEFAULT_GRID = {
+GRID = {
     "lr": (1e-3, 1e-4),
     "batch_size": (32, 64),
     "transformer_layers": (4, 6),
 }
 
 
-def grid_search(
-    dataset: WindowedDataset,
-    split: SplitSpec,
-    grid: dict | None = None,
-    hp: P.HyperparamPoint | None = None,
-    cfg: TrainConfig | None = None,
-    rng: SeededRng | None = None,
-):
-    """Train every lr x batch x layers cell; rows sorted by validation loss.
+def grid_search(dataset: WindowedDataset, split: SplitSpec, hp: P.HyperparamPoint,
+                cfg: TrainConfig):
+    """Train every lr x batch x layers cell of ``GRID``; rows sorted by validation loss.
 
-    The grid learning rate drives the LSTM component; duplicate cells are
-    collapsed before any training happens.
+    The grid learning rate drives the LSTM component. The 8 fixed cells run
+    in sorted order, cell i with ``SeededRng(cfg.seed).split(i)``.
     """
-    grid = dict(DEFAULT_GRID if grid is None else grid)
-    hp = hp or P.HyperparamPoint()
-    cfg = cfg or TrainConfig()
-    rng = rng or SeededRng(cfg.seed)
-    cells = sorted(
-        {
-            (float(lr), int(batch), int(layers))
-            for lr in grid["lr"]
-            for batch in grid["batch_size"]
-            for layers in grid["transformer_layers"]
-        }
-    )
-    if not cells:
-        raise ValueError("empty grid")
+    rng = SeededRng(cfg.seed)
     rows = []
-    for i, (lr, batch, layers) in enumerate(cells):
+    for i, (lr, batch, layers) in enumerate(sorted(itertools.product(*GRID.values()))):
         cell_hp = replace(hp, lstm_lr=lr, transformer_layers=layers)
         cell_cfg = replace(cfg, batch_size=batch)
         result = train(
@@ -464,7 +446,7 @@ def pso_hyperparameter_search(
     space: P.SearchSpace,
     swarm_cfg: P.SwarmConfig,
     budget: SearchBudget,
-    cfg: TrainConfig | None = None,
+    cfg: TrainConfig,
 ):
     """Swarm-search the model configuration space.
 
@@ -472,7 +454,6 @@ def pso_hyperparameter_search(
     training split's own train/validation carve, and return the best
     validation MSE. Returns (best HyperparamPoint, best fitness, history).
     """
-    cfg = cfg or TrainConfig()
     proxy = replace(cfg, epochs=budget.epochs, patience=budget.patience)
 
     def fitness(x):

@@ -51,7 +51,7 @@ class TestUsage:
         spec = json.loads(spec_path.read_text())
         for key, value in change.items():
             if isinstance(value, dict):
-                spec[key] = {**spec[key], **value}
+                spec[key] = {**spec.get(key, {}), **value}
             else:
                 spec[key] = value
         spec_path.write_text(json.dumps(spec))
@@ -96,6 +96,17 @@ class TestUsage:
         ({"hyperparams": {"lstm_hidden": 0}}, "lstm_hidden"),
         ({"hyperparams": {"d_model": 0}}, "d_model"),
         ({"train": {"head_width": 0}}, "head_width"),
+        ({"impute_strategy": "mode"}, "impute_strategy"),
+        ({"seeds": {"init": -2}}, "init"),
+        ({"hyperparameter_source": "pso-search", "search_space": {"lstm_hidden": []}},
+         "lstm_hidden"),
+        ({"dataset": {"synthetic": {"length": 0}}}, "length"),
+        # a key that another key sets names the one that counts
+        ({"swarm": {"seed": 7}}, "seeds.swarm"),
+        ({"swarm": {"bounds": [[-1.0, 1.0]]}}, "search_space"),
+        ({"train": {"optimizer": "adam"}}, "optimizer"),
+        ({"train": {"lstm_lr": 0.01}}, "hyperparams.lstm_lr"),
+        ({"train": {"transformer_lr": 0.01}}, "hyperparams.transformer_lr"),
     ])
     def test_out_of_range_values_are_usage_errors(self, tmp_path, capsys, change, key):
         spec_path = self._malformed(tmp_path, **change)

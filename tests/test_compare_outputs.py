@@ -3,6 +3,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
+
 _ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location(
     "compare_outputs", _ROOT / "scripts" / "compare_outputs.py"
@@ -108,3 +110,28 @@ class TestStudies:
         outputs = compare_outputs.study_outputs("rastrigin")
         assert written == sorted(str(rel) for rel in outputs)
         assert list(compare_outputs.digests(tmp_path, outputs)) == [str(rel) for rel in outputs]
+
+
+class TestCsvRun:
+    def test_synth_writes_the_smoke_series(self, tmp_path):
+        from ltpnet.cli import cli
+        from ltpnet.preprocessing import SyntheticSpec, load_csv, synthesize_series
+
+        smoke = _smoke()
+        assert cli(compare_outputs.synth_args(smoke, tmp_path / compare_outputs.SYNTH_CSV)) == 0
+        written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
+        assert written == [str(compare_outputs.SYNTH_CSV)]
+        table = load_csv(tmp_path / compare_outputs.SYNTH_CSV)
+        expected = synthesize_series(SyntheticSpec(**smoke["dataset"]["synthetic"]))
+        assert table.names == expected.names
+        for name in table.names:
+            np.testing.assert_array_equal(table.columns[name], expected.columns[name])
+
+    def test_csv_spec_swaps_only_the_dataset(self):
+        smoke = _smoke()
+        spec = compare_outputs.csv_spec(smoke, "s/series.csv", "out")
+        assert spec["dataset"] == {"csv": {"path": "s/series.csv"}}
+        assert {k: v for k, v in spec.items() if k != "dataset"} == {
+            **{k: v for k, v in smoke.items() if k != "dataset"}, "output_dir": "out",
+        }
+        assert smoke == _smoke()

@@ -23,7 +23,7 @@ from ltpnet.harness import (
     validate_run_report,
 )
 from ltpnet.preprocessing import build_dataset
-from ltpnet.pso import SwarmConfig
+from ltpnet.pso import HyperparamPoint, SwarmConfig
 from ltpnet.rng import SeededRng
 
 
@@ -76,6 +76,28 @@ class TestSpecValidation:
         for variant in ("full", "no-transformer", "no-pso"):
             with pytest.raises(ValueError, match="lstm_layers"):
                 build_configs(tiny_spec(tmp_path, variant=variant, train=train))
+
+    # variant -> (lstm_enabled, transformer_enabled)
+    FLAGS = {
+        "full": (True, True), "no-lstm": (False, True),
+        "no-transformer": (True, False), "no-pso": (True, True),
+    }
+
+    @pytest.mark.parametrize("variant", list(FLAGS))
+    @pytest.mark.parametrize("source", ["fixed", "pso-search", "grid-search"])
+    def test_configs_record_the_source_and_components_once(self, tmp_path, variant, source):
+        configs = build_configs(tiny_spec(tmp_path, variant=variant, hyperparameter_source=source))
+        lstm, transformer = self.FLAGS[variant]
+        assert configs.flags == {"lstm_enabled": lstm, "transformer_enabled": transformer}
+        if variant == "no-pso":  # the fixed defaults and no search, whatever the source
+            assert configs.source == "fixed"
+            assert configs.hyperparams == HyperparamPoint() and configs.space is None
+        elif source == "pso-search":
+            assert configs.source == "pso-search"
+            assert configs.hyperparams is None and configs.space is not None
+        else:
+            assert configs.source == source and configs.space is None
+            assert configs.hyperparams == HyperparamPoint(**tiny_spec(tmp_path).hyperparams)
 
     def test_json_round_trip(self, tmp_path):
         spec = tiny_spec(tmp_path)
@@ -189,7 +211,7 @@ class TestRunExperiment:
         dataset, split, _ = build_dataset(
             load_table(spec), lookback=spec.lookback, rng=SeededRng(spec.seeds.data)
         )
-        _, cfg, _ = resolve_hyperparams(spec, dataset, split, configs, tmp_path)
+        _, cfg = resolve_hyperparams(dataset, split, configs, tmp_path)
         assert configs == before
         # the grid's batch sizes are 32 and 64; the spec asks for 16
         assert cfg.batch_size in (32, 64)

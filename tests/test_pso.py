@@ -74,8 +74,7 @@ class TestStep:
     def test_converged_particle_stays_fixed(self):
         cfg = sphere_cfg(dim=2, n_particles=1, iterations=5)
         obj = P.make_objective("sphere", 2)
-        streams = [SeededRng(0).split(0)]
-        state = P.init_swarm(cfg, obj, streams)
+        state = P.init_swarm(cfg, obj)
         spot = np.array([1.5, -2.0])
         state.positions[0] = spot
         state.velocities[0] = 0.0
@@ -83,7 +82,7 @@ class TestStep:
         state.best_values[0] = obj.fn(spot)
         state.global_best_position = spot.copy()
         state.global_best_value = obj.fn(spot)
-        P.step(state, cfg, obj, streams)
+        P.step(state, cfg, obj)
         np.testing.assert_array_equal(state.positions[0], spot)
 
     def test_global_best_non_increasing(self):
@@ -95,40 +94,53 @@ class TestStep:
         cfg = sphere_cfg(dim=2, n_particles=10, iterations=30, seed=6,
                          bounds=[(-0.5, 0.5), (-0.1, 2.0)])
         obj = P.make_objective("sphere", 2)
-        streams = [SeededRng(cfg.seed).split(i) for i in range(cfg.n_particles)]
-        state = P.init_swarm(cfg, obj, streams)
+        state = P.init_swarm(cfg, obj)
         lo = np.array([-0.5, -0.1])
         hi = np.array([0.5, 2.0])
         for _ in range(cfg.iterations):
-            P.step(state, cfg, obj, streams)
+            P.step(state, cfg, obj)
             assert np.all(state.positions >= lo) and np.all(state.positions <= hi)
 
     def test_personal_best_dominates_visited_positions(self):
         cfg = sphere_cfg(dim=2, n_particles=6, iterations=25, seed=7)
         obj = P.make_objective("sphere", 2)
-        streams = [SeededRng(cfg.seed).split(i) for i in range(cfg.n_particles)]
-        state = P.init_swarm(cfg, obj, streams)
+        state = P.init_swarm(cfg, obj)
         for _ in range(cfg.iterations):
-            P.step(state, cfg, obj, streams)
+            P.step(state, cfg, obj)
             current = np.array([obj.fn(x) for x in state.positions])
             assert np.all(state.best_values <= current + 1e-15)
+
+    def test_two_states_from_one_config_draw_apart_and_alike(self):
+        # each state owns its streams: stepping one moves none of the other's draws
+        cfg = sphere_cfg(dim=3, n_particles=5, iterations=4, seed=12, per_dimension_rand=True)
+        obj = P.make_objective("rastrigin", 3)
+        first, second = P.init_swarm(cfg, obj), P.init_swarm(cfg, obj)
+        for _ in range(cfg.iterations):
+            P.step(first, cfg, obj)
+        for _ in range(cfg.iterations):
+            P.step(second, cfg, obj)
+        for name in ("positions", "velocities", "best_positions", "best_values",
+                     "global_best_position"):
+            np.testing.assert_array_equal(getattr(first, name), getattr(second, name), name)
+        assert first.history == second.history
+        for a, b in zip(first.streams, second.streams):
+            assert a is not b and a.uniform() == b.uniform()
 
     def test_velocity_decay_without_attraction(self):
         cfg = sphere_cfg(dim=2, n_particles=3, c1=0.0, c2=0.0, omega=0.5,
                          bounds=[(-100.0, 100.0)] * 2)
         obj = P.make_objective("sphere", 2)
-        streams = [SeededRng(0).split(i) for i in range(3)]
-        state = P.init_swarm(cfg, obj, streams)
+        state = P.init_swarm(cfg, obj)
         state.velocities[:] = SeededRng(1).uniform(-1, 1, (3, 2))
         norms = [np.linalg.norm(state.velocities, axis=1).copy()]
         for _ in range(5):
-            P.step(state, cfg, obj, streams)
+            P.step(state, cfg, obj)
             norms.append(np.linalg.norm(state.velocities, axis=1).copy())
         for before, after in zip(norms, norms[1:]):
             np.testing.assert_allclose(after, 0.5 * before, rtol=1e-12)
 
 
-def reference_step(state, cfg, obj, streams):
+def reference_step(state, cfg, obj):
     """The iteration written one particle at a time, as a reference."""
     lo, hi = (np.array(b) for b in zip(*cfg.bounds))
     v_max = cfg.velocity_clamp_fraction * (hi - lo)
@@ -136,8 +148,8 @@ def reference_step(state, cfg, obj, streams):
     g = state.global_best_position.copy()
     size = obj.dim if cfg.per_dimension_rand else None
     for i in range(cfg.n_particles):
-        r1 = streams[i].uniform(size=size)
-        r2 = streams[i].uniform(size=size)
+        r1 = state.streams[i].uniform(size=size)
+        r2 = state.streams[i].uniform(size=size)
         x = state.positions[i]
         v = omega * state.velocities[i] + cfg.c1 * r1 * (state.best_positions[i] - x) \
             + cfg.c2 * r2 * (g - x)
@@ -175,10 +187,10 @@ class TestWholeSwarmStep:
 
         states = {}
         for side, advance in (("swarm", P.step), ("reference", reference_step)):
-            obj, streams = objective(side), P._particle_streams(cfg)
-            states[side] = state = P.init_swarm(cfg, obj, streams)
+            obj = objective(side)
+            states[side] = state = P.init_swarm(cfg, obj)
             for _ in range(cfg.iterations):
-                advance(state, cfg, obj, streams)
+                advance(state, cfg, obj)
         swarm, ref = states["swarm"], states["reference"]
         for name in ("positions", "velocities", "best_positions", "best_values",
                      "global_best_position"):
@@ -206,11 +218,10 @@ class TestScoring:
             return value
 
         obj = P.Objective("drawn", 2, fn)
-        streams = P._particle_streams(cfg)
-        state = P.init_swarm(cfg, obj, streams)
+        state = P.init_swarm(cfg, obj)
         for k in range(iterations + 1):
             if k:
-                P.step(state, cfg, obj, streams)
+                P.step(state, cfg, obj)
             for i in range(n):
                 first = min((v, t) for t, (p, v, _) in enumerate(seen) if p == i)
                 assert state.best_values[i] == first[0]

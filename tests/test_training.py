@@ -372,8 +372,7 @@ class TestTrain:
 
         monkeypatch.setattr(TR, "train", spy)
         dataset, split, _ = tiny_dataset()
-        grid_search(dataset, split, {"lr": (1e-3,), "batch_size": (8,),
-                                     "transformer_layers": (1,)}, TINY_HP, tiny_cfg())
+        grid_search(dataset, split, TINY_HP, tiny_cfg(epochs=1))
         space = P.SearchSpace(
             lstm_hidden=(4,), lstm_lr_bounds=(1e-3, 1e-3), transformer_layers=(1,),
             attention_heads=(2,), d_model=(8,), transformer_lr_bounds=(1e-4, 1e-4),
@@ -454,33 +453,34 @@ class TestMemory:
 
 
 class TestGridSearch:
-    def test_single_cell(self):
+    def test_each_fixed_cell_runs_once(self):
         dataset, split, _ = tiny_dataset()
-        rows = grid_search(
-            dataset, split,
-            grid={"lr": [1e-3], "batch_size": [8], "transformer_layers": [1]},
-            hp=TINY_HP, cfg=tiny_cfg(epochs=1), rng=SeededRng(1),
-        )
-        assert len(rows) == 1
-
-    def test_duplicates_collapse(self):
-        dataset, split, _ = tiny_dataset()
-        rows = grid_search(
-            dataset, split,
-            grid={"lr": [1e-3, 1e-3], "batch_size": [8], "transformer_layers": [1, 1]},
-            hp=TINY_HP, cfg=tiny_cfg(epochs=1), rng=SeededRng(1),
-        )
-        assert len(rows) == 1
+        rows = grid_search(dataset, split, TINY_HP, tiny_cfg(epochs=1))
+        cells = sorted((r["lr"], r["batch_size"], r["transformer_layers"]) for r in rows)
+        assert cells == [(lr, b, n) for lr in (1e-4, 1e-3) for b in (32, 64) for n in (4, 6)]
 
     def test_full_grid_sorted_and_deterministic(self):
         dataset, split, _ = tiny_dataset()
-        grid = {"lr": [1e-3, 1e-4], "batch_size": [8, 16], "transformer_layers": [1, 2]}
-        rows1 = grid_search(dataset, split, grid, TINY_HP, tiny_cfg(epochs=1), SeededRng(2))
-        rows2 = grid_search(dataset, split, grid, TINY_HP, tiny_cfg(epochs=1), SeededRng(2))
+        rows1 = grid_search(dataset, split, TINY_HP, tiny_cfg(epochs=1, seed=2))
+        rows2 = grid_search(dataset, split, TINY_HP, tiny_cfg(epochs=1, seed=2))
         assert len(rows1) == 8
         assert rows1 == rows2
         losses = [r["val_loss"] for r in rows1]
         assert losses == sorted(losses)
+
+    @pytest.mark.parametrize("i, cell", [(0, (1e-4, 32, 4)), (7, (1e-3, 64, 6))])
+    def test_cell_i_trains_with_split_i_of_the_config_seed(self, i, cell):
+        # grid-search reports depend on this order and seeding
+        dataset, split, _ = tiny_dataset()
+        cfg = tiny_cfg(epochs=2, seed=5)
+        rows = grid_search(dataset, split, TINY_HP, cfg)
+        lr, batch, layers = cell
+        alone = train(
+            dataset, split, replace(TINY_HP, lstm_lr=lr, transformer_layers=layers),
+            replace(cfg, batch_size=batch), rng=SeededRng(cfg.seed).split(i),
+        )
+        row = next(r for r in rows if (r["lr"], r["batch_size"], r["transformer_layers"]) == cell)
+        assert row["val_loss"] == min(alone.val_losses)
 
 
 class TestSwarmSearch:
