@@ -55,7 +55,7 @@ def build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--seed", type=_seed, default=None,
-                       help="override all spec seeds (data/init/shuffle/swarm = seed..seed+3); "
+                       help="override the spec's seeds (data/init/shuffle/swarm = seed..seed+3); "
                             "the data seed is recorded but unused until folds are wired in")
         p.add_argument("--out-dir", default=None, help="override the output directory")
 

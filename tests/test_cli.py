@@ -101,6 +101,7 @@ class TestUsage:
         ({"hyperparameter_source": "pso-search", "search_space": {"lstm_hidden": []}},
          "lstm_hidden"),
         ({"dataset": {"synthetic": {"length": 0}}}, "length"),
+        ({"dataset": {"synthetic": {"amplitude": 2.0}}}, "amplitude"),
         # a key that another key sets names the one that counts
         ({"swarm": {"seed": 7}}, "seeds.swarm"),
         ({"swarm": {"bounds": [[-1.0, 1.0]]}}, "search_space"),
