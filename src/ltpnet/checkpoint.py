@@ -5,22 +5,23 @@ Layout, all little-endian:
     bytes 0-3    magic "LTPC"
     bytes 4-7    format version (uint32)
     bytes 8-15   header length in bytes (uint64)
-    header       canonical JSON (sorted keys, no whitespace): structural
-                 config plus a manifest of (array name, shape) in traversal
-                 order, and optional provenance metadata
+    header       canonical JSON (sorted keys, no whitespace): the model's
+                 dimensions (``ModelParams.structure``), a manifest of
+                 (array name, shape) in traversal order, and optional
+                 provenance metadata
     payload      float64 arrays concatenated in manifest order
 
-The payload is the model's ``flat`` vector; format 2 holds each LSTM layer
-as its fused ``W_x``, ``W_h``, ``W_c`` and ``b``, and other versions (format
-1's per-gate arrays) are refused. Loading first checks the payload length
-that the manifest implies against the bytes present, so a header that claims
-more weights than the file holds allocates nothing. It then builds the model
-over one copy of the payload (``ModelParams.over``) and checks that the model
-gives back the stored structure (so a header whose variant flags or pooling
-contradict its components is refused) and that the manifest fits it. Every
-malformed file, header included, raises ``CheckpointError``. Round-trips are
-bit-exact. The positional table is rebuilt from the stored dimensions rather
-than serialized (it is a constant).
+The payload is the model's ``flat`` vector, each LSTM layer as its fused
+``W_x``, ``W_h``, ``W_c`` and ``b``. Format 3's structure holds dimensions
+only; other versions are refused (format 2 also stored the positional table's
+length, the variant flags and the pooling mode, format 1 per-gate LSTM
+arrays). Loading first checks the payload length that the manifest implies
+against the bytes present, so a header that claims more weights than the file
+holds allocates nothing. It then builds the model over one copy of the
+payload (``ModelParams.over``) and checks that the model gives back the
+stored structure (so a header with a key the model does not have is refused)
+and that the manifest fits it. Every malformed file, header included, raises
+``CheckpointError``. Round-trips are bit-exact.
 """
 
 import json
@@ -32,7 +33,7 @@ import numpy as np
 from .model import ModelParams
 
 MAGIC = b"LTPC"
-VERSION = 2
+VERSION = 3
 
 
 class CheckpointError(ValueError):

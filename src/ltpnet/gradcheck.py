@@ -85,7 +85,6 @@ def composed_gradcheck_suite(n_seeds: int = 20, seed_base: int = 0) -> list:
         rng = SeededRng(seed)
         model = build_model(
             n_features=2,
-            lookback=6,
             lstm_hidden=4,
             lstm_layers=2,
             transformer_layers=1,

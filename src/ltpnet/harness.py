@@ -69,8 +69,25 @@ class Seeds:
     swarm: int = 4
 
     def __post_init__(self):
-        if negative := {k: v for k, v in asdict(self).items() if v < 0}:
-            raise ValueError(f"seeds must be >= 0, got {negative}")
+        if bad := {
+            k: v for k, v in asdict(self).items()
+            if isinstance(v, bool) or not isinstance(v, int) or v < 0
+        }:
+            raise ValueError(f"seeds must be non-negative integers, got {bad}")
+
+
+@dataclass
+class CsvSource:
+    """The ``dataset.csv`` section of a spec: a headered CSV file and its columns."""
+
+    path: str
+    target_column: str = "target"
+    feature_columns: list | None = None
+    schema: list | None = None  # the exact header, when given
+
+    def __post_init__(self):
+        if not isinstance(self.path, str):
+            raise ValueError(f"dataset.csv path must be a string, got {self.path!r}")
 
 
 @dataclass
@@ -96,6 +113,10 @@ class ExperimentSpec:
     def __post_init__(self):
         if isinstance(self.seeds, dict):
             self.seeds = Seeds(**self.seeds)
+        if not isinstance(self.seeds, Seeds):
+            raise ValueError(f"seeds must be an object, got {self.seeds!r}")
+        if not isinstance(self.output_dir, str):
+            raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
         sources = [k for k in ("synthetic", "csv") if k in self.dataset]
         if len(sources) != 1:
             raise ValueError(
@@ -241,8 +262,8 @@ def _version_string(payload: dict) -> str:
 def load_table(spec: ExperimentSpec):
     if "synthetic" in spec.dataset:
         return synthesize_series(SyntheticSpec(**spec.dataset["synthetic"]))
-    manifest = spec.dataset["csv"]
-    return load_csv(manifest["path"], manifest.get("schema"))
+    source = CsvSource(**spec.dataset["csv"])
+    return load_csv(source.path, source.schema)
 
 
 @dataclass
@@ -275,6 +296,8 @@ def build_configs(spec: ExperimentSpec) -> RunConfigs:
             raise ValueError(f"{section}.{key} is not accepted in a spec; {shadowed[key]} sets it")
     if "synthetic" in spec.dataset:
         SyntheticSpec(**spec.dataset["synthetic"])
+    else:
+        CsvSource(**spec.dataset["csv"])
     cfg = TR.TrainConfig(**spec.train, optimizer=spec.optimizer)
     cfg.validate()
     flags = {
@@ -325,12 +348,10 @@ def resolve_hyperparams(dataset, split, configs: RunConfigs, out_dir):
 
 
 def run_experiment(spec: ExperimentSpec) -> RunReport:
+    """Run ``spec`` end to end. Its output directory is created only once the
+    dataset is built, so a spec or data failure leaves none behind."""
     configs = build_configs(spec)
     swarm_cfg = configs.swarm
-    out_dir = Path(spec.output_dir)
-    for sub in ("reports", "checkpoints", "histories"):
-        (out_dir / sub).mkdir(parents=True, exist_ok=True)
-
     csv_source = spec.dataset.get("csv", {})
     dataset, split, _prep = build_dataset(
         load_table(spec),
@@ -341,6 +362,9 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
         train_ratio=spec.train_ratio,
         impute_strategy=spec.impute_strategy,
     )
+    out_dir = Path(spec.output_dir)
+    for sub in ("reports", "checkpoints", "histories"):
+        (out_dir / sub).mkdir(parents=True, exist_ok=True)
 
     hp, cfg = resolve_hyperparams(dataset, split, configs, out_dir)
 

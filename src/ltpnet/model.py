@@ -1,8 +1,7 @@
 """Full forecasting model: LSTM stack -> encoder stack -> prediction head.
 
 Ablation variants are functional bypasses, not zeroed weights. A model's
-variant is the components it has; ``lstm_enabled`` and ``transformer_enabled``
-are read from them, never stored beside them:
+variant is the components it has, never a flag stored beside them:
 
 - no LSTM layers (``build_model(lstm_enabled=False)``): window rows feed the
   encoder's input projection directly (the projection is built feature-sized
@@ -19,7 +18,8 @@ traversal reaches it: the LSTM layers first (each as its fused ``W_x``,
 the head and the bypass. Gradients from ``backward_batch`` are packed the
 same way, so the optimizers, gradient clipping, best-epoch snapshots,
 checkpoints and gradient checks all work on whole vectors. This module alone
-knows the layout. The positional table is a constant and never appears in it.
+knows the layout. The positional encoding is no parameter: the encoder builds
+it from each input's sequence length, so no dimension of the model limits it.
 
 The forward pass is a list of stages, ``ModelParams.stages``, built once per
 model. Each stage has a name, the span of ``flat`` it owns (a view), a forward
@@ -102,16 +102,6 @@ class ModelParams:
         return _stages(self)
 
     @property
-    def lstm_enabled(self) -> bool:
-        """Whether the model has LSTM layers."""
-        return bool(self.lstm_stack)
-
-    @property
-    def transformer_enabled(self) -> bool:
-        """Whether the model has an encoder (else a bypass feeds the head)."""
-        return self.encoder is not None
-
-    @property
     def lstm_size(self) -> int:
         """Length of the LSTM prefix of ``flat``."""
         return sum(arr.size for p in self.lstm_stack for _, arr in p.named_arrays())
@@ -129,20 +119,13 @@ class ModelParams:
                 "n_layers": len(enc.layers),
                 "n_heads": enc.n_heads,
                 "d_ff": enc.layers[0].W_ff1.shape[1] if enc.layers else 4 * enc.d_model,
-                "max_len": enc.pos_table.shape[0],
             },
             "head": None
             if self.head is None
-            else {
-                "d_model": self.head.W_a.shape[0],
-                "width": self.head.W_a.shape[1],
-                "pooling": "mean",
-            },
+            else {"d_model": self.head.W_a.shape[0], "width": self.head.W_a.shape[1]},
             "bypass": None
             if self.bypass is None
             else {"in": self.bypass.W.shape[0], "out": self.bypass.W.shape[1]},
-            "lstm_enabled": self.lstm_enabled,
-            "transformer_enabled": self.transformer_enabled,
         }
 
     def named_arrays(self):
@@ -199,10 +182,7 @@ def _components(s: dict, take):
             )
             for _ in range(e["n_layers"])
         ]
-        encoder = T.EncoderStack(
-            layers=layers, n_heads=e["n_heads"], W_in=W_in, b_in=b_in,
-            pos_table=T.positional_encoding(e["max_len"], d),
-        )
+        encoder = T.EncoderStack(layers=layers, n_heads=e["n_heads"], W_in=W_in, b_in=b_in)
     head = None
     if s["head"] is not None:
         h = s["head"]
@@ -280,7 +260,6 @@ def _stages(m: ModelParams) -> list:
 
 def build_model(
     n_features: int,
-    lookback: int,
     lstm_hidden: int = 128,
     lstm_layers: int = 2,
     transformer_layers: int = 6,
@@ -316,7 +295,6 @@ def build_model(
             n_layers=transformer_layers,
             n_heads=attention_heads,
             d_ff=d_ff,
-            max_len=max(lookback, 1),
             rng=rng.split(100),
         )
     else:

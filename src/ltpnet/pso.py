@@ -221,6 +221,8 @@ class HyperparamPoint:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.transformer_layers < 0:
             raise ValueError(f"transformer_layers must be >= 0, got {self.transformer_layers}")
+        if self.d_model % 2:
+            raise ValueError(f"d_model must be even, got {self.d_model}")
         if self.d_model % self.attention_heads:
             raise ValueError(
                 f"attention_heads {self.attention_heads} must divide "
@@ -242,6 +244,8 @@ class SearchSpace:
     def __post_init__(self):
         if empty := [name for name, axis in vars(self).items() if not len(axis)]:
             raise ValueError(f"search space axes {empty} are empty")
+        if odd := [d for d in self.d_model if d % 2]:
+            raise ValueError(f"search space d_model choices must be even, got {odd}")
 
     def bounds(self) -> list:
         """PSO box bounds; degenerate axes widen by epsilon to stay valid."""

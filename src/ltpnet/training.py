@@ -305,7 +305,6 @@ def train(
 
     model = build_model(
         n_features=dataset.n_features,
-        lookback=dataset.lookback,
         lstm_hidden=hp.lstm_hidden,
         lstm_layers=cfg.lstm_layers,
         transformer_layers=hp.transformer_layers,

@@ -46,10 +46,12 @@ place, but only on arrays the function computed itself. Nothing writes into
 an input (the encoder's input is the LSTM's top h, which the LSTM caches for
 its own backward) or into a cached array.
 
-Backward passes are hand-derived and exact; the positional table is a
-constant, so nothing propagates into it.
+Backward passes are hand-derived and exact. The positional table is no
+parameter: ``positional_encoding`` builds it from the sequence length and
+width (cached, read-only), and nothing propagates into it.
 """
 
+import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -85,7 +87,10 @@ class EncoderStack:
     n_heads: int
     W_in: np.ndarray  # (input_size, d_model)
     b_in: np.ndarray
-    pos_table: np.ndarray  # (max_len, d_model), constant
+
+    def __post_init__(self):  # the sinusoidal encoding pairs its columns
+        if self.d_model % 2:
+            raise ValueError(f"d_model must be even, got {self.d_model}")
 
     @property
     def d_model(self) -> int:
@@ -117,8 +122,13 @@ class PredictionHead:
         yield "b_b", self.b_b
 
 
+@functools.cache
 def positional_encoding(seq_len: int, d_model: int) -> np.ndarray:
-    """Sinusoidal table: sin at even columns, cos at odd columns."""
+    """Sinusoidal (seq_len, d_model) table: sin at even columns, cos at odd.
+
+    Row p depends only on p and d_model, so a table is the head of any longer
+    one. Cached per shape; the array is read-only because callers share it.
+    """
     if seq_len <= 0 or d_model <= 0:
         raise ValueError("seq_len and d_model must be positive")
     if d_model % 2:
@@ -129,6 +139,7 @@ def positional_encoding(seq_len: int, d_model: int) -> np.ndarray:
     table = np.empty((seq_len, d_model))
     table[:, 0::2] = np.sin(angle)
     table[:, 1::2] = np.cos(angle)
+    table.flags.writeable = False
     return table
 
 
@@ -158,7 +169,6 @@ def init_encoder_stack(
     n_layers: int = 6,
     n_heads: int = 8,
     d_ff: int | None = None,
-    max_len: int = 64,
     rng: SeededRng | None = None,
 ) -> EncoderStack:
     if d_model % n_heads:
@@ -170,7 +180,6 @@ def init_encoder_stack(
         n_heads=n_heads,
         W_in=_uniform_fan_in(input_size, d_model, rng),
         b_in=np.zeros(d_model),
-        pos_table=positional_encoding(max_len, d_model),
     )
 
 
@@ -391,15 +400,10 @@ def encoder_input_forward(hidden_seq, stack: EncoderStack):
             f"stack input size {stack.input_size}"
         )
     batch, seq_len = xb.shape[0], xb.shape[1]
-    if seq_len > stack.pos_table.shape[0]:
-        raise ValueError(
-            f"sequence length {seq_len} exceeds positional table "
-            f"length {stack.pos_table.shape[0]}"
-        )
     z = xb.reshape(-1, stack.input_size) @ stack.W_in
     z += stack.b_in
     z = z.reshape(batch, seq_len, stack.d_model)
-    z += stack.pos_table[:seq_len]
+    z += positional_encoding(seq_len, stack.d_model)
     return z, {"input": xb}
 
 
@@ -407,14 +411,14 @@ def encoder_input_backward(d_out, cache, stack: EncoderStack):
     """Returns (grad w.r.t. the input sequence, grads of W_in and b_in as an
     EncoderStack without layers).
 
-    The positional table is constant, so the additive encoding passes the
-    gradient through untouched.
+    The positional encoding is a constant, so it passes the gradient through
+    untouched.
     """
     xb = cache["input"]
     d_rows = d_out.reshape(-1, d_out.shape[-1])
     g = EncoderStack(
         layers=[], n_heads=stack.n_heads, W_in=xb.reshape(-1, xb.shape[-1]).T @ d_rows,
-        b_in=d_rows.sum(axis=0), pos_table=stack.pos_table,
+        b_in=d_rows.sum(axis=0),
     )
     return (d_rows @ stack.W_in.T).reshape(xb.shape), g
 

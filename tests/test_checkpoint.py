@@ -16,7 +16,7 @@ from ltpnet.rng import SeededRng
 
 def tiny_model(seed=0, **overrides):
     args = dict(
-        n_features=2, lookback=6, lstm_hidden=4, lstm_layers=2,
+        n_features=2, lstm_hidden=4, lstm_layers=2,
         transformer_layers=1, attention_heads=2, d_model=8, head_width=4,
         rng=SeededRng(seed),
     )
@@ -71,8 +71,7 @@ class TestRoundTrip:
             path = tmp_path / "variant.ckpt"
             save_checkpoint(model, path)
             loaded = load_checkpoint(path)
-            assert loaded.lstm_enabled == model.lstm_enabled
-            assert loaded.transformer_enabled == model.transformer_enabled
+            assert loaded.structure() == model.structure()
             for (_, a), (_, b) in zip(model.named_arrays(), loaded.named_arrays()):
                 np.testing.assert_array_equal(a, b)
 
@@ -112,6 +111,23 @@ class TestErrors:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
+    def test_a_format_2_file_is_refused_by_its_version(self, tmp_path):
+        # the header a format-2 writer made: the same dimensions plus four keys
+        path = tmp_path / "v2.ckpt"
+        save_checkpoint(tiny_model(), path)
+
+        def format_2(header):
+            structure = header["structure"]
+            structure["encoder"]["max_len"] = 6
+            structure["head"]["pooling"] = "mean"
+            structure.update(lstm_enabled=True, transformer_enabled=True)
+
+        edit_header(path, format_2)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:4] + struct.pack("<I", 2) + blob[8:])
+        with pytest.raises(CheckpointError, match="version 2, expected 3"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("rewrite", [
         pytest.param(
             lambda h: json.dumps({k: v for k, v in h.items() if k != "structure"}).encode(),
@@ -148,12 +164,11 @@ class TestErrors:
             "manifest": [["lstm.0.W_x", [4 * h, 2]], ["lstm.0.W_h", [4 * h, h]],
                          ["lstm.0.W_c", [3 * h, h]], ["lstm.0.b", [4 * h]]],
             "metadata": {},
-            "structure": {"bypass": None, "encoder": None, "head": None, "lstm": [[2, h]],
-                          "lstm_enabled": True, "transformer_enabled": False},
+            "structure": {"bypass": None, "encoder": None, "head": None, "lstm": [[2, h]]},
         }, sort_keys=True, separators=(",", ":")).encode()
         path = tmp_path / "claims.ckpt"
-        path.write_bytes(b"LTPC" + struct.pack("<IQ", 2, len(header)) + header)
-        assert path.stat().st_size == 263
+        path.write_bytes(b"LTPC" + struct.pack("<IQ", 3, len(header)) + header)
+        assert path.stat().st_size == 215
         tracemalloc.start()
         try:
             with pytest.raises(CheckpointError, match="truncated"):
@@ -186,9 +201,11 @@ class TestErrors:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("part, key, value", [
-        (None, "lstm_enabled", False),        # the model has LSTM layers
-        (None, "transformer_enabled", False),  # the model has an encoder
-        ("head", "pooling", "max"),            # the head only mean-pools
+        # keys that format 2 stored; a model's structure has none of them
+        (None, "lstm_enabled", False),
+        (None, "transformer_enabled", False),
+        ("head", "pooling", "max"),
+        ("encoder", "max_len", 6),
     ])
     def test_structure_must_agree_with_its_components(self, tmp_path, part, key, value):
         path = tmp_path / "structure.ckpt"
@@ -212,7 +229,7 @@ class TestByteLength:
 
     def test_zeroed_reference_model_length_is_stable(self, tmp_path):
         # frozen for the zero-initialized reference tiny model: 16 byte
-        # preamble + 933 byte header (format 2) + 8 * 1273 parameter payload
+        # preamble + 857 byte header (format 3) + 8 * 1273 parameter payload
         model = tiny_model(seed=0)
         model.flat[...] = 0.0
         n_params = sum(a.size for _, a in model.named_arrays())
@@ -220,7 +237,7 @@ class TestByteLength:
         path = tmp_path / "frozen.ckpt"
         written = save_checkpoint(model, path)
         assert written == path.stat().st_size
-        assert written == 16 + 933 + 8 * 1273
+        assert written == 16 + 857 + 8 * 1273
 
 
 @st.composite
@@ -230,7 +247,6 @@ def small_structures(draw):
     heads = draw(st.sampled_from([1, 2]))
     return dict(
         n_features=draw(st.integers(1, 3)),
-        lookback=draw(st.integers(1, 4)),
         lstm_hidden=draw(st.integers(1, 4)),
         lstm_layers=draw(st.integers(1, 3)),
         transformer_layers=draw(st.integers(0, 2)),
@@ -245,15 +261,17 @@ def small_structures(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(args=small_structures(), data_seed=st.integers(0, 2**16))
-def test_round_trip_is_bit_exact_over_random_structures(tmp_path_factory, args, data_seed):
+@given(args=small_structures(), lookback=st.integers(1, 4), data_seed=st.integers(0, 2**16))
+def test_round_trip_is_bit_exact_over_random_structures(
+    tmp_path_factory, args, lookback, data_seed
+):
     model = build_model(**args)
     path = tmp_path_factory.mktemp("prop") / "model.ckpt"
     assert save_checkpoint(model, path) == path.stat().st_size
     loaded = load_checkpoint(path)
     assert loaded.structure() == model.structure()
     assert loaded.flat.tobytes() == model.flat.tobytes()
-    windows = SeededRng(data_seed).uniform(-1, 1, (2, args["lookback"], args["n_features"]))
+    windows = SeededRng(data_seed).uniform(-1, 1, (2, lookback, args["n_features"]))
     assert forward_batch(windows, loaded)[0].tobytes() == forward_batch(windows, model)[0].tobytes()
 
 
@@ -264,5 +282,5 @@ def test_variant_flags_are_the_components_present(tmp_path_factory, args):
     path = tmp_path_factory.mktemp("flags") / "model.ckpt"
     save_checkpoint(model, path)
     for m in (model, copy.deepcopy(model), pickle.loads(pickle.dumps(model)), load_checkpoint(path)):
-        assert m.lstm_enabled == bool(m.lstm_stack) == args["lstm_enabled"]
-        assert m.transformer_enabled == (m.encoder is not None) == args["transformer_enabled"]
+        assert bool(m.lstm_stack) == args["lstm_enabled"]
+        assert (m.encoder is not None) == args["transformer_enabled"]

@@ -47,11 +47,13 @@ class TestUsage:
         assert "config" in capsys.readouterr().err
 
     def _malformed(self, tmp_path, **change):
+        """The test spec with ``change`` merged in; a None in a section drops its key."""
         spec_path = write_spec(tmp_path, tmp_path / "out")
         spec = json.loads(spec_path.read_text())
         for key, value in change.items():
             if isinstance(value, dict):
-                spec[key] = {**spec.get(key, {}), **value}
+                merged = {**spec.get(key, {}), **value}
+                spec[key] = {k: v for k, v in merged.items() if v is not None}
             else:
                 spec[key] = value
         spec_path.write_text(json.dumps(spec))
@@ -108,6 +110,18 @@ class TestUsage:
         ({"train": {"optimizer": "adam"}}, "optimizer"),
         ({"train": {"lstm_lr": 0.01}}, "hyperparams.lstm_lr"),
         ({"train": {"transformer_lr": 0.01}}, "hyperparams.transformer_lr"),
+        # the sinusoidal encoding needs an even width
+        ({"hyperparams": {"d_model": 9, "attention_heads": 3}}, "d_model"),
+        ({"hyperparameter_source": "pso-search",
+          "search_space": {"d_model": [9], "attention_heads": [3]}}, "d_model"),
+        ({"dataset": {"synthetic": None, "csv": {"target_column": "target"}}}, "path"),
+        ({"dataset": {"synthetic": None, "csv": {"path": "series.csv",
+                                                  "feature_column": ["feature_1"]}}},
+         "feature_column"),
+        ({"seeds": 5}, "seeds"),
+        ({"seeds": {"init": 2.5}}, "init"),
+        ({"seeds": {"init": True}}, "init"),
+        ({"output_dir": 5}, "output_dir"),
     ])
     def test_out_of_range_values_are_usage_errors(self, tmp_path, capsys, change, key):
         spec_path = self._malformed(tmp_path, **change)
@@ -159,6 +173,20 @@ class TestUsage:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"dataset": {"csv": {"path": "/nope.csv"}}}))
         assert cli(["run", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize("failure", ["missing-csv", "unknown-target", "lookback-too-long"])
+    def test_data_failures_leave_no_output_directory(self, tmp_path, capsys, failure):
+        # the spec is valid; the data fails it, so the exit code stays 2
+        series = tmp_path / "series.csv"
+        assert cli(["synth", "--out", str(series), "--length", "120", "--features", "1"]) == 0
+        csv = {"missing-csv": {"path": str(tmp_path / "missing.csv")},
+               "unknown-target": {"path": str(series), "target_column": "nope"}}
+        change = ({"lookback": 1000} if failure == "lookback-too-long"
+                  else {"dataset": {"synthetic": None, "csv": csv[failure]}})
+        spec_path = self._malformed(tmp_path, **change)
+        assert cli(["run", "--config", str(spec_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestCommands:

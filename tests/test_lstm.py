@@ -371,7 +371,7 @@ class TestBatchOnlyInputs:
 class TestFusedGuards:
     def test_nudging_any_gate_array_through_flat_changes_the_forecast(self):
         # every fused array is a view of flat, read afresh on every call
-        model = build_model(n_features=2, lookback=4, lstm_hidden=3, lstm_layers=2,
+        model = build_model(n_features=2, lstm_hidden=3, lstm_layers=2,
                             transformer_layers=1, attention_heads=2, d_model=4,
                             head_width=3, rng=SeededRng(50))
         windows = SeededRng(51).uniform(-1, 1, (2, 4, 2))

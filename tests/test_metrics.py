@@ -95,7 +95,7 @@ class TestCountParameters:
     def test_reference_configuration_closed_form(self):
         features, hidden, d_model, d_ff, width = 4, 128, 256, 1024, 64
         model = build_model(
-            n_features=features, lookback=24, lstm_hidden=hidden, lstm_layers=2,
+            n_features=features, lstm_hidden=hidden, lstm_layers=2,
             transformer_layers=6, attention_heads=8, d_model=d_model,
             head_width=width, rng=SeededRng(1),
         )
@@ -119,7 +119,7 @@ class TestCountParameters:
 
     def test_stable_across_runs(self):
         kwargs = dict(
-            n_features=3, lookback=12, lstm_hidden=16, lstm_layers=2,
+            n_features=3, lstm_hidden=16, lstm_layers=2,
             transformer_layers=2, attention_heads=4, d_model=32, head_width=8,
         )
         a = count_parameters(build_model(rng=SeededRng(1), **kwargs))
@@ -140,7 +140,7 @@ class TestEstimateFlops:
 
     def test_doubling_window_doubles_lstm_contribution(self):
         model = build_model(
-            n_features=3, lookback=48, lstm_hidden=8, lstm_layers=2,
+            n_features=3, lstm_hidden=8, lstm_layers=2,
             transformer_layers=0, attention_heads=2, d_model=8, head_width=4,
             rng=SeededRng(2),
         )
@@ -149,7 +149,7 @@ class TestEstimateFlops:
 
     def test_total_is_sum_of_parts(self):
         model = build_model(
-            n_features=3, lookback=10, lstm_hidden=8, lstm_layers=1,
+            n_features=3, lstm_hidden=8, lstm_layers=1,
             transformer_layers=2, attention_heads=2, d_model=16, head_width=4,
             rng=SeededRng(3),
         )

@@ -21,7 +21,7 @@ from ltpnet.training import mse_loss
 
 def tiny_model(seed=0, **overrides):
     args = dict(
-        n_features=2, lookback=6, lstm_hidden=4, lstm_layers=2,
+        n_features=2, lstm_hidden=4, lstm_layers=2,
         transformer_layers=1, attention_heads=2, d_model=8, head_width=4,
         rng=SeededRng(seed),
     )
@@ -90,7 +90,6 @@ def small_cases(draw):
     rng = SeededRng(draw(st.integers(0, 2**16)))
     model = build_model(
         n_features=features,
-        lookback=lookback,
         lstm_hidden=draw(st.integers(1, 5)),
         lstm_layers=draw(st.integers(1, 2)),
         transformer_layers=draw(st.integers(0, 3)),
@@ -292,9 +291,7 @@ class TestFlatVector:
             assert_views_into_flat(copied)
             assert not np.shares_memory(copied.flat, model.flat)
             np.testing.assert_array_equal(copied.flat, model.flat)
-            np.testing.assert_array_equal(
-                copied.encoder.pos_table, model.encoder.pos_table
-            )
+            assert copied.structure() == model.structure()
 
     def test_writes_through_flat_reach_the_arrays(self):
         model = tiny_model(seed=25)
@@ -317,8 +314,9 @@ class TestFlatVector:
     def test_variant_flags_follow_the_given_components(self):
         layer = L.init_layer(2, 3, SeededRng(27))
         model = ModelParams(lstm_stack=[layer], encoder=None, head=None)
-        assert model.lstm_enabled
-        assert not model.transformer_enabled
+        structure = model.structure()
+        assert structure["lstm"] == [[2, 3]]
+        assert structure["encoder"] is None
 
     def test_lstm_prefix(self):
         model = tiny_model(seed=28)

@@ -80,7 +80,7 @@ class TestMseLoss:
 def single_param_model():
     """A one-layer scalar LSTM model exposing simple arrays for optimizers."""
     return build_model(
-        n_features=1, lookback=2, lstm_hidden=1, lstm_layers=1,
+        n_features=1, lstm_hidden=1, lstm_layers=1,
         transformer_layers=0, attention_heads=2, d_model=2, head_width=1,
         rng=SeededRng(0),
     )
@@ -122,7 +122,7 @@ class TestSgd:
 
     def test_component_rates_differ(self):
         model = build_model(
-            n_features=1, lookback=2, lstm_hidden=1, lstm_layers=1,
+            n_features=1, lstm_hidden=1, lstm_layers=1,
             transformer_layers=1, attention_heads=1, d_model=2, head_width=1,
             rng=SeededRng(0),
         )
@@ -252,7 +252,7 @@ class TestTrain:
         assert report.train_losses == []
         assert report.stopped_epoch == 0
         ref = build_model(
-            n_features=dataset.n_features, lookback=dataset.lookback,
+            n_features=dataset.n_features,
             lstm_hidden=4, lstm_layers=1, transformer_layers=1,
             attention_heads=2, d_model=8, head_width=4,
             rng=SeededRng(0).split(1),
@@ -263,7 +263,7 @@ class TestTrain:
     def test_single_fixed_batch_loss_decreases_over_ten_sgd_steps(self):
         dataset, split, _ = tiny_dataset(length=40, lookback=8)
         model = build_model(
-            n_features=dataset.n_features, lookback=dataset.lookback,
+            n_features=dataset.n_features,
             lstm_hidden=4, lstm_layers=1, transformer_layers=1,
             attention_heads=2, d_model=8, head_width=4, rng=SeededRng(3),
         )
@@ -423,7 +423,7 @@ class TestMemory:
     def _setup(self):
         dataset, split, _ = tiny_dataset(length=200, lookback=24)
         model = build_model(
-            n_features=dataset.n_features, lookback=dataset.lookback, lstm_hidden=8,
+            n_features=dataset.n_features, lstm_hidden=8,
             lstm_layers=1, transformer_layers=6, attention_heads=2, d_model=16,
             head_width=8, rng=SeededRng(0),
         )

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -39,6 +37,19 @@ class TestPositionalEncoding:
     def test_positions_distinct(self):
         table = T.positional_encoding(32, 16)
         assert len({tuple(row) for row in np.round(table, 12)}) == 32
+
+    def test_cached_table_is_read_only(self):
+        table = T.positional_encoding(6, 8)
+        assert T.positional_encoding(6, 8) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
+
+    @pytest.mark.parametrize("d_model", [8, 64, 256])
+    def test_a_table_is_the_head_of_any_longer_one(self, d_model):
+        longest = T.positional_encoding(97, d_model)
+        for n in (1, 6, 24, 96):
+            assert T.positional_encoding(n, d_model).tobytes() == longest[:n].tobytes()
 
 
 class TestScaledAttention:
@@ -167,36 +178,48 @@ class TestEncoderLayer:
 class TestEncoderStack:
     def test_zero_layers_project_and_encode_position(self):
         rng = SeededRng(4)
-        stack = T.init_encoder_stack(3, d_model=8, n_layers=0, n_heads=2, max_len=10, rng=rng)
+        stack = T.init_encoder_stack(3, d_model=8, n_layers=0, n_heads=2, rng=rng)
         x = rng.uniform(-1, 1, (1, 5, 3))
         out, _ = T.encoder_stack_forward(x, stack)
-        expected = x @ stack.W_in + stack.b_in + stack.pos_table[:5]
+        expected = x @ stack.W_in + stack.b_in + T.positional_encoding(5, 8)
         np.testing.assert_allclose(out, expected, atol=1e-14)
 
     def test_finite_on_standard_window(self):
         rng = SeededRng(5)
-        stack = T.init_encoder_stack(128, d_model=32, n_layers=2, n_heads=4, max_len=24, rng=rng)
+        stack = T.init_encoder_stack(128, d_model=32, n_layers=2, n_heads=4, rng=rng)
         out, _ = T.encoder_stack_forward(rng.uniform(-1, 1, (1, 24, 128)), stack)
         assert np.all(np.isfinite(out))
 
     def test_positional_encoding_breaks_permutation_equivariance(self):
         rng = SeededRng(6)
-        stack = T.init_encoder_stack(4, d_model=8, n_layers=1, n_heads=2, max_len=6, rng=rng)
+        stack = T.init_encoder_stack(4, d_model=8, n_layers=1, n_heads=2, rng=rng)
         x = rng.uniform(-1, 1, (1, 6, 4))
         perm = rng.permutation(6)
         with_pe, _ = T.encoder_stack_forward(x, stack)
         with_pe_perm, _ = T.encoder_stack_forward(x[:, perm], stack)
         assert not np.allclose(with_pe_perm, with_pe[:, perm], atol=1e-6)
-        no_pe = replace(stack, pos_table=np.zeros_like(stack.pos_table))
-        without, _ = T.encoder_stack_forward(x, no_pe)
-        without_perm, _ = T.encoder_stack_forward(x[:, perm], no_pe)
+        # the same layer on the projected rows alone, without the encoding
+        projected = x @ stack.W_in + stack.b_in
+        without, _ = T.encoder_layer_forward(projected, stack.layers[0], stack.n_heads)
+        without_perm, _ = T.encoder_layer_forward(
+            projected[:, perm], stack.layers[0], stack.n_heads
+        )
         np.testing.assert_allclose(without_perm, without[:, perm], atol=1e-10)
 
-    def test_sequence_too_long(self):
-        stack = T.init_encoder_stack(3, d_model=8, n_layers=1, n_heads=2, max_len=4,
-                                     rng=SeededRng(7))
-        with pytest.raises(ValueError, match="positional table"):
-            T.encoder_stack_forward(np.zeros((1, 5, 3)), stack)
+    def test_a_longer_sequence_than_any_before_gets_its_own_encoding(self):
+        # no dimension of the stack bounds the sequence length
+        rng = SeededRng(7)
+        stack = T.init_encoder_stack(3, d_model=8, n_layers=0, n_heads=2, rng=rng)
+        for seq_len in (4, 1031):
+            x = rng.uniform(-1, 1, (2, seq_len, 3))
+            out, _ = T.encoder_input_forward(x, stack)
+            expected = x @ stack.W_in + stack.b_in
+            expected += T.positional_encoding(seq_len, 8)
+            assert out.tobytes() == expected.tobytes()
+
+    def test_odd_d_model_rejected_when_built(self):
+        with pytest.raises(ValueError, match="d_model must be even"):
+            T.init_encoder_stack(3, d_model=9, n_layers=1, n_heads=3, rng=SeededRng(8))
 
 
 class TestPredictionHead:
@@ -251,7 +274,7 @@ def _max_rel(analytic: dict, numeric: dict) -> float:
 class TestBackward:
     def _setup(self, seed):
         rng = SeededRng(seed)
-        stack = T.init_encoder_stack(3, d_model=4, n_layers=1, n_heads=2, max_len=5,
+        stack = T.init_encoder_stack(3, d_model=4, n_layers=1, n_heads=2,
                                      rng=rng.split(0))
         head = T.init_prediction_head(4, 3, rng.split(1))
         x = rng.split(2).uniform(-1, 1, (2, 3, 3))
@@ -287,19 +310,19 @@ class TestBackward:
 
     def test_positional_table_untouched_by_backward(self):
         stack, head, x = self._setup(62)
-        before = stack.pos_table.copy()
+        before = T.positional_encoding(x.shape[1], 4).copy()
         encoded, caches = T.encoder_stack_forward(x, stack)
         preds, head_cache = T.predict(encoded, head)
         d_encoded, _ = T.predict_backward(np.ones(2), head_cache, head)
         grads, _ = T.encoder_stack_backward(d_encoded, caches, stack)
-        np.testing.assert_array_equal(stack.pos_table, before)
+        np.testing.assert_array_equal(T.positional_encoding(x.shape[1], 4), before)
         assert all(not name.startswith("pos") for name, _ in grads.named_arrays())
 
 
 class TestBatchOnlyInputs:
     def _setup(self):
         rng = SeededRng(70)
-        stack = T.init_encoder_stack(3, d_model=4, n_layers=1, n_heads=2, max_len=5,
+        stack = T.init_encoder_stack(3, d_model=4, n_layers=1, n_heads=2,
                                      rng=rng.split(0))
         head = T.init_prediction_head(4, 3, rng.split(1))
         return stack, head, rng.split(2).uniform(-1, 1, (2, 5, 3))
@@ -344,8 +367,7 @@ def encoders(draw):
     # the LSTM hands the encoder a transposed view of its (S, B, H) buffer
     time_major = draw(st.booleans())
     rng = SeededRng(draw(st.integers(0, 2**16)))
-    stack = T.init_encoder_stack(input_size, d_model, n_layers, n_heads, d_ff,
-                                 max_len=5, rng=rng.split(0))
+    stack = T.init_encoder_stack(input_size, d_model, n_layers, n_heads, d_ff, rng=rng.split(0))
     head = T.init_prediction_head(d_model, width, rng.split(1))
     noise = rng.split(2)
     for params in (stack, head):
