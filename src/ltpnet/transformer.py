@@ -411,8 +411,8 @@ def encoder_input_backward(d_out, cache, stack: EncoderStack):
     """Returns (grad w.r.t. the input sequence, grads of W_in and b_in as an
     EncoderStack without layers).
 
-    The positional encoding is a constant, so it passes the gradient through
-    untouched.
+    The positional table is constant, so the additive encoding passes the
+    gradient through untouched.
     """
     xb = cache["input"]
     d_rows = d_out.reshape(-1, d_out.shape[-1])
