@@ -15,8 +15,10 @@ independent experiments one after another and emit comparison tables as CSV.
 """
 
 import csv
+import ctypes
 import hashlib
 import json
+import time
 from dataclasses import asdict, astuple, dataclass, field, replace
 from pathlib import Path
 
@@ -26,8 +28,7 @@ import numpy as np
 from . import pso as P
 from . import training as TR
 from .checkpoint import save_checkpoint
-from .metrics import EfficiencyReport, EvalReport, count_parameters, estimate_flops, time_run
-from .model import forward_batch
+from .metrics import EfficiencyReport, EvalReport, count_parameters, estimate_flops
 from .preprocessing import (
     IMPUTE_STRATEGIES,
     SplitSpec,
@@ -130,6 +131,7 @@ class ExperimentSpec:
             )
         if self.impute_strategy not in IMPUTE_STRATEGIES:
             raise ValueError(f"unknown impute_strategy {self.impute_strategy!r}")
+        P.require_ints(lookback=self.lookback, horizon=self.horizon)
         if self.lookback < 1 or self.horizon < 1:
             raise ValueError(
                 f"lookback and horizon must be >= 1, got {self.lookback} and {self.horizon}"
@@ -347,9 +349,38 @@ def resolve_hyperparams(dataset, split, configs: RunConfigs, out_dir):
     return hp, cfg
 
 
+# glibc ``mallopt`` parameters, and the values a run fixes them at
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD, _TRIM_THRESHOLD = 2**30, 2**31 - 1  # mallopt takes a C int
+
+
+def _fix_allocator_thresholds() -> None:
+    """Keep freed arrays in the process's heap for the rest of its life.
+
+    glibc serves large arrays by mmap and trims the heap top once it is free,
+    so each training step faults its activation caches in again. With both
+    thresholds fixed, freed memory is reused instead. A fixed threshold also
+    switches off glibc's dynamic one, so setting either alone faults more:
+    the trim threshold is set only once the mmap threshold is. A no-op where
+    the C library has no ``mallopt``; never raises, and safe to call again.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD):
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def run_experiment(spec: ExperimentSpec) -> RunReport:
     """Run ``spec`` end to end. Its output directory is created only once the
-    dataset is built, so a spec or data failure leaves none behind."""
+    dataset is built, so a spec or data failure leaves none behind.
+
+    The test evaluation is timed for ``inference_ms_per_window``. The run
+    first fixes glibc's allocator thresholds for the rest of the process
+    (``_fix_allocator_thresholds``).
+    """
+    _fix_allocator_thresholds()
     configs = build_configs(spec)
     swarm_cfg = configs.swarm
     csv_source = spec.dataset.get("csv", {})
@@ -386,18 +417,15 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
         "test_index_count": int(split.test.size),
     }
 
+    started = time.perf_counter()
     eval_report = TR.evaluate_on_indices(dataset, split.test, result.params)
-
-    sample = dataset.features[split.test[: min(32, len(split.test))]]
-    mean_ms, _ = time_run(
-        lambda: forward_batch(sample, result.params, keep_cache=False), repetitions=3, warmup=1
-    )
+    eval_ms = (time.perf_counter() - started) * 1000.0
     efficiency = EfficiencyReport(
         parameter_count=count_parameters(result.params),
         flops_per_forward=estimate_flops(
             result.params, (dataset.lookback, dataset.n_features)
         ),
-        inference_ms_per_window=mean_ms / max(1, sample.shape[0]),
+        inference_ms_per_window=eval_ms / max(1, split.test.size),
         training_time_s=result.wall_time_s,
     )
 

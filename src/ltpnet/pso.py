@@ -32,6 +32,12 @@ import numpy as np
 from .rng import SeededRng
 
 
+def require_ints(**values) -> None:
+    """Raise ValueError naming the ``values`` that are not ints; a bool is not one."""
+    if bad := {k: v for k, v in values.items() if isinstance(v, bool) or not isinstance(v, int)}:
+        raise ValueError(f"expected integers, got {bad}")
+
+
 @dataclass(frozen=True)
 class Objective:
     """Deterministic scalar function over a box-bounded search space."""
@@ -76,6 +82,7 @@ class SwarmConfig:
     seed: int = 0
 
     def validate(self):
+        require_ints(n_particles=self.n_particles, iterations=self.iterations, seed=self.seed)
         if self.n_particles <= 0 or self.iterations < 0:
             raise ValueError("particle count must be positive, iterations >= 0")
         for name in ("omega", "omega_start", "omega_end"):
@@ -216,6 +223,7 @@ class HyperparamPoint:
     transformer_lr: float = 1e-4
 
     def __post_init__(self):
+        require_ints(**{k: getattr(self, k) for k in SearchSpace.INTEGER_AXES})
         for name in ("lstm_hidden", "lstm_lr", "attention_heads", "d_model", "transformer_lr"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -241,9 +249,14 @@ class SearchSpace:
     d_model: tuple = (32, 64, 128, 256)
     transformer_lr_bounds: tuple = (1e-5, 1e-3)
 
+    INTEGER_AXES = ("lstm_hidden", "transformer_layers", "attention_heads", "d_model")
+
     def __post_init__(self):
         if empty := [name for name, axis in vars(self).items() if not len(axis)]:
             raise ValueError(f"search space axes {empty} are empty")
+        require_ints(**{
+            f"{name}[{i}]": v for name in self.INTEGER_AXES for i, v in enumerate(getattr(self, name))
+        })
         if odd := [d for d in self.d_model if d % 2]:
             raise ValueError(f"search space d_model choices must be even, got {odd}")
 

@@ -88,9 +88,11 @@ class EncoderStack:
     W_in: np.ndarray  # (input_size, d_model)
     b_in: np.ndarray
 
-    def __post_init__(self):  # the sinusoidal encoding pairs its columns
-        if self.d_model % 2:
+    def __post_init__(self):
+        if self.d_model % 2:  # the sinusoidal encoding pairs its columns
             raise ValueError(f"d_model must be even, got {self.d_model}")
+        if self.n_heads < 1 or self.d_model % self.n_heads:
+            raise ValueError(f"n_heads {self.n_heads} must be >= 1 and divide d_model {self.d_model}")
 
     @property
     def d_model(self) -> int:
@@ -171,8 +173,6 @@ def init_encoder_stack(
     d_ff: int | None = None,
     rng: SeededRng | None = None,
 ) -> EncoderStack:
-    if d_model % n_heads:
-        raise ValueError(f"n_heads {n_heads} must divide d_model {d_model}")
     rng = rng or SeededRng(0)
     d_ff = 4 * d_model if d_ff is None else d_ff
     return EncoderStack(

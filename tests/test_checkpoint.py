@@ -219,6 +219,19 @@ class TestErrors:
         with pytest.raises(CheckpointError, match="contradicts"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("n_heads", [3, 0])
+    def test_heads_must_split_d_model(self, tmp_path, n_heads):
+        # the criterion-01 model has d_model 8
+        path = tmp_path / "heads.ckpt"
+        save_checkpoint(tiny_model(), path)
+
+        def edit(header):
+            header["structure"]["encoder"]["n_heads"] = n_heads
+
+        edit_header(path, edit)
+        with pytest.raises(CheckpointError, match="n_heads"):
+            load_checkpoint(path)
+
 
 class TestByteLength:
     def test_written_length_matches_prediction(self, tmp_path):

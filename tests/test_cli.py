@@ -122,6 +122,25 @@ class TestUsage:
         ({"seeds": {"init": 2.5}}, "init"),
         ({"seeds": {"init": True}}, "init"),
         ({"output_dir": 5}, "output_dir"),
+        # an integer a run reads is an int, and a bool is not one
+        ({"lookback": True}, "lookback"),
+        ({"horizon": 1.5}, "horizon"),
+        ({"train": {"epochs": True}}, "epochs"),
+        ({"train": {"batch_size": 2.5}}, "batch_size"),
+        ({"train": {"iterations_per_epoch": 2.5}}, "iterations_per_epoch"),
+        ({"train": {"patience": 1.5}}, "patience"),
+        ({"train": {"head_width": 4.5}}, "head_width"),
+        ({"train": {"lstm_layers": True}}, "lstm_layers"),
+        ({"train": {"seed": 1.5}}, "seed"),
+        ({"hyperparams": {"lstm_hidden": 4.5}}, "lstm_hidden"),
+        ({"hyperparams": {"transformer_layers": True}}, "transformer_layers"),
+        ({"hyperparams": {"d_model": 8.0}}, "d_model"),
+        ({"hyperparameter_source": "pso-search", "swarm": {"n_particles": 2.5}}, "n_particles"),
+        ({"hyperparameter_source": "pso-search", "swarm": {"iterations": True}}, "iterations"),
+        ({"hyperparameter_source": "pso-search", "budget": {"epochs": True}}, "epochs"),
+        ({"hyperparameter_source": "pso-search", "budget": {"fitness_seed": 1.5}}, "fitness_seed"),
+        ({"hyperparameter_source": "pso-search", "search_space": {"lstm_hidden": [4.5]}},
+         "lstm_hidden"),
     ])
     def test_out_of_range_values_are_usage_errors(self, tmp_path, capsys, change, key):
         spec_path = self._malformed(tmp_path, **change)

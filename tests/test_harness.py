@@ -1,11 +1,14 @@
 import copy
 import csv
+import ctypes
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ltpnet import harness, metrics, training
 from ltpnet.harness import (
     ABLATION_CSV_HEADER,
     ABLATION_ROWS,
@@ -216,6 +219,78 @@ class TestRunExperiment:
         # the grid's batch sizes are 32 and 64; the spec asks for 16
         assert cfg.batch_size in (32, 64)
         assert cfg == replace(configs.train, batch_size=cfg.batch_size)
+
+
+
+def _unloadable(name):
+    raise OSError("no C library")
+
+
+class TestRunCost:
+    """A run does only the passes that give it results, and fixes glibc's
+    allocator thresholds without ever raising."""
+
+    @pytest.mark.parametrize("cdll", [lambda name: object(), _unloadable], ids=["no-mallopt", "no-libc"])
+    def test_allocator_helper_is_quiet_without_glibc(self, monkeypatch, cdll):
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        harness._fix_allocator_thresholds()
+
+    @pytest.mark.parametrize("accepted, calls", [
+        (1, [(-3, 2**30), (-1, 2**31 - 1)]),
+        (0, [(-3, 2**30)]),  # a refused mmap threshold leaves the trim threshold alone
+    ])
+    def test_allocator_helper_sets_both_thresholds_or_neither(self, monkeypatch, accepted, calls):
+        seen = []
+
+        class Libc:
+            @staticmethod
+            def mallopt(param, value):
+                seen.append((param, value))
+                return accepted
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc)
+        harness._fix_allocator_thresholds()
+        assert seen == calls
+
+    def test_allocator_helper_may_run_again(self):
+        harness._fix_allocator_thresholds()
+        harness._fix_allocator_thresholds()
+
+    def test_inference_time_is_the_test_evaluation_per_window(self, tmp_path):
+        run_experiment(tiny_spec(tmp_path / "run"))
+        timing = json.loads((tmp_path / "run" / "reports" / "timing.json").read_text())
+        ms = timing["inference_ms_per_window"]
+        assert math.isfinite(ms) and ms > 0
+
+    def test_no_timing_only_passes(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_experiment called metrics.time_run")
+
+        monkeypatch.setattr(metrics, "time_run", refuse)
+        monkeypatch.setattr(harness, "time_run", refuse, raising=False)  # a direct import too
+        run_experiment(tiny_spec(tmp_path / "run"))
+
+    def test_forward_passes_are_training_and_one_test_evaluation(self, tmp_path, monkeypatch):
+        calls = []
+        forward = training.forward_batch
+
+        def counting(windows, *args, **kwargs):
+            calls.append(len(windows))
+            return forward(windows, *args, **kwargs)
+
+        monkeypatch.setattr(training, "forward_batch", counting)
+        report = run_experiment(tiny_spec(tmp_path / "run"))
+        inner, val = training.carve_validation(report.split.train, report.train_config["val_fraction"])
+        epochs = report.training["stopped_epoch"]
+        batch = report.train_config["batch_size"]
+        expected = (
+            [inner.size]  # the train-carve MSE before training
+            + ([batch] * (inner.size // batch) + [inner.size % batch] * bool(inner.size % batch)
+               + [val.size]) * epochs  # the steps and the validation pass of each epoch
+            + [inner.size]  # the train-carve MSE after training
+            + [report.split.test.size]  # the test evaluation
+        )
+        assert calls == expected
 
 
 class TestAblationSuite:
