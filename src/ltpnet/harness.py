@@ -29,6 +29,7 @@ from . import pso as P
 from . import training as TR
 from .checkpoint import save_checkpoint
 from .metrics import EfficiencyReport, EvalReport, count_parameters, estimate_flops
+from .ops import require_ints
 from .preprocessing import (
     IMPUTE_STRATEGIES,
     SplitSpec,
@@ -131,7 +132,7 @@ class ExperimentSpec:
             )
         if self.impute_strategy not in IMPUTE_STRATEGIES:
             raise ValueError(f"unknown impute_strategy {self.impute_strategy!r}")
-        P.require_ints(lookback=self.lookback, horizon=self.horizon)
+        require_ints(lookback=self.lookback, horizon=self.horizon)
         if self.lookback < 1 or self.horizon < 1:
             raise ValueError(
                 f"lookback and horizon must be >= 1, got {self.lookback} and {self.horizon}"

@@ -1,10 +1,16 @@
-"""Numerically safe activations shared by the model components."""
+"""Numerically safe activations and the argument checks shared by the modules."""
 
 import numpy as np
 
 
 class ShapeMismatchError(ValueError):
     """Raised when operand shapes are incompatible."""
+
+
+def require_ints(**values) -> None:
+    """Raise ValueError naming the ``values`` that are not ints; a bool is not one."""
+    if bad := {k: v for k, v in values.items() if isinstance(v, bool) or not isinstance(v, int)}:
+        raise ValueError(f"expected integers, got {bad}")
 
 
 def sigmoid(x) -> np.ndarray:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .ops import require_ints
 from .rng import SeededRng
 
 NEAR_CONSTANT_STD = 1e-12
@@ -286,6 +287,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        require_ints(length=self.length, feature_count=self.feature_count, seed=self.seed)
         if self.length <= 0:
             raise ValueError(f"length must be positive, got {self.length}")
 

@@ -29,13 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .ops import require_ints
 from .rng import SeededRng
-
-
-def require_ints(**values) -> None:
-    """Raise ValueError naming the ``values`` that are not ints; a bool is not one."""
-    if bad := {k: v for k, v in values.items() if isinstance(v, bool) or not isinstance(v, int)}:
-        raise ValueError(f"expected integers, got {bad}")
 
 
 @dataclass(frozen=True)

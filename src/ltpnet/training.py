@@ -29,6 +29,7 @@ from . import pso as P
 from .model import ModelParams, backward_batch, build_model, forward_batch
 from .preprocessing import SplitSpec, WindowedDataset, invert_standardization
 from .metrics import EvalReport, evaluate
+from .ops import require_ints
 from .rng import SeededRng
 
 DIVERGED_FITNESS = 1e18
@@ -71,7 +72,7 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self):
-        P.require_ints(
+        require_ints(
             batch_size=self.batch_size, epochs=self.epochs, iterations_per_epoch=self.iterations_per_epoch,
             patience=self.patience, lstm_layers=self.lstm_layers, head_width=self.head_width, seed=self.seed,
         )
@@ -439,7 +440,7 @@ class SearchBudget:
     fitness_seed: int = 1234
 
     def validate(self):
-        P.require_ints(epochs=self.epochs, patience=self.patience, fitness_seed=self.fitness_seed)
+        require_ints(epochs=self.epochs, patience=self.patience, fitness_seed=self.fitness_seed)
         if self.epochs < 1 or self.patience < 1 or self.fitness_seed < 0:
             raise ValueError(f"budget needs epochs, patience >= 1 and fitness_seed >= 0: {self}")
 

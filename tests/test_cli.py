@@ -141,6 +141,9 @@ class TestUsage:
         ({"hyperparameter_source": "pso-search", "budget": {"fitness_seed": 1.5}}, "fitness_seed"),
         ({"hyperparameter_source": "pso-search", "search_space": {"lstm_hidden": [4.5]}},
          "lstm_hidden"),
+        ({"dataset": {"synthetic": {"length": 120.5}}}, "length"),
+        ({"dataset": {"synthetic": {"feature_count": True}}}, "feature_count"),
+        ({"dataset": {"synthetic": {"seed": 11.5}}}, "seed"),
     ])
     def test_out_of_range_values_are_usage_errors(self, tmp_path, capsys, change, key):
         spec_path = self._malformed(tmp_path, **change)
