@@ -6,8 +6,9 @@ Exit codes: 0 success, 1 usage error, 2 runtime failure.
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .gradcheck import composed_gradcheck_suite
@@ -21,7 +22,14 @@ from .harness import (
     run_optimizer_comparison,
     run_pso_distribution_study,
 )
+from .ops import check_value
 from .preprocessing import SyntheticSpec, synthesize_series, write_csv
+
+# SyntheticSpec field -> the synth option that sets it
+SYNTH_OPTIONS = {
+    "length": "--length", "feature_count": "--features", "seasonal_period": "--period",
+    "trend_slope": "--slope", "noise_std": "--noise", "seed": "--seed",
+}
 
 
 class UsageError(Exception):
@@ -33,20 +41,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer of at least ``low``."""
+def _checked(kind, **rule):
+    """An argparse type: a ``kind`` that ``rule`` admits, as ``ops.declared`` spells it."""
 
-    def integer(text: str) -> int:
-        value = int(text)  # argparse reports a ValueError as an invalid integer
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+    def value_of(text: str):
+        try:
+            value = kind(text)
+            check_value("value", value, kind, rule)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         return value
 
-    return integer
+    return value_of
 
 
-_count = _int_at_least(1)
-_seed = _int_at_least(0)
+_count, _seed = _checked(int, ge=1), _checked(int, ge=0)
 
 
 def build_parser() -> _Parser:
@@ -79,17 +88,14 @@ def build_parser() -> _Parser:
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p_grad.add_argument("--seeds", type=_count, default=20, help="number of random configurations")
-    p_grad.add_argument("--tolerance", type=float, default=1e-4)
+    p_grad.add_argument("--tolerance", type=_checked(float, gt=0), default=1e-4)
     p_grad.add_argument("--seed", type=_seed, default=0, help="seed of the first configuration")
 
     p_synth = sub.add_parser("synth", help="write a synthetic dataset CSV")
     p_synth.add_argument("--out", required=True)
-    p_synth.add_argument("--length", type=_count, default=400)
-    p_synth.add_argument("--features", type=_count, default=2)
-    p_synth.add_argument("--period", type=float, default=12.0)
-    p_synth.add_argument("--slope", type=float, default=0.0)
-    p_synth.add_argument("--noise", type=float, default=0.1)
-    p_synth.add_argument("--seed", type=_seed, default=0)
+    for f in fields(SyntheticSpec):  # each checked as in a spec's dataset.synthetic
+        p_synth.add_argument(SYNTH_OPTIONS[f.name], dest=f.name, default=f.default,
+                             type=_checked(f.type, **f.metadata))
     return parser
 
 
@@ -171,23 +177,17 @@ def _dispatch(args) -> int:
 
     if args.command == "gradcheck":
         cases = composed_gradcheck_suite(n_seeds=args.seeds, seed_base=args.seed)
-        worst = max(c.error for c in cases)
+        errors = [c.error for c in cases]
+        worst = max(errors, key=lambda e: (math.isnan(e), e))  # a NaN is the worst
         print(f"max relative error over {len(cases)} seeds: {worst:.3e}")
-        if worst >= args.tolerance:
+        if not all(e < args.tolerance for e in errors):  # False for a NaN error
             print(f"FAIL: exceeds tolerance {args.tolerance:g}", file=sys.stderr)
             return 2
         print(f"PASS: within tolerance {args.tolerance:g}")
         return 0
 
     if args.command == "synth":
-        spec = SyntheticSpec(
-            length=args.length,
-            feature_count=args.features,
-            seasonal_period=args.period,
-            trend_slope=args.slope,
-            noise_std=args.noise,
-            seed=args.seed,
-        )
+        spec = SyntheticSpec(**{name: getattr(args, name) for name in SYNTH_OPTIONS})
         table = synthesize_series(spec)
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         write_csv(table, args.out)

@@ -29,7 +29,7 @@ from . import pso as P
 from . import training as TR
 from .checkpoint import save_checkpoint
 from .metrics import EfficiencyReport, EvalReport, count_parameters, estimate_flops
-from .ops import require_ints
+from .ops import check_fields, declared, from_section
 from .preprocessing import (
     IMPUTE_STRATEGIES,
     SplitSpec,
@@ -65,17 +65,13 @@ OPTIMIZER_CSV_HEADER = [
 
 @dataclass
 class Seeds:
-    data: int = 1
-    init: int = 2
-    shuffle: int = 3
-    swarm: int = 4
+    data: int = declared(1, ge=0)
+    init: int = declared(2, ge=0)
+    shuffle: int = declared(3, ge=0)
+    swarm: int = declared(4, ge=0)
 
     def __post_init__(self):
-        if bad := {
-            k: v for k, v in asdict(self).items()
-            if isinstance(v, bool) or not isinstance(v, int) or v < 0
-        }:
-            raise ValueError(f"seeds must be non-negative integers, got {bad}")
+        check_fields(self, "seeds")
 
 
 @dataclass
@@ -84,12 +80,11 @@ class CsvSource:
 
     path: str
     target_column: str = "target"
-    feature_columns: list | None = None
-    schema: list | None = None  # the exact header, when given
+    feature_columns: list[str] | None = None
+    schema: list[str] | None = None  # the exact header, when given
 
     def __post_init__(self):
-        if not isinstance(self.path, str):
-            raise ValueError(f"dataset.csv path must be a string, got {self.path!r}")
+        check_fields(self, "dataset.csv")
 
 
 @dataclass
@@ -97,48 +92,28 @@ class ExperimentSpec:
     """Everything needed to reproduce one experiment."""
 
     dataset: dict  # {"synthetic": {...}} or {"csv": {...}}, exactly one
-    variant: str = "full"
+    variant: str = declared("full", choices=VARIANTS)
     optimizer: str = "sgd"
-    hyperparameter_source: str = "fixed"
+    hyperparameter_source: str = declared("fixed", choices=HP_SOURCES)
     hyperparams: dict = field(default_factory=dict)
     train: dict = field(default_factory=dict)
     swarm: dict = field(default_factory=dict)
     budget: dict = field(default_factory=dict)
     search_space: dict = field(default_factory=dict)
-    lookback: int = 24
-    horizon: int = 1
-    train_ratio: float = 0.7
-    impute_strategy: str = "mean"
+    lookback: int = declared(24, ge=1)
+    horizon: int = declared(1, ge=1)
+    train_ratio: float = declared(0.7, gt=0, lt=1)
+    impute_strategy: str = declared("mean", choices=IMPUTE_STRATEGIES)
     seeds: Seeds = field(default_factory=Seeds)
     output_dir: str = "out"
 
     def __post_init__(self):
         if isinstance(self.seeds, dict):
-            self.seeds = Seeds(**self.seeds)
-        if not isinstance(self.seeds, Seeds):
-            raise ValueError(f"seeds must be an object, got {self.seeds!r}")
-        if not isinstance(self.output_dir, str):
-            raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
-        sources = [k for k in ("synthetic", "csv") if k in self.dataset]
-        if len(sources) != 1:
-            raise ValueError(
-                f"spec must name exactly one dataset source, got {sources}"
-            )
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; known: {VARIANTS}")
-        if self.hyperparameter_source not in HP_SOURCES:
-            raise ValueError(
-                f"unknown hyperparameter source {self.hyperparameter_source!r}"
-            )
-        if self.impute_strategy not in IMPUTE_STRATEGIES:
-            raise ValueError(f"unknown impute_strategy {self.impute_strategy!r}")
-        require_ints(lookback=self.lookback, horizon=self.horizon)
-        if self.lookback < 1 or self.horizon < 1:
-            raise ValueError(
-                f"lookback and horizon must be >= 1, got {self.lookback} and {self.horizon}"
-            )
-        if not 0.0 < self.train_ratio < 1.0:
-            raise ValueError(f"train_ratio must be in (0, 1), got {self.train_ratio}")
+            self.seeds = from_section(Seeds, "seeds", self.seeds)
+        check_fields(self, "")
+        if list(self.dataset) not in (["synthetic"], ["csv"]):
+            raise ValueError(f"dataset must hold exactly one dataset source (synthetic or csv),"
+                             f" got {list(self.dataset)}")
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -146,7 +121,7 @@ class ExperimentSpec:
     @classmethod
     def from_json_file(cls, path) -> "ExperimentSpec":
         with open(path, encoding="utf-8") as fh:
-            return cls(**json.load(fh))
+            return from_section(cls, "spec", json.load(fh))
 
 
 @dataclass
@@ -262,10 +237,17 @@ def _version_string(payload: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
+def dataset_source(spec: ExperimentSpec):
+    """The spec's ``SyntheticSpec`` or ``CsvSource``."""
+    ((kind, section),) = spec.dataset.items()
+    cls = SyntheticSpec if kind == "synthetic" else CsvSource
+    return from_section(cls, f"dataset.{kind}", section)
+
+
 def load_table(spec: ExperimentSpec):
-    if "synthetic" in spec.dataset:
-        return synthesize_series(SyntheticSpec(**spec.dataset["synthetic"]))
-    source = CsvSource(**spec.dataset["csv"])
+    source = dataset_source(spec)
+    if isinstance(source, SyntheticSpec):
+        return synthesize_series(source)
     return load_csv(source.path, source.schema)
 
 
@@ -297,33 +279,27 @@ def build_configs(spec: ExperimentSpec) -> RunConfigs:
     for section, shadowed in SHADOWED_KEYS.items():
         for key in sorted(shadowed.keys() & set(getattr(spec, section))):
             raise ValueError(f"{section}.{key} is not accepted in a spec; {shadowed[key]} sets it")
-    if "synthetic" in spec.dataset:
-        SyntheticSpec(**spec.dataset["synthetic"])
-    else:
-        CsvSource(**spec.dataset["csv"])
-    cfg = TR.TrainConfig(**spec.train, optimizer=spec.optimizer)
-    cfg.validate()
+    dataset_source(spec)
+    cfg = from_section(TR.TrainConfig, "train", spec.train, optimizer=spec.optimizer)
     flags = {
         "lstm_enabled": spec.variant != "no-lstm",
         "transformer_enabled": spec.variant != "no-transformer",
     }
     if flags["lstm_enabled"] and cfg.lstm_layers < 1:
-        raise ValueError(f"variant {spec.variant} needs lstm_layers >= 1, got {cfg.lstm_layers}")
+        raise ValueError(
+            f"variant {spec.variant} needs train.lstm_layers >= 1, got {cfg.lstm_layers}"
+        )
     configs = RunConfigs(
-        train=cfg, swarm=P.SwarmConfig(**spec.swarm, seed=spec.seeds.swarm),
+        train=cfg, swarm=from_section(P.SwarmConfig, "swarm", spec.swarm, seed=spec.seeds.swarm),
         source="fixed" if spec.variant == "no-pso" else spec.hyperparameter_source, flags=flags,
     )
-    configs.swarm.validate()
     if spec.variant == "no-pso":
         configs.hyperparams = P.HyperparamPoint()
     elif configs.source == "pso-search":
-        configs.space = P.SearchSpace(**{
-            k: tuple(v) for k, v in spec.search_space.items()
-        })
-        configs.budget = TR.SearchBudget(**spec.budget)
-        configs.budget.validate()
+        configs.space = from_section(P.SearchSpace, "search_space", spec.search_space)
+        configs.budget = from_section(TR.SearchBudget, "budget", spec.budget)
     else:  # fixed or grid-search
-        configs.hyperparams = P.HyperparamPoint(**spec.hyperparams)
+        configs.hyperparams = from_section(P.HyperparamPoint, "hyperparams", spec.hyperparams)
     return configs
 
 

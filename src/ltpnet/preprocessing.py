@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ops import require_ints
+from .ops import check_fields, declared
 from .rng import SeededRng
 
 NEAR_CONSTANT_STD = 1e-12
@@ -279,17 +279,15 @@ def kfold_split(split, k: int = 5, rng: SeededRng | None = None) -> SplitSpec:
 class SyntheticSpec:
     """Recipe for a deterministic trend + seasonal + noise table."""
 
-    length: int = 400
-    feature_count: int = 2
-    seasonal_period: float = 12.0
+    length: int = declared(400, ge=1)
+    feature_count: int = declared(2, ge=0)  # 0: the target alone
+    seasonal_period: float = declared(12.0, gt=0)
     trend_slope: float = 0.0
-    noise_std: float = 0.1
-    seed: int = 0
+    noise_std: float = declared(0.1, ge=0)
+    seed: int = declared(0, ge=0)
 
     def __post_init__(self):
-        require_ints(length=self.length, feature_count=self.feature_count, seed=self.seed)
-        if self.length <= 0:
-            raise ValueError(f"length must be positive, got {self.length}")
+        check_fields(self, "dataset.synthetic")
 
 
 def synthesize_series(spec: SyntheticSpec) -> RawTable:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ops import require_ints
+from .ops import check_fields, declared
 from .rng import SeededRng
 
 
@@ -63,35 +63,23 @@ def make_objective(name: str, dim: int) -> Objective:
 
 @dataclass
 class SwarmConfig:
-    n_particles: int = 50
-    iterations: int = 100
-    omega: float = 0.5
-    c1: float = 1.0
-    c2: float = 1.0
-    bounds: list = field(default_factory=lambda: [(-5.0, 5.0)])  # per dimension
-    velocity_clamp_fraction: float = 0.5
-    inertia_schedule: str = "static"  # static | linear
-    omega_start: float = 0.9
-    omega_end: float = 0.4
+    n_particles: int = declared(50, ge=1)
+    iterations: int = declared(100, ge=0)
+    omega: float = declared(0.5, gt=0, le=1)
+    c1: float = declared(1.0, ge=0)
+    c2: float = declared(1.0, ge=0)
+    bounds: list[tuple[float, float]] = declared(factory=lambda: [(-5.0, 5.0)])  # per dimension
+    velocity_clamp_fraction: float = declared(0.5, gt=0)
+    inertia_schedule: str = declared("static", choices=("static", "linear"))
+    omega_start: float = declared(0.9, gt=0, le=1)
+    omega_end: float = declared(0.4, gt=0, le=1)
     per_dimension_rand: bool = False
-    seed: int = 0
+    seed: int = declared(0, ge=0)
 
-    def validate(self):
-        require_ints(n_particles=self.n_particles, iterations=self.iterations, seed=self.seed)
-        if self.n_particles <= 0 or self.iterations < 0:
-            raise ValueError("particle count must be positive, iterations >= 0")
-        for name in ("omega", "omega_start", "omega_end"):
-            if not 0.0 < getattr(self, name) <= 1.0:
-                raise ValueError(f"inertia {name} must be in (0, 1], got {getattr(self, name)}")
-        if self.velocity_clamp_fraction <= 0:
-            raise ValueError("velocity_clamp_fraction must be positive")
-        if self.c1 < 0 or self.c2 < 0:
-            raise ValueError("learning factors must be non-negative")
-        for lo, hi in self.bounds:
-            if not lo < hi:
-                raise ValueError(f"invalid bound ({lo}, {hi}): need lo < hi")
-        if self.inertia_schedule not in ("static", "linear"):
-            raise ValueError(f"unknown inertia schedule {self.inertia_schedule!r}")
+    def __post_init__(self):
+        check_fields(self, "swarm")
+        if bad := [b for b in self.bounds if not b[0] < b[1]]:
+            raise ValueError(f"swarm.bounds {bad} need lo < hi")
 
     def inertia_at(self, iteration: int) -> float:
         if self.inertia_schedule == "static":
@@ -117,7 +105,6 @@ class SwarmState:
 
 def init_swarm(cfg: SwarmConfig, obj: Objective) -> SwarmState:
     """Uniform positions in bounds, zero velocities, bests at the start."""
-    cfg.validate()
     if len(cfg.bounds) != obj.dim:
         raise ValueError(
             f"{len(cfg.bounds)} bounds do not match objective dimension {obj.dim}"
@@ -210,50 +197,39 @@ def write_history_csv(path, runs: dict) -> None:
 class HyperparamPoint:
     """One candidate model configuration."""
 
-    lstm_hidden: int = 128
-    lstm_lr: float = 1e-3
-    transformer_layers: int = 6
-    attention_heads: int = 8
-    d_model: int = 256
-    transformer_lr: float = 1e-4
+    lstm_hidden: int = declared(128, ge=1)
+    lstm_lr: float = declared(1e-3, gt=0)
+    transformer_layers: int = declared(6, ge=0)
+    attention_heads: int = declared(8, ge=1)
+    d_model: int = declared(256, ge=1)
+    transformer_lr: float = declared(1e-4, gt=0)
 
     def __post_init__(self):
-        require_ints(**{k: getattr(self, k) for k in SearchSpace.INTEGER_AXES})
-        for name in ("lstm_hidden", "lstm_lr", "attention_heads", "d_model", "transformer_lr"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.transformer_layers < 0:
-            raise ValueError(f"transformer_layers must be >= 0, got {self.transformer_layers}")
-        if self.d_model % 2:
-            raise ValueError(f"d_model must be even, got {self.d_model}")
-        if self.d_model % self.attention_heads:
-            raise ValueError(
-                f"attention_heads {self.attention_heads} must divide "
-                f"d_model {self.d_model}"
-            )
+        check_fields(self, "hyperparams")
+        if self.d_model % 2 or self.d_model % self.attention_heads:
+            raise ValueError(f"hyperparams.d_model {self.d_model} must be even, and"
+                             f" hyperparams.attention_heads {self.attention_heads} must divide it")
 
 
 @dataclass(frozen=True)
 class SearchSpace:
     """Admissible values per axis; learning rates live on log10 axes."""
 
-    lstm_hidden: tuple = (16, 32, 64, 128, 256)
-    lstm_lr_bounds: tuple = (1e-4, 1e-2)
-    transformer_layers: tuple = (1, 2, 3, 4, 5, 6)
-    attention_heads: tuple = (2, 4, 8, 16)
-    d_model: tuple = (32, 64, 128, 256)
-    transformer_lr_bounds: tuple = (1e-5, 1e-3)
-
-    INTEGER_AXES = ("lstm_hidden", "transformer_layers", "attention_heads", "d_model")
+    lstm_hidden: tuple[int, ...] = declared((16, 32, 64, 128, 256), ge=1)
+    lstm_lr_bounds: tuple[float, float] = declared((1e-4, 1e-2), gt=0)
+    transformer_layers: tuple[int, ...] = declared((1, 2, 3, 4, 5, 6), ge=0)
+    attention_heads: tuple[int, ...] = declared((2, 4, 8, 16), ge=1)
+    d_model: tuple[int, ...] = declared((32, 64, 128, 256), ge=1)
+    transformer_lr_bounds: tuple[float, float] = declared((1e-5, 1e-3), gt=0)
 
     def __post_init__(self):
-        if empty := [name for name, axis in vars(self).items() if not len(axis)]:
-            raise ValueError(f"search space axes {empty} are empty")
-        require_ints(**{
-            f"{name}[{i}]": v for name in self.INTEGER_AXES for i, v in enumerate(getattr(self, name))
-        })
-        if odd := [d for d in self.d_model if d % 2]:
-            raise ValueError(f"search space d_model choices must be even, got {odd}")
+        check_fields(self, "search_space")
+        for name in ("lstm_lr_bounds", "transformer_lr_bounds"):
+            if not getattr(self, name)[0] <= getattr(self, name)[1]:
+                raise ValueError(f"search_space.{name} needs lo <= hi, got {getattr(self, name)}")
+        if bad := [d for d in self.d_model if d % 2 or all(d % h for h in self.attention_heads)]:
+            raise ValueError(f"search_space.d_model choices {bad} must be even, and some"
+                             f" search_space.attention_heads choice must divide each")
 
     def bounds(self) -> list:
         """PSO box bounds; degenerate axes widen by epsilon to stay valid."""
@@ -277,16 +253,15 @@ def decode_position(x: np.ndarray, space: SearchSpace) -> HyperparamPoint:
     """Snap a continuous position back to an admissible configuration.
 
     Integer axes round to the nearest admissible value; the heads axis snaps
-    only to admissible head counts that divide the decoded d_model. Learning
-    rates clamp into their bounds, which 10**x can overshoot by rounding.
+    only to admissible head counts that divide the decoded d_model (the space
+    holds one for every d_model choice). Learning rates clamp into their
+    bounds, which 10**x can overshoot by rounding.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (6,):
         raise ValueError(f"expected a 6-dimensional position, got shape {x.shape}")
     d_model = _nearest(x[4], space.d_model)
     head_choices = [h for h in space.attention_heads if d_model % h == 0]
-    if not head_choices:
-        raise ValueError(f"no admissible head count divides d_model {d_model}")
     return HyperparamPoint(
         lstm_hidden=_nearest(x[0], space.lstm_hidden),
         lstm_lr=float(np.clip(10.0 ** x[1], *space.lstm_lr_bounds)),

@@ -29,7 +29,7 @@ from . import pso as P
 from .model import ModelParams, backward_batch, build_model, forward_batch
 from .preprocessing import SplitSpec, WindowedDataset, invert_standardization
 from .metrics import EvalReport, evaluate
-from .ops import require_ints
+from .ops import check_fields, declared
 from .rng import SeededRng
 
 DIVERGED_FITNESS = 1e18
@@ -49,52 +49,30 @@ def mse_loss(pred, target):
 
 @dataclass
 class TrainConfig:
-    lstm_lr: float = 1e-3
-    transformer_lr: float = 1e-4
-    batch_size: int = 64
-    epochs: int = 100
-    iterations_per_epoch: int = 1000
-    patience: int = 10
-    min_delta: float = 1e-9
-    optimizer: str = "sgd"  # sgd | adam | adaptive-momentum
-    adam_lr: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    momentum_lr: float = 1e-3
-    momentum_init: float = 0.9
-    momentum_update_rate: float = 0.1
-    momentum_target: float = 0.99
-    grad_clip_norm: float = 5.0
-    val_fraction: float = 0.15
-    lstm_layers: int = 2
-    head_width: int = 64
-    seed: int = 0
+    lstm_lr: float = declared(1e-3, gt=0)
+    transformer_lr: float = declared(1e-4, gt=0)
+    batch_size: int = declared(64, ge=1)
+    epochs: int = declared(100, ge=0)
+    iterations_per_epoch: int = declared(1000, ge=1)
+    patience: int = declared(10, ge=1)
+    min_delta: float = declared(1e-9, ge=0)
+    optimizer: str = declared("sgd", choices=("sgd", "adam", "adaptive-momentum"))
+    adam_lr: float = declared(1e-3, gt=0)
+    adam_beta1: float = declared(0.9, ge=0, lt=1)
+    adam_beta2: float = declared(0.999, ge=0, lt=1)
+    adam_eps: float = declared(1e-8, gt=0)
+    momentum_lr: float = declared(1e-3, gt=0)
+    momentum_init: float = declared(0.9, ge=0, lt=1)
+    momentum_update_rate: float = declared(0.1, ge=0, le=1)
+    momentum_target: float = declared(0.99, ge=0, lt=1)
+    grad_clip_norm: float = declared(5.0, ge=0)  # 0: no clipping
+    val_fraction: float = declared(0.15, gt=0, lt=1)
+    lstm_layers: int = declared(2, ge=0)
+    head_width: int = declared(64, ge=1)
+    seed: int = declared(0, ge=0)
 
-    def validate(self):
-        require_ints(
-            batch_size=self.batch_size, epochs=self.epochs, iterations_per_epoch=self.iterations_per_epoch,
-            patience=self.patience, lstm_layers=self.lstm_layers, head_width=self.head_width, seed=self.seed,
-        )
-        positive = {
-            "batch_size": self.batch_size,
-            "iterations_per_epoch": self.iterations_per_epoch,
-            "patience": self.patience,
-            "lstm_lr": self.lstm_lr,
-            "transformer_lr": self.transformer_lr,
-            "adam_lr": self.adam_lr,
-            "momentum_lr": self.momentum_lr,
-            "head_width": self.head_width,
-        }
-        for name, value in positive.items():
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
-        if self.optimizer not in ("sgd", "adam", "adaptive-momentum"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+    def __post_init__(self):
+        check_fields(self, "train")
 
 
 @dataclass
@@ -301,7 +279,6 @@ def train(
     before and after training; the report then holds None for both. The
     searches, which read only the validation losses, train their proxies so.
     """
-    cfg.validate()
     if len(split.train) == 0:
         raise ValueError("empty training split")
     base = rng or SeededRng(cfg.seed)
@@ -435,14 +412,12 @@ def grid_search(dataset: WindowedDataset, split: SplitSpec, hp: P.HyperparamPoin
 class SearchBudget:
     """Truncated training used to score one hyperparameter candidate."""
 
-    epochs: int = 5
-    patience: int = 2
-    fitness_seed: int = 1234
+    epochs: int = declared(5, ge=1)
+    patience: int = declared(2, ge=1)
+    fitness_seed: int = declared(1234, ge=0)
 
-    def validate(self):
-        require_ints(epochs=self.epochs, patience=self.patience, fitness_seed=self.fitness_seed)
-        if self.epochs < 1 or self.patience < 1 or self.fitness_seed < 0:
-            raise ValueError(f"budget needs epochs, patience >= 1 and fitness_seed >= 0: {self}")
+    def __post_init__(self):
+        check_fields(self, "budget")
 
 
 def pso_hyperparameter_search(

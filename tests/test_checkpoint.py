@@ -273,7 +273,7 @@ def small_structures(draw):
     )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(args=small_structures(), lookback=st.integers(1, 4), data_seed=st.integers(0, 2**16))
 def test_round_trip_is_bit_exact_over_random_structures(
     tmp_path_factory, args, lookback, data_seed
@@ -288,7 +288,7 @@ def test_round_trip_is_bit_exact_over_random_structures(
     assert forward_batch(windows, loaded)[0].tobytes() == forward_batch(windows, model)[0].tobytes()
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(args=small_structures())
 def test_variant_flags_are_the_components_present(tmp_path_factory, args):
     model = build_model(**args)

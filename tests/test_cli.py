@@ -1,8 +1,20 @@
+import contextlib
+import io
 import json
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltpnet.cli import cli
+from ltpnet.gradcheck import GradCheckCase
+from ltpnet.harness import HP_SOURCES, SHADOWED_KEYS, ExperimentSpec, Seeds
+from ltpnet.preprocessing import SyntheticSpec
+from ltpnet.pso import HyperparamPoint, SearchSpace, SwarmConfig
+from ltpnet.training import SearchBudget, TrainConfig
 
 
 def write_spec(tmp_path, out_dir):
@@ -144,6 +156,32 @@ class TestUsage:
         ({"dataset": {"synthetic": {"length": 120.5}}}, "length"),
         ({"dataset": {"synthetic": {"feature_count": True}}}, "feature_count"),
         ({"dataset": {"synthetic": {"seed": 11.5}}}, "seed"),
+        # values that failed late, ran silently or went unnamed before one checker held
+        # every declared field
+        ({"hyperparameter_source": "pso-search", "search_space": {"attention_heads": [3]}},
+         "search_space.attention_heads"),
+        ({"hyperparameter_source": "pso-search", "search_space": {"lstm_hidden": [0]}},
+         "search_space.lstm_hidden"),
+        ({"hyperparameter_source": "pso-search", "search_space": {"lstm_lr_bounds": [-1.0, 1e-3]}},
+         "search_space.lstm_lr_bounds"),
+        ({"hyperparameter_source": "pso-search",
+          "search_space": {"lstm_lr_bounds": [1e-3, 1e-2, 1e-1]}}, "search_space.lstm_lr_bounds"),
+        ({"hyperparameter_source": "pso-search", "search_space": {"lstm_lr_bounds": [1e-2, 1e-3]}},
+         "search_space.lstm_lr_bounds"),
+        ({"hyperparams": {"lstm_lr": float("nan")}}, "hyperparams.lstm_lr"),
+        ({"hyperparams": {"lstm_lr": float("inf")}}, "hyperparams.lstm_lr"),
+        ({"train": {"grad_clip_norm": float("nan")}}, "train.grad_clip_norm"),
+        ({"train": {"grad_clip_norm": -1}}, "train.grad_clip_norm"),
+        ({"train": {"min_delta": float("nan")}}, "train.min_delta"),
+        ({"optimizer": "adam", "train": {"adam_beta1": 2.0}}, "train.adam_beta1"),
+        ({"optimizer": "adaptive-momentum", "train": {"momentum_init": 5.0}}, "train.momentum_init"),
+        ({"hyperparameter_source": "pso-search", "swarm": {"per_dimension_rand": "yes"}},
+         "swarm.per_dimension_rand"),
+        ({"dataset": {"synthetic": {"noise_std": -1}}}, "dataset.synthetic.noise_std"),
+        ({"dataset": {"synthetic": {"seasonal_period": 0}}}, "dataset.synthetic.seasonal_period"),
+        ({"train_ratio": "0.7"}, "train_ratio"),
+        ({"swarm": {"c1": "1"}}, "swarm.c1"),
+        ({"train": None}, "train"),
     ])
     def test_out_of_range_values_are_usage_errors(self, tmp_path, capsys, change, key):
         spec_path = self._malformed(tmp_path, **change)
@@ -165,6 +203,12 @@ class TestUsage:
         (["pso-study", "--dim", "0"], "--dim"),
         (["pso-study", "--runs", "two"], "--runs"),
         (["synth", "--length", "0"], "--length"),
+        (["synth", "--period", "0"], "--period"),
+        (["synth", "--period", "nan"], "--period"),
+        (["synth", "--slope", "inf"], "--slope"),
+        (["synth", "--noise", "-1"], "--noise"),
+        (["gradcheck", "--seeds", "1", "--tolerance", "nan"], "--tolerance"),
+        (["gradcheck", "--seeds", "1", "--tolerance", "0"], "--tolerance"),
     ])
     def test_counts_below_one_and_negative_seeds_are_usage_errors(
         self, tmp_path, capsys, argv, flag
@@ -174,6 +218,63 @@ class TestUsage:
         assert cli(argv + paths.get(argv[0], ["--out-dir", str(out)])) == 1
         assert f"argument {flag}:" in capsys.readouterr().err
         assert not out.exists()
+
+    # any value, whatever the key's type. An empty object is left out: it restores a
+    # section's defaults, a valid paper-scale run (a 50 x 100 swarm) too slow for a unit test.
+    VALUE_POOL = [
+        0, -1, True, False, float("nan"), float("inf"), float("-inf"), 0.5,
+        "", "yes", "1", [], [0.5], [1, 2, 3], {"x": 1}, None,
+    ]
+    HOLDERS = {
+        "dataset.synthetic": SyntheticSpec, "hyperparams": HyperparamPoint, "train": TrainConfig,
+        "swarm": SwarmConfig, "budget": SearchBudget, "search_space": SearchSpace, "seeds": Seeds,
+    }
+    # every key a spec may hold but output_dir, where the property looks for output
+    KEYS = ["dataset.synthetic"] + [
+        f.name for f in fields(ExperimentSpec) if f.name != "output_dir"
+    ] + [
+        f"{section}.{f.name}" for section, holder in HOLDERS.items() for f in fields(holder)
+        if f.name not in SHADOWED_KEYS.get(section, {})
+    ]
+    # runtime failures of the data a valid spec builds: a near-constant series (no noise
+    # and a period of 0.5 samples) and a series shorter than the lookback
+    DATA_FAILURES = ("near-constant", "windows available after cleaning")
+
+    @staticmethod
+    def _set(spec, key, value) -> bool:
+        """Set the dotted ``key`` of ``spec``; False when a value above it is not an object."""
+        *sections, leaf = key.split(".")
+        for section in sections:
+            spec = spec.setdefault(section, {})
+            if not isinstance(spec, dict):
+                return False
+        spec[leaf] = value
+        return True
+
+    @settings(max_examples=300)
+    @given(
+        source=st.sampled_from(HP_SOURCES),
+        keys=st.lists(st.sampled_from(KEYS), min_size=1, max_size=2, unique=True),
+        values=st.lists(st.sampled_from(VALUE_POOL), min_size=2, max_size=2),
+    )
+    def test_malformed_values_run_or_are_usage_errors_naming_the_key(self, source, keys, values):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            spec = json.loads(write_spec(tmp, tmp / "out").read_text())
+            spec["hyperparameter_source"] = source
+            keys = [key for key, value in zip(keys, values) if self._set(spec, key, value)]
+            (tmp / "spec.json").write_text(json.dumps(spec))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = cli(["run", "--config", str(tmp / "spec.json")])
+            err = err.getvalue()
+            if code == 0:
+                return
+            assert not (tmp / "out").exists(), err
+            if code == 1:
+                assert any(key in err for key in keys), err
+            else:
+                assert code == 2 and any(failure in err for failure in self.DATA_FAILURES), err
 
     def test_gradcheck_has_no_output_directory(self, capsys):
         assert cli(["gradcheck", "--seeds", "1", "--out-dir", "unused"]) == 1
@@ -269,6 +370,13 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "max relative error" in out
         assert "PASS" in out
+
+    def test_gradcheck_fails_on_a_nan_error(self, capsys, monkeypatch):
+        cases = [GradCheckCase(seed=0, error=1e-9), GradCheckCase(seed=1, error=float("nan"))]
+        monkeypatch.setattr("ltpnet.cli.composed_gradcheck_suite", lambda **_: cases)
+        assert cli(["gradcheck"]) == 2
+        captured = capsys.readouterr()
+        assert "FAIL" in captured.err and "PASS" not in captured.out
 
     def test_synth_writes_csv(self, tmp_path):
         out = tmp_path / "series.csv"

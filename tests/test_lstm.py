@@ -327,7 +327,7 @@ def stacks(draw):
 
 
 class TestFusedProperties:
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(case=stacks())
     def test_forward_matches_per_gate_reference(self, case):
         stack, window, _ = case
@@ -338,7 +338,7 @@ class TestFusedProperties:
             np.testing.assert_allclose(cache["h"][-1], h, rtol=0, atol=1e-12)
             np.testing.assert_allclose(cache["c"][-1], c, rtol=0, atol=1e-12)
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     @given(case=stacks())
     def test_backward_matches_finite_differences(self, case):
         stack, window, upstream = case

@@ -105,7 +105,7 @@ def small_cases(draw):
 
 
 class TestForwardOnly:
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40)
     @given(case=small_cases())
     def test_same_predictions_without_caches(self, case):
         model, windows = case
@@ -216,7 +216,7 @@ class TestStages:
         model = tiny_model()
         assert model.stages is model.stages
 
-    @settings(max_examples=30, deadline=None, derandomize=True)
+    @settings(max_examples=30)
     @given(case=small_cases())
     def test_staged_differences_equal_full_forward_differences(self, case):
         model, windows = case

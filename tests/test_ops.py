@@ -35,7 +35,7 @@ class TestActivations:
         x = SeededRng(3).uniform(-1, 1, (2, 3, 4))
         assert sigmoid(x).shape == (2, 3, 4)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(values=st.lists(st.floats(-745.0, 745.0), min_size=1, max_size=20))
     @example(values=[-745.0, 745.0, -700.0, 700.0, -40.0, 0.0, -0.0, 5e-324, -5e-324])
     def test_sigmoid_bits_match_the_two_branch_formula(self, values):

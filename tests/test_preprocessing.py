@@ -215,7 +215,7 @@ class TestMakeWindows:
         with pytest.raises(ValueError, match="lookback and horizon"):
             make_windows(self._table(40), "target", lookback=lookback, horizon=horizon)
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     @given(
         n_rows=st.integers(2, 80), lookback=st.integers(1, 30),
         horizon=st.integers(1, 10), ratio=st.floats(0.01, 0.99),

@@ -202,7 +202,7 @@ class TestWholeSwarmStep:
 
 
 class TestScoring:
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(
         n=st.integers(1, 4), iterations=st.integers(0, 3),
         values=st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), min_size=16, max_size=16),
@@ -318,7 +318,7 @@ class TestHyperparamCodec:
                 assert back.lstm_lr == pytest.approx(h.lstm_lr, rel=1e-12)
                 assert back.transformer_lr == pytest.approx(h.transformer_lr, rel=1e-12)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(data=st.data())
     def test_in_bounds_positions_decode_to_admissible_points_that_round_trip(self, data):
         space = P.SearchSpace()

@@ -409,7 +409,7 @@ def _assert_unchanged(live, snap, where):
 
 
 class TestEncoderProperties:
-    @settings(max_examples=25, deadline=None, derandomize=True)
+    @settings(max_examples=25)
     @given(case=encoders())
     def test_backward_matches_finite_differences(self, case):
         stack, head, x, upstream = case
@@ -442,7 +442,7 @@ class TestEncoderProperties:
             numeric_dx[idx] = (up - down) / (2 * DEFAULT_EPS)
         assert _max_rel({"x": d_x}, {"x": numeric_dx}) < 1e-4
 
-    @settings(max_examples=30, deadline=None, derandomize=True)
+    @settings(max_examples=30)
     @given(case=encoders())
     def test_each_window_alone_predicts_its_batched_row(self, case):
         stack, head, x, _ = case
@@ -451,7 +451,7 @@ class TestEncoderProperties:
             alone, _ = T.predict(T.encoder_stack_forward(x[b : b + 1], stack)[0], head)
             np.testing.assert_allclose(alone, batched[b : b + 1], rtol=1e-12, atol=1e-14)
 
-    @settings(max_examples=30, deadline=None, derandomize=True)
+    @settings(max_examples=30)
     @given(case=encoders())
     def test_inputs_and_caches_stay_bit_unchanged(self, case):
         stack, head, x, upstream = case
