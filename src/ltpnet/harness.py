@@ -19,7 +19,7 @@ import ctypes
 import hashlib
 import json
 import time
-from dataclasses import asdict, astuple, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import jsonschema
@@ -29,7 +29,7 @@ from . import pso as P
 from . import training as TR
 from .checkpoint import save_checkpoint
 from .metrics import EfficiencyReport, EvalReport, count_parameters, estimate_flops
-from .ops import check_fields, declared, from_section
+from .ops import check_fields, check_value, declared, from_section
 from .preprocessing import (
     IMPUTE_STRATEGIES,
     SplitSpec,
@@ -273,13 +273,20 @@ class RunConfigs:
 def build_configs(spec: ExperimentSpec) -> RunConfigs:
     """Build and validate the configs of ``spec``, its dataset spec included.
 
-    Raises TypeError or ValueError on an unknown key, a bad value or a
+    Every section is checked, also one that the hyperparameter source does
+    not read (``hyperparams`` of a swarm search or a no-pso run,
+    ``search_space`` and ``budget`` of any other run), so a value never
+    waits to fail until the source changes. Raises TypeError or ValueError
+    on an unknown key, a bad value or a
     ``SHADOWED_KEYS`` key, so a caller can reject a spec before any work starts.
     """
     for section, shadowed in SHADOWED_KEYS.items():
         for key in sorted(shadowed.keys() & set(getattr(spec, section))):
             raise ValueError(f"{section}.{key} is not accepted in a spec; {shadowed[key]} sets it")
     dataset_source(spec)
+    # checked under its own name: TrainConfig would name it train.optimizer, a shadowed key
+    optimizer = next(f for f in fields(TR.TrainConfig) if f.name == "optimizer")
+    check_value("optimizer", spec.optimizer, optimizer.type, optimizer.metadata)
     cfg = from_section(TR.TrainConfig, "train", spec.train, optimizer=spec.optimizer)
     flags = {
         "lstm_enabled": spec.variant != "no-lstm",
@@ -293,13 +300,15 @@ def build_configs(spec: ExperimentSpec) -> RunConfigs:
         train=cfg, swarm=from_section(P.SwarmConfig, "swarm", spec.swarm, seed=spec.seeds.swarm),
         source="fixed" if spec.variant == "no-pso" else spec.hyperparameter_source, flags=flags,
     )
+    hyperparams = from_section(P.HyperparamPoint, "hyperparams", spec.hyperparams)
+    space = from_section(P.SearchSpace, "search_space", spec.search_space)
+    budget = from_section(TR.SearchBudget, "budget", spec.budget)
     if spec.variant == "no-pso":
         configs.hyperparams = P.HyperparamPoint()
     elif configs.source == "pso-search":
-        configs.space = from_section(P.SearchSpace, "search_space", spec.search_space)
-        configs.budget = from_section(TR.SearchBudget, "budget", spec.budget)
+        configs.space, configs.budget = space, budget
     else:  # fixed or grid-search
-        configs.hyperparams = from_section(P.HyperparamPoint, "hyperparams", spec.hyperparams)
+        configs.hyperparams = hyperparams
     return configs
 
 

@@ -36,6 +36,9 @@ order, which is also ``flat`` order, so the spans tile ``flat`` end to end:
 reruns only the stages after a nudged weight. The forward keeps the caches by
 default, as a training step needs them; predictions that never go backward
 pass ``keep_cache=False`` and hold about one stage's activations at a time.
+``backward_batch`` consumes the cache list: it pops each stage's cache before
+running that stage's backward, so the caches are freed in reverse order as
+the gradients build up, and the list is empty when it returns.
 """
 
 import math
@@ -342,12 +345,16 @@ def backward_batch(d_preds: np.ndarray, caches: list, model: ModelParams) -> Mod
     """Exact gradients of the batch predictions, packed like ``model.flat``.
 
     Runs the stages in reverse, then concatenates their gradients in run
-    order, which is ``flat`` order, into one new vector.
+    order, which is ``flat`` order, into one new vector. Consumes ``caches``:
+    each stage's cache is popped off the list before its backward runs, so
+    the list is empty on return and a cache is freed once its stage is done
+    (unless the caller holds it elsewhere). The caches themselves are never
+    written.
     """
     d = np.atleast_1d(np.asarray(d_preds, dtype=np.float64))
     parts = []
-    for stage, cache in zip(reversed(model.stages), reversed(caches)):
-        d, grads = stage.backward(d, cache)
+    for stage in reversed(model.stages):
+        d, grads = stage.backward(d, caches.pop())
         parts[:0] = grads if isinstance(grads, list) else [grads]
     # Allocated last: allocated before the stages ran, it left the heap so
     # that glibc returned and re-faulted every step's buffers in some runs.

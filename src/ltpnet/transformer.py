@@ -27,7 +27,9 @@ its cache is then that of a batch of one.
 Caches keep only what backward reads, as rows unless noted:
 
     attention     "x" the input, "Q"/"K"/"V" (B, H, S, d_head) views of the
-                  projections, "weights" (B, H, S, S), "merged" the context
+                  projections, "weights" (B, H, S, S); no context: backward
+                  rebuilds it as ``_merge_heads(weights @ V)``, the forward's
+                  own product of the same operands, so the bits agree
     feed-forward  "x" the input and "act" = max(x W1 + b1, 0); the ReLU mask
                   is ``act > 0``, which equals ``x W1 + b1 > 0``
     layer norm    "xhat" the normalized input, "inv" = 1/sqrt(var + eps)
@@ -248,9 +250,8 @@ def multi_head_attention(x, p: EncoderLayerParams, n_heads: int):
     rows = x.reshape(-1, d_model)
     Q, K, V = (_split_heads(a, batch, n_heads) for a in rows @ p.W_qkv)
     ctx, weights = scaled_attention(Q, K, V)
-    merged = _merge_heads(ctx)
-    out = merged @ p.W_o
-    cache = {"x": rows, "Q": Q, "K": K, "V": V, "weights": weights, "merged": merged}
+    out = _merge_heads(ctx) @ p.W_o
+    cache = {"x": rows, "Q": Q, "K": K, "V": V, "weights": weights}
     return out.reshape(x.shape), cache
 
 
@@ -261,7 +262,8 @@ def multi_head_attention_backward(d_out, cache, p: EncoderLayerParams):
     batch, n_heads = Q.shape[0], Q.shape[1]
     d_rows = d_out.reshape(-1, d_out.shape[-1])
 
-    dW_o = cache["merged"].T @ d_rows
+    # the context is rebuilt, not cached: the same product of the same operands
+    dW_o = _merge_heads(weights @ V).T @ d_rows
     d_ctx = _split_heads(d_rows @ p.W_o.T, batch, n_heads)
 
     # dQ, dK and dV go straight into the rows of one stacked buffer
@@ -277,7 +279,9 @@ def multi_head_attention_backward(d_out, cache, p: EncoderLayerParams):
     np.multiply(np.swapaxes(dS, -1, -2) @ Q, scale, out=dK)
     del dS, d_ctx
     dW_qkv = cache["x"].T @ d_qkv
-    dx = (d_qkv @ p.W_qkv.transpose(0, 2, 1)).sum(axis=0)
+    dx = d_qkv[0] @ p.W_qkv[0].T
+    for d_proj, W in zip(d_qkv[1:], p.W_qkv[1:]):
+        dx += d_proj @ W.T
     return dx.reshape(d_out.shape), {"W_qkv": dW_qkv, "W_o": dW_o}
 
 

@@ -182,11 +182,26 @@ class TestUsage:
         ({"train_ratio": "0.7"}, "train_ratio"),
         ({"swarm": {"c1": "1"}}, "swarm.c1"),
         ({"train": None}, "train"),
+        # sections that the hyperparameter source does not read
+        ({"budget": {"epochs": 0.5}}, "budget.epochs"),
+        ({"hyperparameter_source": "grid-search", "search_space": {"lstm_hidden": [0]}},
+         "search_space.lstm_hidden"),
+        ({"hyperparameter_source": "pso-search", "hyperparams": {"lstm_lr": float("nan")}},
+         "hyperparams.lstm_lr"),
+        ({"variant": "no-pso", "hyperparams": {"d_model": 8.0}}, "hyperparams.d_model"),
+        ({"variant": "no-pso", "budget": {"patience": 0}}, "budget.patience"),
+        ({"optimizer": "x"}, "optimizer"),
     ])
     def test_out_of_range_values_are_usage_errors(self, tmp_path, capsys, change, key):
         spec_path = self._malformed(tmp_path, **change)
         assert cli(["run", "--config", str(spec_path)]) == 1
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert key in err
+        # a shadowed key is named only when the spec holds it
+        held = {f"{s}.{k}" for s, section in change.items() if isinstance(section, dict)
+                for k in section}
+        assert not [f"{s}.{k}" for s, keys in SHADOWED_KEYS.items() for k in keys
+                    if f"{s}.{k}" in err and f"{s}.{k}" not in held]
         assert not (tmp_path / "out").exists()
 
     def test_ablate_checks_the_spec_of_every_row(self, tmp_path, capsys):

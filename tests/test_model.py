@@ -269,6 +269,25 @@ class TestFlatVector:
             assert [n for n, _ in grads.named_arrays()] == [n for n, _ in model.named_arrays()]
             assert grads.flat.size == model.flat.size
 
+    def test_backward_consumes_the_cache_list_and_writes_no_cache(self):
+        def arrays(obj):  # every array of a nested cache, in order
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif isinstance(obj, (dict, list, tuple)):
+                for item in obj.values() if isinstance(obj, dict) else obj:
+                    yield from arrays(item)
+
+        for flags in self.VARIANTS:
+            model = tiny_model(seed=27, **flags)
+            _, caches = forward_batch(SeededRng(28).uniform(-1, 1, (3, 6, 2)), model)
+            held, before = list(caches), copy.deepcopy(caches)
+            backward_batch(np.ones(3), caches, model)
+            assert caches == []
+            live, kept = list(arrays(held)), list(arrays(before))
+            assert len(live) == len(kept) > 0
+            for a, b in zip(live, kept):
+                np.testing.assert_array_equal(a, b)
+
     def test_query_key_value_are_slices_of_the_stacked_projection(self):
         model = tiny_model(seed=29, transformer_layers=2)
         offsets, offset = {}, 0

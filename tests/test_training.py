@@ -8,7 +8,7 @@ import pytest
 
 from ltpnet import pso as P
 from ltpnet import training as TR
-from ltpnet.model import build_model, forward_batch
+from ltpnet.model import backward_batch, build_model, forward_batch
 from ltpnet.preprocessing import (
     SplitSpec,
     SyntheticSpec,
@@ -270,8 +270,6 @@ class TestTrain:
         idx = split.train[:8]
         opt = SgdOptimizer(lstm_lr=0.001, transformer_lr=0.001)
         losses = []
-        from ltpnet.model import backward_batch
-
         for _ in range(11):
             preds, caches = forward_batch(dataset.features[idx], model)
             loss, d_pred = mse_loss(preds, dataset.targets[idx])
@@ -436,6 +434,22 @@ class TestMemory:
         indices = np.arange(dataset.n_windows)
         peak = traced_peak(lambda: evaluate_on_indices(dataset, indices, model))
         assert peak < 0.3 * indices.size * per_window
+
+    def test_backward_never_holds_every_cache_and_both_gradient_copies(self):
+        # backward builds the stage gradients, then their concatenation; a pass
+        # that kept every stage's cache until the end would hold all three at once
+        dataset, _, model = self._setup()
+        windows = dataset.features[:4]
+        tracemalloc.start()
+        try:
+            _, caches = forward_batch(windows, model)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            backward_batch(np.ones(4), caches, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < held + 2 * model.flat.nbytes
 
     def test_training_steps_do_not_overlap(self):
         # a step that kept its caches and gradients alive into the next one
