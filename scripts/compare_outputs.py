@@ -4,15 +4,16 @@
 
 The trees of the base commit and of HEAD are exported with
 ``bench_pairs.export_tree`` into a temporary directory, which is removed
-afterwards. The bundled smoke spec of HEAD and seven variants of it (adam,
+afterwards. The bundled smoke spec of HEAD and eight variants of it (adam,
 adaptive-momentum, no-lstm, no-transformer, clipped gradients, a small swarm
-search and a one-epoch grid search) then run through ``ltpnet run`` in each
-tree, and the small-search variant through ``ltpnet ablate`` and
-``ltpnet compare-optimizers``, all at one output path, because the report
-echoes its spec. A small ``ltpnet pso-study`` on sphere and one on rastrigin
-write to the same path. ``ltpnet synth`` writes the smoke spec's series as a
-CSV, and the smoke spec then runs again on that CSV through ``dataset.csv``.
-The sha256 of every ``run_report.json``, ``model.ckpt`` and
+search, a one-epoch grid search and a three-step horizon) then run through
+``ltpnet run`` in each tree, and the small-search variant through ``ltpnet
+ablate``, ``ltpnet compare-optimizers`` and ``ltpnet run --seed``, all at one
+output path, because the report echoes its spec. A small ``ltpnet pso-study``
+on sphere and one on rastrigin write to the same path. ``ltpnet synth`` writes
+the smoke spec's series as a CSV, and the smoke spec then runs again on that
+CSV through ``dataset.csv``, and on a copy of it with every seventh cell blank
+under ``impute_strategy: "median"``. The sha256 of every ``run_report.json``, ``model.ckpt`` and
 ``pso_history.csv`` written, of each suite's table and summary, of each
 study's history CSVs and summary, and of the synthesized CSV is printed;
 ``optimizer_table.csv`` is hashed without its two wall-clock columns. Exits 1
@@ -50,6 +51,8 @@ TIMING_COLUMNS = ("inference_ms_per_window", "training_time_s")
 STUDIES = {"pso-study-sphere": "sphere", "pso-study-rastrigin": "rastrigin"}
 STUDY_ARGS = ["--runs", "2", "--dim", "3"]
 SYNTH_CSV = Path("series.csv")
+GAPPY_CSV, GAP_EVERY = Path("gappy.csv"), 7
+SEED_OVERRIDE = "7"  # ``--seed`` of the seed-override run
 
 
 def synth_args(smoke: dict, csv_path) -> list:
@@ -62,9 +65,23 @@ def synth_args(smoke: dict, csv_path) -> list:
     ]
 
 
-def csv_spec(smoke: dict, csv_path, out_dir: str) -> dict:
-    """The smoke spec reading its series from ``csv_path``, writing to ``out_dir``."""
-    return {**copy.deepcopy(smoke), "dataset": {"csv": {"path": str(csv_path)}}, "output_dir": out_dir}
+def csv_spec(smoke: dict, csv_path, out_dir: str, **changes) -> dict:
+    """The smoke spec reading its series from ``csv_path``, writing to ``out_dir``, with ``changes``."""
+    return {
+        **copy.deepcopy(smoke), "dataset": {"csv": {"path": str(csv_path)}}, "output_dir": out_dir,
+        **changes,
+    }
+
+
+def blank_cells(src: Path, dst: Path, every: int = GAP_EVERY) -> None:
+    """Copy the CSV ``src`` to ``dst`` with every ``every``-th data cell, counted row by row, blank."""
+    with open(src, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    width = len(rows[0])
+    for k in range(every - 1, (len(rows) - 1) * width, every):
+        rows[1 + k // width][k % width] = ""
+    with open(dst, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def study_outputs(objective: str) -> tuple:
@@ -88,6 +105,7 @@ def variant_specs(smoke: dict, out_dir: str) -> dict:
             "budget": {"epochs": 1},
         },
         "grid-search": {"hyperparameter_source": "grid-search", "train": {"epochs": 1}},
+        "horizon-3": {"horizon": 3},
     }
     specs = {}
     for name, change in changes.items():
@@ -152,12 +170,13 @@ def run_cli(tree: Path, argv: list, out_dir: Path, work: Path, outputs) -> dict:
     return digests(out_dir, outputs)
 
 
-def run_spec(tree: Path, spec: dict, work: Path, command="run", outputs=OUTPUTS) -> dict:
-    """``ltpnet <command>`` on ``spec`` with the sources of ``tree``; the
+def run_spec(tree: Path, spec: dict, work: Path, command=("run",), outputs=OUTPUTS) -> dict:
+    """``ltpnet <command...>`` on ``spec`` with the sources of ``tree``; the
     digests of its ``outputs``."""
     spec_path = work / "spec.json"
     spec_path.write_text(json.dumps(spec))
-    return run_cli(tree, [command, "--config", str(spec_path)], Path(spec["output_dir"]), work, outputs)
+    argv = [*command, "--config", str(spec_path)]
+    return run_cli(tree, argv, Path(spec["output_dir"]), work, outputs)
 
 
 def main(argv=None) -> int:
@@ -174,9 +193,10 @@ def main(argv=None) -> int:
         smoke = json.loads((work / "change" / SMOKE_SPEC).read_text())
         out_dir = work / "out"
         specs = variant_specs(smoke, str(out_dir))
-        runs = {name: (spec, "run", OUTPUTS) for name, spec in specs.items()}
+        runs = {name: (spec, ("run",), OUTPUTS) for name, spec in specs.items()}
+        runs["seed-override"] = (specs["pso-search"], ("run", "--seed", SEED_OVERRIDE), OUTPUTS)
         for command, outputs in SUITE_OUTPUTS.items():
-            runs[command] = (specs["pso-search"], command, outputs)
+            runs[command] = (specs["pso-search"], (command,), outputs)
         for name, (spec, command, outputs) in runs.items():
             for side in shas:
                 results[side][name] = run_spec(work / side, spec, work, command, outputs)
@@ -190,6 +210,9 @@ def main(argv=None) -> int:
             results[side]["synth"] = run_cli(work / side, argv, synth_dir, work, (SYNTH_CSV,))
             spec = csv_spec(smoke, synth_dir / SYNTH_CSV, str(out_dir))
             results[side]["csv-run"] = run_spec(work / side, spec, work)
+            blank_cells(synth_dir / SYNTH_CSV, synth_dir / GAPPY_CSV)
+            spec = csv_spec(smoke, synth_dir / GAPPY_CSV, str(out_dir), impute_strategy="median")
+            results[side]["csv-median"] = run_spec(work / side, spec, work)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 

@@ -56,11 +56,9 @@ ABLATION_ROWS = (
     ("LSTM+Transformer", "no-pso"),
     ("ALL", "full"),
 )
-ABLATION_CSV_HEADER = ["model", "mae", "mape", "rmse", "mse"]
-OPTIMIZER_CSV_HEADER = [
-    "optimizer", "parameter_count", "flops_per_forward",
-    "inference_ms_per_window", "training_time_s", "mae", "mape", "rmse", "mse",
-]
+METRIC_COLUMNS = ("mae", "mape", "rmse", "mse")  # the EvalReport fields a table shows
+ABLATION_CSV_HEADER = ["model", *METRIC_COLUMNS]
+OPTIMIZER_CSV_HEADER = ["optimizer", *(f.name for f in fields(EfficiencyReport)), *METRIC_COLUMNS]
 
 
 @dataclass
@@ -244,25 +242,28 @@ def dataset_source(spec: ExperimentSpec):
     return from_section(cls, f"dataset.{kind}", section)
 
 
-def load_table(spec: ExperimentSpec):
-    source = dataset_source(spec)
+def load_table(source: SyntheticSpec | CsvSource) -> tuple:
+    """The table of ``source``, its target column and its feature columns
+    (None: every other column), in ``build_dataset``'s order."""
     if isinstance(source, SyntheticSpec):
-        return synthesize_series(source)
-    return load_csv(source.path, source.schema)
+        return synthesize_series(source), "target", None
+    return load_csv(source.path, source.schema), source.target_column, source.feature_columns
 
 
 @dataclass
 class RunConfigs:
     """The configs one run builds from its spec, and the variant's decisions.
 
-    ``source`` is the hyperparameter source that runs ("fixed" for no-pso),
-    ``flags`` the model components the variant enables. ``hyperparams`` is
-    the fixed point (the defaults for no-pso) or the grid search's base point;
-    a swarm search uses ``space`` and ``budget`` instead, and the others are None.
+    ``dataset`` is the spec's dataset source, ``source`` the hyperparameter
+    source that runs ("fixed" for no-pso), ``flags`` the model components the
+    variant enables. ``hyperparams`` is the fixed point (the defaults for
+    no-pso) or the grid search's base point; a swarm search uses ``space`` and
+    ``budget`` instead, and the others are None.
     """
 
     train: TR.TrainConfig
     swarm: P.SwarmConfig
+    dataset: SyntheticSpec | CsvSource
     source: str
     flags: dict
     hyperparams: P.HyperparamPoint | None = None
@@ -271,7 +272,7 @@ class RunConfigs:
 
 
 def build_configs(spec: ExperimentSpec) -> RunConfigs:
-    """Build and validate the configs of ``spec``, its dataset spec included.
+    """Build and validate the configs of ``spec``, its dataset source included.
 
     Every section is checked, also one that the hyperparameter source does
     not read (``hyperparams`` of a swarm search or a no-pso run,
@@ -283,7 +284,6 @@ def build_configs(spec: ExperimentSpec) -> RunConfigs:
     for section, shadowed in SHADOWED_KEYS.items():
         for key in sorted(shadowed.keys() & set(getattr(spec, section))):
             raise ValueError(f"{section}.{key} is not accepted in a spec; {shadowed[key]} sets it")
-    dataset_source(spec)
     # checked under its own name: TrainConfig would name it train.optimizer, a shadowed key
     optimizer = next(f for f in fields(TR.TrainConfig) if f.name == "optimizer")
     check_value("optimizer", spec.optimizer, optimizer.type, optimizer.metadata)
@@ -298,7 +298,8 @@ def build_configs(spec: ExperimentSpec) -> RunConfigs:
         )
     configs = RunConfigs(
         train=cfg, swarm=from_section(P.SwarmConfig, "swarm", spec.swarm, seed=spec.seeds.swarm),
-        source="fixed" if spec.variant == "no-pso" else spec.hyperparameter_source, flags=flags,
+        dataset=dataset_source(spec), flags=flags,
+        source="fixed" if spec.variant == "no-pso" else spec.hyperparameter_source,
     )
     hyperparams = from_section(P.HyperparamPoint, "hyperparams", spec.hyperparams)
     space = from_section(P.SearchSpace, "search_space", spec.search_space)
@@ -369,11 +370,8 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
     _fix_allocator_thresholds()
     configs = build_configs(spec)
     swarm_cfg = configs.swarm
-    csv_source = spec.dataset.get("csv", {})
     dataset, split, _prep = build_dataset(
-        load_table(spec),
-        target_column=csv_source.get("target_column", "target"),
-        feature_columns=csv_source.get("feature_columns"),
+        *load_table(configs.dataset),
         lookback=spec.lookback,
         horizon=spec.horizon,
         train_ratio=spec.train_ratio,
@@ -452,16 +450,32 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
     return report
 
 
-def _metric_cells(e: EvalReport) -> list:
-    """MAE, MAPE, RMSE and MSE as table cells; a MAPE of None is empty."""
-    return ["" if v is None else repr(float(v)) for v in (e.mae, e.mape, e.rmse, e.mse)]
+def _metric_cells(r: RunReport) -> list:
+    """The ``METRIC_COLUMNS`` of a run's evaluation as table cells; a MAPE of None is empty."""
+    return ["" if v is None else repr(float(v)) for v in (getattr(r.eval, m) for m in METRIC_COLUMNS)]
 
 
-def _write_table(path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+def _write_suite(base: ExperimentSpec, name: str, header, cells, reports: dict, **extra) -> dict:
+    """Write ``<name>_table.csv`` and ``<name>_summary.json`` at ``base``'s output directory.
+
+    The table holds ``header``, then one row per report: its label and
+    ``cells(report)``. The summary holds the rows, the table's path, ``extra``
+    and each run's report version. Returns the reports and the summary.
+    """
+    out_dir = Path(base.output_dir)
+    table_path = out_dir / f"{name}_table.csv"
+    with open(table_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([label, *cells(r)] for label, r in reports.items())
+    summary = {
+        "rows": list(reports),
+        "table": str(table_path),
+        **extra,
+        "versions": {label: r.version for label, r in reports.items()},
+    }
+    (out_dir / f"{name}_summary.json").write_text(canonical_json(summary))
+    return {"reports": reports, "summary": summary}
 
 
 def _row_spec(base: ExperimentSpec, subdir: str, **changes) -> ExperimentSpec:
@@ -478,35 +492,16 @@ def ablation_specs(base: ExperimentSpec) -> dict:
 
 def run_ablation_suite(base: ExperimentSpec) -> dict:
     """Run all four variants with shared data and seeds; emit the 4x4 table."""
-    out_dir = Path(base.output_dir)
     reports = {label: run_experiment(s) for label, s in ablation_specs(base).items()}
-
-    test_sets = {
-        label: tuple(int(i) for i in r.split.test) for label, r in reports.items()
-    }
+    test_sets = {label: tuple(int(i) for i in r.split.test) for label, r in reports.items()}
     if len(set(test_sets.values())) != 1:
         raise RuntimeError(f"ablation rows disagree on test indices: {test_sets}")
-
-    table_path = out_dir / "ablation_table.csv"
-    _write_table(
-        table_path,
-        ABLATION_CSV_HEADER,
-        ([label, *_metric_cells(reports[label].eval)] for label, _ in ABLATION_ROWS),
-    )
-
     full_mse = reports["ALL"].eval.mse
-    summary = {
-        "rows": [label for label, _ in ABLATION_ROWS],
-        "table": str(table_path),
-        "shared_test_indices": True,
-        "full_model_mse": full_mse,
-        "full_model_best": all(
-            full_mse <= reports[label].eval.mse for label, _ in ABLATION_ROWS[:-1]
-        ),
-        "versions": {label: r.version for label, r in reports.items()},
-    }
-    (out_dir / "ablation_summary.json").write_text(canonical_json(summary))
-    return {"reports": reports, "summary": summary}
+    return _write_suite(
+        base, "ablation", ABLATION_CSV_HEADER, _metric_cells, reports,
+        shared_test_indices=True, full_model_mse=full_mse,
+        full_model_best=all(full_mse <= r.eval.mse for r in reports.values()),
+    )
 
 
 # row: (optimizer, hyperparameter source, train overrides)
@@ -534,22 +529,11 @@ def optimizer_specs(base: ExperimentSpec) -> dict:
 
 def run_optimizer_comparison(base: ExperimentSpec) -> dict:
     """Compare update rules on the full model; emit efficiency + accuracy."""
-    out_dir = Path(base.output_dir)
     reports = {row: run_experiment(s) for row, s in optimizer_specs(base).items()}
-
-    table_path = out_dir / "optimizer_table.csv"
-    _write_table(
-        table_path,
-        OPTIMIZER_CSV_HEADER,  # the EfficiencyReport fields, in order, sit after the row name
-        ([row, *astuple(r.efficiency), *_metric_cells(r.eval)] for row, r in reports.items()),
+    return _write_suite(
+        base, "optimizer", OPTIMIZER_CSV_HEADER,
+        lambda r: [*astuple(r.efficiency), *_metric_cells(r)], reports,
     )
-    summary = {
-        "rows": list(OPTIMIZER_ROWS),
-        "table": str(table_path),
-        "versions": {row: r.version for row, r in reports.items()},
-    }
-    (out_dir / "optimizer_summary.json").write_text(canonical_json(summary))
-    return {"reports": reports, "summary": summary}
 
 
 # inertia configuration of the swarm study -> its changes to the default swarm

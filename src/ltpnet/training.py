@@ -88,6 +88,12 @@ class TrainReport:
     params: ModelParams
     used_train_indices: np.ndarray
 
+    @property
+    def best_val_loss(self) -> float:
+        """The validation loss of the epoch whose weights were restored; +inf
+        when no epoch finished or none scored below +inf (a NaN never does)."""
+        return self.val_losses[self.best_epoch - 1] if self.best_epoch else math.inf
+
     def summary(self) -> dict:
         return {
             "train_losses": [float(v) for v in self.train_losses],
@@ -383,7 +389,7 @@ GRID = {
 
 def grid_search(dataset: WindowedDataset, split: SplitSpec, hp: P.HyperparamPoint,
                 cfg: TrainConfig):
-    """Train every lr x batch x layers cell of ``GRID``; rows sorted by validation loss.
+    """Train every lr x batch x layers cell of ``GRID``; rows sorted by ``best_val_loss``.
 
     The grid learning rate drives the LSTM component. The 8 fixed cells run
     in sorted order, cell i with ``SeededRng(cfg.seed).split(i)``.
@@ -401,7 +407,7 @@ def grid_search(dataset: WindowedDataset, split: SplitSpec, hp: P.HyperparamPoin
                 "lr": lr,
                 "batch_size": batch,
                 "transformer_layers": layers,
-                "val_loss": min(result.val_losses) if result.val_losses else math.inf,
+                "val_loss": result.best_val_loss,
             }
         )
     rows.sort(key=lambda r: r["val_loss"])
@@ -431,8 +437,9 @@ def pso_hyperparameter_search(
     """Swarm-search the model configuration space.
 
     Fitness of a position: decode it, train with the proxy budget on the
-    training split's own train/validation carve, and return the best
-    validation MSE. Returns (best HyperparamPoint, best fitness, history).
+    training split's own train/validation carve, and return the validation
+    MSE of the epoch whose weights ``train`` restores (``best_val_loss``).
+    Returns (best HyperparamPoint, best fitness, history).
     """
     proxy = replace(cfg, epochs=budget.epochs, patience=budget.patience)
 
@@ -442,7 +449,7 @@ def pso_hyperparameter_search(
             dataset, split, hp, proxy, rng=SeededRng(budget.fitness_seed),
             measure_train_mse=False,
         )
-        value = min(result.val_losses) if result.val_losses else math.inf
+        value = result.best_val_loss
         return value if math.isfinite(value) else DIVERGED_FITNESS
 
     objective = P.Objective(name="proxy-validation-mse", dim=6, fn=fitness)

@@ -22,7 +22,7 @@ class TestVariantSpecs:
         specs = compare_outputs.variant_specs(_smoke(), "shared/out")
         assert list(specs) == [
             "smoke", "adam", "adaptive-momentum", "no-lstm", "no-transformer",
-            "clipped", "pso-search", "grid-search",
+            "clipped", "pso-search", "grid-search", "horizon-3",
         ]
         assert {s["output_dir"] for s in specs.values()} == {"shared/out"}
 
@@ -37,6 +37,7 @@ class TestVariantSpecs:
         assert pso["budget"] == {"epochs": 1}
         assert specs["no-lstm"]["variant"] == "no-lstm"
         assert specs["adam"]["optimizer"] == "adam"
+        assert specs["horizon-3"]["horizon"] == 3
         # the smoke spec itself is left as it was
         assert smoke == _smoke()
 
@@ -135,3 +136,19 @@ class TestCsvRun:
             **{k: v for k, v in smoke.items() if k != "dataset"}, "output_dir": "out",
         }
         assert smoke == _smoke()
+
+    def test_csv_spec_applies_its_changes(self):
+        spec = compare_outputs.csv_spec(_smoke(), "s/gappy.csv", "out", impute_strategy="median")
+        assert spec["impute_strategy"] == "median"
+        assert spec["dataset"] == {"csv": {"path": "s/gappy.csv"}}
+
+    def test_blank_cells_blanks_every_nth_data_cell(self, tmp_path):
+        from ltpnet.preprocessing import load_csv
+
+        src, dst = tmp_path / "series.csv", tmp_path / "gappy.csv"
+        src.write_text("a,b\n1,2\n3,4\n5,6\n7,8\n", newline="")
+        compare_outputs.blank_cells(src, dst, every=3)
+        table = load_csv(dst)
+        assert table.missing_counts() == {"a": 1, "b": 1}  # data cells 3 (a at row 2) and 6 (b at row 3)
+        assert np.isnan(table.columns["a"][1]) and np.isnan(table.columns["b"][2])
+        assert load_csv(src).missing_counts() == {"a": 0, "b": 0}

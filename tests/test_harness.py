@@ -4,6 +4,7 @@ import ctypes
 import json
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -212,7 +213,7 @@ class TestRunExperiment:
         configs = build_configs(spec)
         before = copy.deepcopy(configs)
         dataset, split, _ = build_dataset(
-            load_table(spec), lookback=spec.lookback, rng=SeededRng(spec.seeds.data)
+            *load_table(configs.dataset), lookback=spec.lookback, rng=SeededRng(spec.seeds.data)
         )
         _, cfg = resolve_hyperparams(dataset, split, configs, tmp_path)
         assert configs == before
@@ -293,6 +294,14 @@ class TestRunCost:
         assert calls == expected
 
 
+def test_table_headers():
+    assert ABLATION_CSV_HEADER == ["model", "mae", "mape", "rmse", "mse"]
+    assert OPTIMIZER_CSV_HEADER == [
+        "optimizer", "parameter_count", "flops_per_forward",
+        "inference_ms_per_window", "training_time_s", "mae", "mape", "rmse", "mse",
+    ]
+
+
 class TestAblationSuite:
     def test_table_layout_and_shared_split(self, tmp_path):
         result = run_ablation_suite(tiny_spec(tmp_path / "abl"))
@@ -306,6 +315,22 @@ class TestAblationSuite:
             for cell in row[1:]:
                 float(cell)  # parseable metric
         assert result["summary"]["shared_test_indices"] is True
+        mse = {label: r.eval.mse for label, r in result["reports"].items()}
+        assert result["summary"]["full_model_mse"] == mse["ALL"]
+        assert result["summary"]["full_model_best"] == all(mse["ALL"] <= v for v in mse.values())
+
+    def test_rows_disagreeing_on_test_indices_are_refused_before_any_output(
+        self, tmp_path, monkeypatch
+    ):
+        def fake_run(spec):
+            test = np.arange(3) + (spec.variant == "full")
+            return SimpleNamespace(split=SimpleNamespace(test=test), version=spec.variant)
+
+        monkeypatch.setattr(harness, "run_experiment", fake_run)
+        with pytest.raises(RuntimeError, match="ablation rows disagree on test indices"):
+            run_ablation_suite(tiny_spec(tmp_path / "abl"))
+        assert not (tmp_path / "abl" / "ablation_table.csv").exists()
+        assert not (tmp_path / "abl" / "ablation_summary.json").exists()
 
     def test_all_variants_share_test_indices(self, tmp_path):
         result = run_ablation_suite(tiny_spec(tmp_path / "abl"))

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -497,8 +498,53 @@ class TestGridSearch:
         assert row["val_loss"] == min(alone.val_losses)
 
 
+class TestBestValLoss:
+    """A run, a grid cell and a swarm candidate score the validation loss of
+    the epoch whose weights ``train`` restores, which a NaN never becomes."""
+
+    @staticmethod
+    def _script_validation(monkeypatch, losses):
+        """Make every validation pass return the next of ``losses``."""
+        scripted = iter(losses)
+        monkeypatch.setattr(TR, "dataset_mse", lambda *args: next(scripted))
+
+    @pytest.mark.parametrize("losses, epoch, best", [
+        ([math.nan, 0.5], 2, 0.5),
+        ([0.5, math.nan], 1, 0.5),
+        ([math.nan, math.nan], 0, math.inf),
+        ([], 0, math.inf),
+    ])
+    def test_the_restored_epochs_loss(self, monkeypatch, losses, epoch, best):
+        self._script_validation(monkeypatch, losses)
+        dataset, split, _ = tiny_dataset()
+        cfg = tiny_cfg(epochs=len(losses))
+        report = train(dataset, split, TINY_HP, cfg, measure_train_mse=False)
+        assert report.best_epoch == epoch
+        assert report.best_val_loss == best
+
+    def test_grid_cells_sort_by_the_restored_epochs_loss(self, monkeypatch):
+        scores = [0.8, 0.7, 0.6, 0.1, 0.5, 0.4, 0.3, 0.2]  # cell i's loss after a NaN epoch
+        self._script_validation(monkeypatch, [v for s in scores for v in (math.nan, s)])
+        dataset, split, _ = tiny_dataset()
+        rows = grid_search(dataset, split, TINY_HP, tiny_cfg(epochs=2))
+        assert [r["val_loss"] for r in rows] == sorted(scores)
+        assert (rows[0]["lr"], rows[0]["batch_size"], rows[0]["transformer_layers"]) == (1e-4, 64, 6)
+
+    def test_a_candidate_with_a_nan_epoch_is_not_diverged(self, monkeypatch):
+        self._script_validation(monkeypatch, itertools.cycle([math.nan, 0.5]))
+        dataset, split, _ = tiny_dataset()
+        swarm = P.SwarmConfig(n_particles=2, iterations=1, seed=5)
+        _, value, history = pso_hyperparameter_search(
+            dataset, split, TestSwarmSearch._space(), swarm, SearchBudget(epochs=2, patience=2),
+            tiny_cfg(),
+        )
+        assert value == 0.5
+        assert history == [0.5] * len(history)
+
+
 class TestSwarmSearch:
-    def _space(self):
+    @staticmethod
+    def _space():
         return P.SearchSpace(
             lstm_hidden=(2, 4), lstm_lr_bounds=(1e-3, 1e-2),
             transformer_layers=(1,), attention_heads=(2,), d_model=(8,),
