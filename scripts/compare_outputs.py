@@ -13,11 +13,11 @@ output path, because the report echoes its spec. A small ``ltpnet pso-study``
 on sphere and one on rastrigin write to the same path. ``ltpnet synth`` writes
 the smoke spec's series as a CSV, and the smoke spec then runs again on that
 CSV through ``dataset.csv``, and on a copy of it with every seventh cell blank
-under ``impute_strategy: "median"``. The sha256 of every ``run_report.json``, ``model.ckpt`` and
-``pso_history.csv`` written, of each suite's table and summary, of each
-study's history CSVs and summary, and of the synthesized CSV is printed;
-``optimizer_table.csv`` is hashed without its two wall-clock columns. Exits 1
-when a file differs or is written on one side only.
+under ``impute_strategy: "median"``. The sha256 of every ``run_report.json``,
+``model.ckpt`` and ``pso_history.csv`` written, of each suite's table and
+summary, of each study's history CSVs and summary, and of the synthesized CSV
+is printed; ``optimizer_table.csv`` is hashed without its two wall-clock
+columns. Exits 1 when a file differs or is written on one side only.
 """
 
 import argparse
