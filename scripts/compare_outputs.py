@@ -17,7 +17,11 @@ under ``impute_strategy: "median"``. The sha256 of every ``run_report.json``,
 ``model.ckpt`` and ``pso_history.csv`` written, of each suite's table and
 summary, of each study's history CSVs and summary, and of the synthesized CSV
 is printed; ``optimizer_table.csv`` is hashed without its two wall-clock
-columns. Exits 1 when a file differs or is written on one side only.
+columns. So is the sha256 of the analytic and the staged numeric gradient
+vector that ``gradcheck.composed_gradcheck_suite`` compares, for criterion
+01's seeds 0-19 and the ReLU-kink seeds 44 and 111, each computed with the
+sources of its tree. Exits 1 when a file or vector differs or is written on
+one side only.
 """
 
 import argparse
@@ -53,6 +57,35 @@ STUDY_ARGS = ["--runs", "2", "--dim", "3"]
 SYNTH_CSV = Path("series.csv")
 GAPPY_CSV, GAP_EVERY = Path("gappy.csv"), 7
 SEED_OVERRIDE = "7"  # ``--seed`` of the seed-override run
+GRADCHECK_SEEDS = (*range(20), 44, 111)
+# Run with a tree's sources and the seeds as arguments: prints, as JSON, the
+# sha256 of both gradient vectors that ``check_model_gradients`` compares
+# inside ``composed_gradcheck_suite``, caught on their way in.
+GRADIENT_SCRIPT = """
+import hashlib, json, sys
+from ltpnet import gradcheck as G
+
+vectors = {}
+analytic, numeric = G.loss_and_gradients, G.staged_finite_difference_grads
+
+def loss_and_gradients(*args):
+    out = analytic(*args)
+    vectors["analytic"] = out[1].flat
+    return out
+
+def staged_finite_difference_grads(*args):
+    vectors["numeric"] = numeric(*args)
+    return vectors["numeric"]
+
+G.loss_and_gradients, G.staged_finite_difference_grads = loss_and_gradients, staged_finite_difference_grads
+found = {}
+for seed in map(int, sys.argv[1:]):
+    vectors.clear()
+    G.composed_gradcheck_suite(1, seed)
+    for name, vector in sorted(vectors.items()):
+        found[f"seed-{seed}/{name}"] = hashlib.sha256(vector.tobytes()).hexdigest()
+print(json.dumps(found))
+"""
 
 
 def synth_args(smoke: dict, csv_path) -> list:
@@ -170,6 +203,18 @@ def run_cli(tree: Path, argv: list, out_dir: Path, work: Path, outputs) -> dict:
     return digests(out_dir, outputs)
 
 
+def gradient_digests(tree: Path, work: Path, seeds=GRADCHECK_SEEDS) -> dict:
+    """The digests ``GRADIENT_SCRIPT`` prints with the sources of ``tree``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", GRADIENT_SCRIPT, *map(str, seeds)],
+        cwd=work, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(tree / "src")},
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"gradient vectors failed in {tree} (exit {proc.returncode}):\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout)
+
+
 def run_spec(tree: Path, spec: dict, work: Path, command=("run",), outputs=OUTPUTS) -> dict:
     """``ltpnet <command...>`` on ``spec`` with the sources of ``tree``; the
     digests of its ``outputs``."""
@@ -213,6 +258,7 @@ def main(argv=None) -> int:
             blank_cells(synth_dir / SYNTH_CSV, synth_dir / GAPPY_CSV)
             spec = csv_spec(smoke, synth_dir / GAPPY_CSV, str(out_dir), impute_strategy="median")
             results[side]["csv-median"] = run_spec(work / side, spec, work)
+            results[side]["gradcheck"] = gradient_digests(work / side, work)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 

@@ -7,9 +7,11 @@ analytic backward pass. The relative error between analytic a and numeric n is
 The differences are staged. The forward runs once and keeps each stage's
 input (``model.Stage``); a nudged element of ``flat`` can change only its
 owner stage and the stages after it, so each loss evaluation reruns just
-those, from the kept input, without caches. The numeric gradient is the same
-vector, bit for bit, as nudging a full forward (``finite_difference_grads``
-over a plain loss, the generic reference) gives.
+those, from the kept input, without caches. An encoder layer is two stages,
+so a nudge of a feed-forward or layer-norm weight reruns that layer's
+feed-forward sub-block and what follows, never its attention. The numeric
+gradient is the same vector, bit for bit, as nudging a full forward
+(``finite_difference_grads`` over a plain loss, the generic reference) gives.
 """
 
 from dataclasses import dataclass

@@ -26,14 +26,18 @@ model. Each stage has a name, the span of ``flat`` it owns (a view), a forward
 from its input to its output and a backward, over the layer functions. In run
 order, which is also ``flat`` order, so the spans tile ``flat`` end to end:
 
-    lstm.<i>            each LSTM layer, (B, L, F or H) -> (B, L, H)
-    encoder.input       input projection plus positional encoding -> (B, L, d)
-    encoder.layers.<i>  each encoder layer, (B, L, d) -> (B, L, d)
-    pool+head           mean-pool plus head, (B, L, d) -> (B,)
-    bypass+head         (no encoder) last hidden state, bypass, head -> (B,)
+    lstm.<i>                         each LSTM layer, (B, L, F or H) -> (B, L, H)
+    encoder.input                    input projection plus positional encoding -> (B, L, d)
+    encoder.layers.<i>.attention     attention plus residual; owns W_qkv and W_o
+    encoder.layers.<i>.feed_forward  LN1, feed-forward, residual, LN2; owns the
+                                     rest of the layer; both (B, L, d) -> (B, L, d)
+    pool+head                        mean-pool plus head, (B, L, d) -> (B,)
+    bypass+head                      (no encoder) last hidden state, bypass, head -> (B,)
 
-``forward_batch`` and ``backward_batch`` loop over the list, and gradcheck
-reruns only the stages after a nudged weight. The forward keeps the caches by
+An encoder layer splits before LN1 because ``ln1_gain`` and ``ln1_bias``
+follow the feed-forward weights in ``flat``. ``forward_batch`` and
+``backward_batch`` loop over the list, and gradcheck reruns only the stages
+from a nudged weight's owner on. The forward keeps the caches by
 default, as a training step needs them; predictions that never go backward
 pass ``keep_cache=False`` and hold about one stage's activations at a time.
 ``backward_batch`` consumes the cache list: it pops each stage's cache before
@@ -206,11 +210,12 @@ class Stage(NamedTuple):
     name: str
     flat: np.ndarray  # the view of the model's ``flat`` that the stage owns
     forward: Callable  # x -> (output, cache)
-    backward: Callable  # (d_output, cache) -> (d_x, grads of a component, or a list of them)
+    backward: Callable  # (d_output, cache) -> (d_x, grads of a component, a list of them or a dict)
 
 
 def _arrays(part) -> list:
-    return [arr for _, arr in part.named_arrays()]
+    """The arrays of a component, or of a dict of gradients, in ``flat`` order."""
+    return list(part.values()) if isinstance(part, dict) else [arr for _, arr in part.named_arrays()]
 
 
 def _stages(m: ModelParams) -> list:
@@ -235,12 +240,16 @@ def _stages(m: ModelParams) -> list:
             lambda x: T.encoder_input_forward(x, enc),
             lambda d, cache: T.encoder_input_backward(d, cache, enc),
         ))
-        stages += [
-            Stage(f"encoder.layers.{i}", own(*_arrays(layer)),
-                  lambda x, layer=layer: T.encoder_layer_forward(x, layer, enc.n_heads),
-                  lambda d, cache, layer=layer: T.encoder_layer_backward(d, cache, layer))
-            for i, layer in enumerate(enc.layers)
-        ]
+        for i, layer in enumerate(enc.layers):
+            arrays = _arrays(layer)  # W_q, W_k, W_v and W_o head the layer's arrays
+            stages += [
+                Stage(f"encoder.layers.{i}.attention", own(*arrays[:4]),
+                      lambda x, layer=layer: T.attention_block_forward(x, layer, enc.n_heads),
+                      lambda d, cache, layer=layer: T.attention_block_backward(d, cache, layer)),
+                Stage(f"encoder.layers.{i}.feed_forward", own(*arrays[4:]),
+                      lambda x, layer=layer: T.feed_forward_block_forward(x, layer),
+                      lambda d, cache, layer=layer: T.feed_forward_block_backward(d, cache, layer)),
+            ]
         return stages + [Stage(
             "pool+head", own(*_arrays(head)),
             lambda x: T.predict(x, head), lambda d, cache: T.predict_backward(d, cache, head),

@@ -1,4 +1,4 @@
-"""Numerically safe activations, and the one checker of spec fields."""
+"""Numerically safe activations, a lean mean, and the one checker of spec fields."""
 
 import math
 import operator
@@ -93,9 +93,19 @@ def sigmoid(x) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
+def mean(x: np.ndarray, axis: int | None = None, keepdims: bool = False):
+    """``np.mean`` of a float64 array without its Python wrapper.
+
+    The same arithmetic, ``np.add.reduce`` then one division by the count, so
+    the bits agree; the hot paths of tiny models call it thousands of times.
+    """
+    count = x.size if axis is None else x.shape[axis]
+    return np.add.reduce(x, axis=axis, keepdims=keepdims) / count
+
+
 def softmax(x, axis: int = -1) -> np.ndarray:
     """Normalized exponentials along ``axis``; max-subtracted for stability."""
     x = np.asarray(x, dtype=np.float64)
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / np.sum(ex, axis=axis, keepdims=True)
+    ex = np.exp(x - np.maximum.reduce(x, axis=axis, keepdims=True))
+    ex /= np.add.reduce(ex, axis=axis, keepdims=True)
+    return ex

@@ -29,7 +29,7 @@ from . import pso as P
 from .model import ModelParams, backward_batch, build_model, forward_batch
 from .preprocessing import SplitSpec, WindowedDataset, invert_standardization
 from .metrics import EvalReport, evaluate
-from .ops import check_fields, declared
+from .ops import check_fields, declared, mean
 from .rng import SeededRng
 
 DIVERGED_FITNESS = 1e18
@@ -44,7 +44,7 @@ def mse_loss(pred, target):
     if pred.size == 0:
         raise ValueError("cannot compute a loss over zero samples")
     err = pred - target
-    return float(np.mean(err * err)), (2.0 / pred.size) * err
+    return float(mean(err * err)), (2.0 / pred.size) * err
 
 
 @dataclass

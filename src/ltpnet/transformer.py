@@ -37,11 +37,15 @@ Caches keep only what backward reads, as rows unless noted:
     head          "x" the pooled input and "act", as in the feed-forward (the
                   head is the same two-layer ReLU block), and "seq_len"
 
-The model runs the input projection (``encoder_input_forward``) and each
-layer as stages of their own (model.py), and a prediction that never goes
-backward drops each stage's cache as soon as the stage returns.
-``encoder_stack_forward`` and ``encoder_stack_backward`` compose the same
-functions over a whole stack.
+Each encoder layer is two sub-blocks: attention plus its residual
+(``attention_block_forward``, owning ``W_qkv`` and ``W_o``), then LN1, the
+feed-forward block, its residual and LN2 (``feed_forward_block_forward``,
+owning every later array). The model runs the input projection
+(``encoder_input_forward``) and each sub-block as stages of their own
+(model.py), and a prediction that never goes backward drops each stage's
+cache as soon as the stage returns. ``encoder_layer_forward`` and
+``encoder_stack_forward`` (and their backwards) compose the same functions
+over a layer and over a whole stack.
 
 Bias adds, ReLUs, residual adds and the layer norm's scale and shift run in
 place, but only on arrays the function computed itself. Nothing writes into
@@ -58,7 +62,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .ops import ShapeMismatchError, softmax
+from .ops import ShapeMismatchError, mean, softmax
 from .rng import SeededRng
 
 LAYER_NORM_EPS = 1e-5
@@ -328,9 +332,9 @@ def feed_forward_backward(d_out, cache, p: EncoderLayerParams):
 
 
 def _layer_norm_fwd(x, gain, bias):
-    mu = x.mean(axis=-1, keepdims=True)
+    mu = mean(x, -1, keepdims=True)
     xhat = x - mu
-    var = np.mean(xhat * xhat, axis=-1, keepdims=True)
+    var = mean(xhat * xhat, -1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat *= inv
     out = xhat * gain
@@ -341,12 +345,12 @@ def _layer_norm_fwd(x, gain, bias):
 def _layer_norm_bwd(d_out, cache, gain):
     xhat, inv = cache["xhat"], cache["inv"]
     axes = tuple(range(d_out.ndim - 1))
-    d_gain = (d_out * xhat).sum(axis=axes)
-    d_bias = d_out.sum(axis=axes)
+    d_gain = np.add.reduce(d_out * xhat, axis=axes)
+    d_bias = np.add.reduce(d_out, axis=axes)
     d_xhat = d_out * gain
-    dx = d_xhat - d_xhat.mean(axis=-1, keepdims=True)
+    dx = d_xhat - mean(d_xhat, -1, keepdims=True)
     d_xhat *= xhat
-    dx -= xhat * d_xhat.mean(axis=-1, keepdims=True)
+    dx -= xhat * mean(d_xhat, -1, keepdims=True)
     dx *= inv
     return dx, d_gain, d_bias
 
@@ -355,41 +359,69 @@ def _layer_norm_bwd(d_out, cache, gain):
 # encoder layer / stack / head
 # ---------------------------------------------------------------------------
 
-def encoder_layer_forward(x, p: EncoderLayerParams, n_heads: int):
-    """Post-norm block: LN(x + attention(x)), then LN(y + feed_forward(y)).
+def attention_block_forward(x, p: EncoderLayerParams, n_heads: int):
+    """The attention sub-block of an encoder layer: x + attention(x).
 
-    ``x`` is (B, S, d_model); returns (output of the same shape, cache).
+    ``x`` is (B, S, d_model); returns (output of the same shape, cache). The
+    sub-block owns ``W_qkv`` and ``W_o``, the head of the layer's arrays.
     """
     x = _batch(x, "encoder layer input")
-    rows = x.reshape(-1, x.shape[-1])
-    attn, attn_cache = multi_head_attention(x, p, n_heads)
-    s1 = attn.reshape(rows.shape)
-    s1 += rows
-    y1, ln1_cache = _layer_norm_fwd(s1, p.ln1_gain, p.ln1_bias)
+    s1, cache = multi_head_attention(x, p, n_heads)
+    s1 += x
+    return s1, cache
+
+
+def attention_block_backward(d_out, cache, p: EncoderLayerParams):
+    """Returns (grad w.r.t. x (B, S, D), dict of grads for W_qkv and W_o)."""
+    d_out = _batch(d_out, "attention block output gradient")
+    d_x, grads = multi_head_attention_backward(d_out, cache, p)
+    d_x += d_out
+    return d_x, grads
+
+
+def feed_forward_block_forward(s1, p: EncoderLayerParams):
+    """The rest of an encoder layer: y = LN1(s1), then LN2(y + feed_forward(y)).
+
+    ``s1`` is the attention sub-block's output (B, S, d_model); returns (output
+    of the same shape, cache). The sub-block owns every array after ``W_o``.
+    """
+    s1 = _batch(s1, "feed-forward block input")
+    y1, ln1_cache = _layer_norm_fwd(s1.reshape(-1, s1.shape[-1]), p.ln1_gain, p.ln1_bias)
     s2, ff_cache = feed_forward(y1, p)
     s2 += y1
     y2, ln2_cache = _layer_norm_fwd(s2, p.ln2_gain, p.ln2_bias)
-    cache = {"attn": attn_cache, "ln1": ln1_cache, "ff": ff_cache, "ln2": ln2_cache}
-    return y2.reshape(x.shape), cache
+    return y2.reshape(s1.shape), {"ln1": ln1_cache, "ff": ff_cache, "ln2": ln2_cache}
 
 
-def encoder_layer_backward(d_out, cache, p: EncoderLayerParams):
-    """Returns (grad w.r.t. x (B, S, D), EncoderLayerParams-shaped grads)."""
+def feed_forward_block_backward(d_out, cache, p: EncoderLayerParams):
+    """Returns (grad w.r.t. s1 (B, S, D), dict of grads for the arrays after W_o,
+    in field order)."""
     d_out = _batch(d_out, "encoder layer output gradient")
     d_s2, ln2_gain, ln2_bias = _layer_norm_bwd(
         d_out.reshape(-1, d_out.shape[-1]), cache["ln2"], p.ln2_gain
     )
-    d_y1, ff_grads = feed_forward_backward(d_s2, cache["ff"], p)
+    d_y1, grads = feed_forward_backward(d_s2, cache["ff"], p)
     d_y1 += d_s2
     d_s1, ln1_gain, ln1_bias = _layer_norm_bwd(d_y1, cache["ln1"], p.ln1_gain)
-    d_s1 = d_s1.reshape(d_out.shape)
-    d_x, attn_grads = multi_head_attention_backward(d_s1, cache["attn"], p)
-    d_x += d_s1
-    g = EncoderLayerParams(
-        **attn_grads, **ff_grads,
-        ln1_gain=ln1_gain, ln1_bias=ln1_bias, ln2_gain=ln2_gain, ln2_bias=ln2_bias,
-    )
-    return d_x, g
+    grads.update(ln1_gain=ln1_gain, ln1_bias=ln1_bias, ln2_gain=ln2_gain, ln2_bias=ln2_bias)
+    return d_s1.reshape(d_out.shape), grads
+
+
+def encoder_layer_forward(x, p: EncoderLayerParams, n_heads: int):
+    """Post-norm block: the attention sub-block, then the feed-forward one.
+
+    ``x`` is (B, S, d_model); returns (output of the same shape, cache).
+    """
+    s1, attn_cache = attention_block_forward(x, p, n_heads)
+    y2, cache = feed_forward_block_forward(s1, p)
+    return y2, {"attn": attn_cache, **cache}
+
+
+def encoder_layer_backward(d_out, cache, p: EncoderLayerParams):
+    """Returns (grad w.r.t. x (B, S, D), EncoderLayerParams-shaped grads)."""
+    d_s1, ff_grads = feed_forward_block_backward(d_out, cache, p)
+    d_x, attn_grads = attention_block_backward(d_s1, cache["attn"], p)
+    return d_x, EncoderLayerParams(**attn_grads, **ff_grads)
 
 
 def encoder_input_forward(hidden_seq, stack: EncoderStack):
@@ -470,7 +502,7 @@ def predict(encoded, head: PredictionHead):
             f"encoded feature size {z.shape[-1]} does not match "
             f"head input {head.W_a.shape[0]}"
         )
-    out, cache = head_forward(z.mean(axis=1), head)
+    out, cache = head_forward(mean(z, 1), head)
     cache["seq_len"] = z.shape[1]
     return out, cache
 

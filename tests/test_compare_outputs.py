@@ -5,6 +5,11 @@ from pathlib import Path
 
 import numpy as np
 
+from ltpnet.gradcheck import staged_finite_difference_grads
+from ltpnet.model import build_model
+from ltpnet.rng import SeededRng
+from ltpnet.training import loss_and_gradients
+
 _ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location(
     "compare_outputs", _ROOT / "scripts" / "compare_outputs.py"
@@ -152,3 +157,19 @@ class TestCsvRun:
         assert table.missing_counts() == {"a": 1, "b": 1}  # data cells 3 (a at row 2) and 6 (b at row 3)
         assert np.isnan(table.columns["a"][1]) and np.isnan(table.columns["b"][2])
         assert load_csv(src).missing_counts() == {"a": 0, "b": 0}
+
+
+class TestGradientVectors:
+    def test_digests_hash_both_vectors_the_suite_compares(self, tmp_path):
+        got = compare_outputs.gradient_digests(_ROOT, tmp_path, (3,))
+        # composed_gradcheck_suite's model and data at seed 3
+        rng = SeededRng(3)
+        model = build_model(n_features=2, lstm_hidden=4, lstm_layers=2, transformer_layers=1,
+                            attention_heads=2, d_model=8, head_width=4, rng=rng.split(0))
+        data = rng.split(1)
+        windows, targets = data.uniform(-1.0, 1.0, (2, 6, 2)), data.uniform(-1.0, 1.0, 2)
+        sha = lambda v: hashlib.sha256(v.tobytes()).hexdigest()
+        assert got == {
+            "seed-3/analytic": sha(loss_and_gradients(windows, targets, model)[1].flat),
+            "seed-3/numeric": sha(staged_finite_difference_grads(model, windows, targets)),
+        }

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltpnet import lstm as L
+from ltpnet import transformer as T
 from ltpnet.checkpoint import load_checkpoint, save_checkpoint
 from ltpnet.gradcheck import (
     check_model_gradients,
@@ -184,8 +185,9 @@ class TestStages:
 
     def test_run_order(self):
         names = lambda **flags: [s.name for s in tiny_model(**flags).stages]
-        assert names() == ["lstm.0", "lstm.1", "encoder.input", "encoder.layers.0", "pool+head"]
-        assert names(lstm_enabled=False) == ["encoder.input", "encoder.layers.0", "pool+head"]
+        layer = ["encoder.layers.0.attention", "encoder.layers.0.feed_forward"]
+        assert names() == ["lstm.0", "lstm.1", "encoder.input", *layer, "pool+head"]
+        assert names(lstm_enabled=False) == ["encoder.input", *layer, "pool+head"]
         assert names(transformer_enabled=False) == ["lstm.0", "lstm.1", "bypass+head"]
 
     @pytest.mark.parametrize("layers", [0, 2])
@@ -211,6 +213,33 @@ class TestStages:
         head_size = sum(arr.size for _, arr in model.head.named_arrays())
         assert (start, start + last.size) == (offsets["head.W_a"], model.flat.size)
         assert offsets["bypass.W"] == start + head_size
+
+    def test_each_layers_two_stages_run_its_encoder_layer(self):
+        model = tiny_model(transformer_layers=2)
+        stages = {stage.name: stage for stage in model.stages}
+        rng = SeededRng(3)
+        x = rng.uniform(-1, 1, (3, 5, 8))
+        for i, layer in enumerate(model.encoder.layers):
+            attention = stages[f"encoder.layers.{i}.attention"]
+            feed_forward = stages[f"encoder.layers.{i}.feed_forward"]
+            assert attention.flat.size == layer.W_qkv.size + layer.W_o.size
+            assert feed_forward.flat.size == sum(arr.size for _, arr in layer.named_arrays()) - attention.flat.size
+            s1, attention_cache = attention.forward(x)
+            y, feed_forward_cache = feed_forward.forward(s1)
+            expected, cache = T.encoder_layer_forward(x, layer, model.encoder.n_heads)
+            assert y.tobytes() == expected.tobytes()
+
+            d_y = rng.uniform(-1, 1, y.shape)
+            d_s1, feed_forward_grads = feed_forward.backward(d_y, feed_forward_cache)
+            d_x, attention_grads = attention.backward(d_s1, attention_cache)
+            expected_d_x, grads = T.encoder_layer_backward(d_y, cache, layer)
+            assert d_x.tobytes() == expected_d_x.tobytes()
+            staged = [*attention_grads.values(), *feed_forward_grads.values()]
+            whole = [arr for _, arr in grads.named_arrays()]
+            assert np.concatenate([a.ravel() for a in staged]).tobytes() == (
+                np.concatenate([a.ravel() for a in whole]).tobytes()
+            )
+            x = y
 
     def test_stages_are_built_once_per_model(self):
         model = tiny_model()

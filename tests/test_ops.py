@@ -3,8 +3,9 @@ import warnings
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from ltpnet.ops import sigmoid, softmax
+from ltpnet.ops import mean, sigmoid, softmax
 from ltpnet.rng import SeededRng
 from ltpnet.transformer import _layer_norm_fwd
 
@@ -80,6 +81,51 @@ class TestSoftmax:
     def test_axis_argument(self):
         x = SeededRng(5).uniform(-3, 3, (4, 6))
         np.testing.assert_allclose(softmax(x, axis=0).sum(axis=0), 1.0, atol=1e-12)
+
+
+def _arrays_with_rows_of_nan_and_inf():
+    """float64 arrays of 1-3 dimensions holding any values, NaN and ±inf included."""
+    values = st.floats(allow_nan=True, allow_infinity=True)
+    return hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=7), elements=values)
+
+
+_SPECIAL_ROWS = np.array([
+    [1.0, np.nan, 2.0, 0.5], [np.inf, 1.0, -np.inf, 0.0], [np.inf, np.inf, 0.5, -1.0],
+    [-np.inf, 3.0, 4.0, 1e308], [1e308, 1e308, -0.0, 0.0],
+])
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+class TestLeanReductions:
+    """The wrapper-free reductions give numpy's own bits."""
+
+    @settings(max_examples=300)
+    @given(x=_arrays_with_rows_of_nan_and_inf(), data=st.data())
+    @example(x=_SPECIAL_ROWS, data=None)
+    def test_mean_is_np_mean_bit_for_bit(self, x, data):
+        cases = [(None, False), (None, True), (-1, True), (0, False)]
+        if data is not None:
+            cases.append((data.draw(st.none() | st.integers(-x.ndim, x.ndim - 1)), data.draw(st.booleans())))
+        with np.errstate(all="ignore"):
+            for axis, keepdims in cases:
+                assert _bits(mean(x, axis, keepdims=keepdims)) == (
+                    _bits(np.mean(x, axis=axis, keepdims=keepdims))
+                ), (axis, keepdims)
+
+    @settings(max_examples=300)
+    @given(x=_arrays_with_rows_of_nan_and_inf(), data=st.data())
+    @example(x=_SPECIAL_ROWS, data=None)
+    def test_softmax_is_the_three_line_formula_bit_for_bit(self, x, data):
+        axes = [-1, 0] if data is None else [data.draw(st.integers(-x.ndim, x.ndim - 1))]
+        with np.errstate(all="ignore"):
+            for axis in axes:
+                shifted = x - np.max(x, axis=axis, keepdims=True)
+                ex = np.exp(shifted)
+                assert _bits(softmax(x, axis=axis)) == _bits(ex / np.sum(ex, axis=axis, keepdims=True))
 
 
 class TestLayerNorm:
