@@ -373,7 +373,6 @@ def attention_block_forward(x, p: EncoderLayerParams, n_heads: int):
 
 def attention_block_backward(d_out, cache, p: EncoderLayerParams):
     """Returns (grad w.r.t. x (B, S, D), dict of grads for W_qkv and W_o)."""
-    d_out = _batch(d_out, "attention block output gradient")
     d_x, grads = multi_head_attention_backward(d_out, cache, p)
     d_x += d_out
     return d_x, grads
