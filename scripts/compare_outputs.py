@@ -18,10 +18,12 @@ under ``impute_strategy: "median"``. The sha256 of every ``run_report.json``,
 summary, of each study's history CSVs and summary, and of the synthesized CSV
 is printed; ``optimizer_table.csv`` is hashed without its two wall-clock
 columns. So is the sha256 of the analytic and the staged numeric gradient
-vector that ``gradcheck.composed_gradcheck_suite`` compares, for criterion
-01's seeds 0-19 and the ReLU-kink seeds 44 and 111, each computed with the
-sources of its tree. Exits 1 when a file or vector differs or is written on
-one side only.
+vector that ``gradcheck.check_model_gradients`` compares, each computed with
+the sources of its tree: inside ``composed_gradcheck_suite`` for criterion
+01's seeds 0-19 and the ReLU-kink seeds 44 and 111, and for the no-LSTM and
+no-encoder models of the model tests and a one-window, one-step batch
+(``GRADCHECK_MODELS``). Exits 1 when a file or vector differs or is written
+on one side only.
 """
 
 import argparse
@@ -58,12 +60,24 @@ SYNTH_CSV = Path("series.csv")
 GAPPY_CSV, GAP_EVERY = Path("gappy.csv"), 7
 SEED_OVERRIDE = "7"  # ``--seed`` of the seed-override run
 GRADCHECK_SEEDS = (*range(20), 44, 111)
-# Run with a tree's sources and the seeds as arguments: prints, as JSON, the
-# sha256 of both gradient vectors that ``check_model_gradients`` compares
-# inside ``composed_gradcheck_suite``, caught on their way in.
+_TINY = {"n_features": 2, "lstm_hidden": 4, "lstm_layers": 2, "transformer_layers": 1,
+         "attention_heads": 2, "d_model": 8, "head_width": 4}
+# Models checked outside the suite, by name: (``build_model`` arguments, its
+# seed, the seed of the data, the windows' shape). Data are uniform in [-1, 1).
+GRADCHECK_MODELS = {
+    "no-lstm": ({**_TINY, "lstm_enabled": False}, 13, 12, (2, 6, 2)),
+    "no-encoder": ({**_TINY, "transformer_enabled": False}, 14, 15, (2, 6, 2)),
+    "one-window-one-step": (_TINY, 16, 17, (1, 1, 2)),
+}
+# Run with a tree's sources and, as a JSON argument, seeds and models: prints,
+# as JSON, the sha256 of both gradient vectors that ``check_model_gradients``
+# compares, for each seed inside ``composed_gradcheck_suite`` and for each
+# model, caught on their way in.
 GRADIENT_SCRIPT = """
 import hashlib, json, sys
 from ltpnet import gradcheck as G
+from ltpnet.model import build_model
+from ltpnet.rng import SeededRng
 
 vectors = {}
 analytic, numeric = G.loss_and_gradients, G.staged_finite_difference_grads
@@ -79,11 +93,22 @@ def staged_finite_difference_grads(*args):
 
 G.loss_and_gradients, G.staged_finite_difference_grads = loss_and_gradients, staged_finite_difference_grads
 found = {}
-for seed in map(int, sys.argv[1:]):
-    vectors.clear()
-    G.composed_gradcheck_suite(1, seed)
+
+def record(case):
     for name, vector in sorted(vectors.items()):
-        found[f"seed-{seed}/{name}"] = hashlib.sha256(vector.tobytes()).hexdigest()
+        found[f"{case}/{name}"] = hashlib.sha256(vector.tobytes()).hexdigest()
+    vectors.clear()
+
+cases = json.loads(sys.argv[1])
+for seed in cases["seeds"]:
+    G.composed_gradcheck_suite(1, seed)
+    record(f"seed-{seed}")
+for case, (arguments, seed, data_seed, shape) in cases["models"].items():
+    model = build_model(**arguments, rng=SeededRng(seed))
+    data = SeededRng(data_seed)
+    windows = data.uniform(-1.0, 1.0, shape)
+    G.check_model_gradients(model, windows, data.uniform(-1.0, 1.0, shape[0]))
+    record(case)
 print(json.dumps(found))
 """
 
@@ -203,10 +228,12 @@ def run_cli(tree: Path, argv: list, out_dir: Path, work: Path, outputs) -> dict:
     return digests(out_dir, outputs)
 
 
-def gradient_digests(tree: Path, work: Path, seeds=GRADCHECK_SEEDS) -> dict:
-    """The digests ``GRADIENT_SCRIPT`` prints with the sources of ``tree``."""
+def gradient_digests(tree: Path, work: Path, seeds=GRADCHECK_SEEDS, models=()) -> dict:
+    """The digests ``GRADIENT_SCRIPT`` prints with the sources of ``tree``
+    for the suite's ``seeds`` and the ``GRADCHECK_MODELS`` named in ``models``."""
+    cases = {"seeds": list(seeds), "models": {name: GRADCHECK_MODELS[name] for name in models}}
     proc = subprocess.run(
-        [sys.executable, "-c", GRADIENT_SCRIPT, *map(str, seeds)],
+        [sys.executable, "-c", GRADIENT_SCRIPT, json.dumps(cases)],
         cwd=work, capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(tree / "src")},
     )
@@ -258,7 +285,7 @@ def main(argv=None) -> int:
             blank_cells(synth_dir / SYNTH_CSV, synth_dir / GAPPY_CSV)
             spec = csv_spec(smoke, synth_dir / GAPPY_CSV, str(out_dir), impute_strategy="median")
             results[side]["csv-median"] = run_spec(work / side, spec, work)
-            results[side]["gradcheck"] = gradient_digests(work / side, work)
+            results[side]["gradcheck"] = gradient_digests(work / side, work, models=GRADCHECK_MODELS)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 

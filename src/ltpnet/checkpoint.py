@@ -51,15 +51,12 @@ def save_checkpoint(model: ModelParams, path, metadata: dict | None = None) -> i
         sort_keys=True,
         separators=(",", ":"),
     ).encode()
-    blob = (
-        MAGIC
-        + struct.pack("<IQ", VERSION, len(header))
-        + header
-        + model.flat.astype("<f8", copy=False).tobytes()
-    )
-    with open(path, "wb") as fh:
-        fh.write(blob)
-    return len(blob)
+    prefix = MAGIC + struct.pack("<IQ", VERSION, len(header)) + header
+    payload = model.flat.astype("<f8", copy=False)  # no copy on a little-endian host
+    with open(path, "wb") as fh:  # the payload goes out from ``flat``, never as a bytes copy
+        fh.write(prefix)
+        fh.write(payload.data)
+    return len(prefix) + payload.nbytes
 
 
 def load_checkpoint(path) -> ModelParams:

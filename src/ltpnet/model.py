@@ -36,8 +36,9 @@ order, which is also ``flat`` order, so the spans tile ``flat`` end to end:
 
 An encoder layer splits before LN1 because ``ln1_gain`` and ``ln1_bias``
 follow the feed-forward weights in ``flat``. ``forward_batch`` and
-``backward_batch`` loop over the list, and gradcheck reruns only the stages
-from a nudged weight's owner on. The forward keeps the caches by
+``backward_batch`` loop over the list; gradcheck runs a nudged weight's
+owner stage alone (``forward_batch``'s ``start`` and ``stop``), then only
+the stages after it. The forward keeps the caches by
 default, as a training step needs them; predictions that never go backward
 pass ``keep_cache=False`` and hold about one stage's activations at a time.
 ``backward_batch`` consumes the cache list: it pops each stage's cache before
@@ -319,11 +320,14 @@ def build_model(
     return ModelParams(lstm_stack=stack, encoder=encoder, head=head, bypass=bypass)
 
 
-def forward_batch(windows: np.ndarray, model: ModelParams, keep_cache: bool = True, start: int = 0):
+def forward_batch(windows: np.ndarray, model: ModelParams, keep_cache: bool = True,
+                  start: int = 0, stop: int | None = None):
     """Predict a batch of windows (B, L, F). Returns (preds (B,), caches).
 
     Runs ``model.stages`` in order, keeping one cache per stage. With
-    ``start`` k, ``windows`` is stage k's input and only stages k onward run.
+    ``start`` k, ``windows`` is stage k's input and only stages k onward run;
+    with ``stop`` j, only stages before j run and the output is stage j - 1's
+    (the slice ``stages[start:stop]``).
     With ``keep_cache=False`` the caches are None and each stage's cache is
     dropped as soon as the stage returns, so a prediction holds about one
     layer's activations instead of every backward cache; the predictions
@@ -333,7 +337,7 @@ def forward_batch(windows: np.ndarray, model: ModelParams, keep_cache: bool = Tr
     if x.ndim != 3:
         raise ValueError(f"expected (batch, lookback, features), got {x.shape}")
     caches = []
-    for stage in model.stages[start:]:
+    for stage in model.stages[start:stop]:
         x, cache = stage.forward(x)
         if keep_cache:
             caches.append(cache)

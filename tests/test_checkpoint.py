@@ -252,6 +252,28 @@ class TestByteLength:
         assert written == path.stat().st_size
         assert written == 16 + 857 + 8 * 1273
 
+    def test_save_holds_no_copy_of_the_payload(self, tmp_path):
+        # the file is the preamble, the header and ``flat``'s bytes, while
+        # the save itself allocates less than half a payload (a blob built
+        # as one bytes object holds the payload twice)
+        model = build_model(n_features=2, lstm_hidden=32, lstm_layers=1, transformer_layers=2,
+                            attention_heads=2, d_model=128, d_ff=512, head_width=8,
+                            rng=SeededRng(4))
+        path = tmp_path / "big.ckpt"
+        tracemalloc.start()
+        try:
+            written = save_checkpoint(model, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack("<Q", blob[8:16])
+        assert blob[:8] == b"LTPC" + struct.pack("<I", 3)
+        assert blob[16 + header_len:] == model.flat.tobytes()
+        assert written == len(blob) == 16 + header_len + model.flat.nbytes
+        assert model.flat.nbytes > 3 * 2**20
+        assert peak < model.flat.nbytes // 2
+
 
 @st.composite
 def small_structures(draw):

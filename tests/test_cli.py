@@ -393,6 +393,20 @@ class TestCommands:
         captured = capsys.readouterr()
         assert "FAIL" in captured.err and "PASS" not in captured.out
 
+    @pytest.mark.parametrize("seed, cases, named", [
+        (44, None, ["seed 44: error 8.836e-02; its worst element straddles a ReLU kink"]),
+        (0, [GradCheckCase(seed=0, error=1e-9), GradCheckCase(seed=1, error=0.5, kink=True),
+             GradCheckCase(seed=2, error=float("nan"))],
+         ["seed 1: error 5.000e-01; its worst element straddles a ReLU kink",
+          "seed 2: error nan; its worst element straddles no ReLU kink"]),
+    ])
+    def test_gradcheck_names_each_failing_seeds_kink(self, capsys, monkeypatch, seed, cases, named):
+        if cases is not None:
+            monkeypatch.setattr("ltpnet.cli.composed_gradcheck_suite", lambda **_: cases)
+        assert cli(["gradcheck", "--seeds", "1", "--seed", str(seed)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [*named, "FAIL: exceeds tolerance 0.0001"]
+
     def test_synth_writes_csv(self, tmp_path):
         out = tmp_path / "series.csv"
         assert cli(

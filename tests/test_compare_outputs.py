@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from ltpnet.gradcheck import staged_finite_difference_grads
 from ltpnet.model import build_model
@@ -172,4 +173,21 @@ class TestGradientVectors:
         assert got == {
             "seed-3/analytic": sha(loss_and_gradients(windows, targets, model)[1].flat),
             "seed-3/numeric": sha(staged_finite_difference_grads(model, windows, targets)),
+        }
+
+    @pytest.mark.parametrize("name, flags, seed, data_seed, shape", [
+        ("no-lstm", {"lstm_enabled": False}, 13, 12, (2, 6, 2)),  # TestComposedGradients' cases
+        ("no-encoder", {"transformer_enabled": False}, 14, 15, (2, 6, 2)),
+        ("one-window-one-step", {}, 16, 17, (1, 1, 2)),
+    ])
+    def test_digests_hash_both_vectors_of_each_model(self, tmp_path, name, flags, seed, data_seed, shape):
+        got = compare_outputs.gradient_digests(_ROOT, tmp_path, (), (name,))
+        model = build_model(n_features=2, lstm_hidden=4, lstm_layers=2, transformer_layers=1,
+                            attention_heads=2, d_model=8, head_width=4, rng=SeededRng(seed), **flags)
+        data = SeededRng(data_seed)
+        windows, targets = data.uniform(-1, 1, shape), data.uniform(-1, 1, shape[0])
+        sha = lambda v: hashlib.sha256(v.tobytes()).hexdigest()
+        assert got == {
+            f"{name}/analytic": sha(loss_and_gradients(windows, targets, model)[1].flat),
+            f"{name}/numeric": sha(staged_finite_difference_grads(model, windows, targets)),
         }

@@ -3,17 +3,19 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ltpnet import lstm as L
 from ltpnet import transformer as T
 from ltpnet.checkpoint import load_checkpoint, save_checkpoint
+from ltpnet import gradcheck as G
 from ltpnet.gradcheck import (
     check_model_gradients,
     composed_gradcheck_suite,
     finite_difference_grads,
     staged_finite_difference_grads,
+    straddles_relu_kink,
 )
 from ltpnet.model import ModelParams, backward_batch, build_model, forward_batch, forward_full
 from ltpnet.rng import SeededRng
@@ -153,21 +155,21 @@ class TestComposedGradients:
         rng = SeededRng(11)
         windows = rng.uniform(-1, 1, (2, 6, 2))
         targets = rng.uniform(-1, 1, 2)
-        assert check_model_gradients(model, windows, targets) < 1e-4
+        assert check_model_gradients(model, windows, targets).error < 1e-4
 
     def test_no_lstm_variant(self):
         model = tiny_model(seed=13, lstm_enabled=False)
         rng = SeededRng(12)
         windows = rng.uniform(-1, 1, (2, 6, 2))
         targets = rng.uniform(-1, 1, 2)
-        assert check_model_gradients(model, windows, targets) < 1e-4
+        assert check_model_gradients(model, windows, targets).error < 1e-4
 
     def test_no_transformer_variant(self):
         model = tiny_model(seed=14, transformer_enabled=False)
         rng = SeededRng(15)
         windows = rng.uniform(-1, 1, (2, 6, 2))
         targets = rng.uniform(-1, 1, 2)
-        assert check_model_gradients(model, windows, targets) < 1e-4
+        assert check_model_gradients(model, windows, targets).error < 1e-4
 
 
     def test_relu_kink_seeds_keep_their_errors(self):
@@ -178,6 +180,39 @@ class TestComposedGradients:
         # unstaged check gave.
         assert composed_gradcheck_suite(1, 44)[0].error == 0.08835967895164785
         assert composed_gradcheck_suite(1, 111)[0].error == 1.0
+        # the suite names the kink at these seeds, and none at criterion 01's
+        assert composed_gradcheck_suite(1, 44)[0].kink
+        assert composed_gradcheck_suite(1, 111)[0].kink
+        assert not any(case.kink for case in composed_gradcheck_suite(20, 0))
+
+    def test_the_check_names_its_worst_element(self):
+        model = tiny_model(seed=10)
+        rng = SeededRng(11)
+        windows = rng.uniform(-1, 1, (2, 6, 2))
+        targets = rng.uniform(-1, 1, 2)
+        error, index = check_model_gradients(model, windows, targets)
+        analytic = G.loss_and_gradients(windows, targets, model)[1].flat
+        numeric = staged_finite_difference_grads(model, windows, targets)
+        errors = np.abs(analytic - numeric) / np.maximum(np.abs(analytic) + np.abs(numeric), 1e-6)
+        assert errors[index] == error == errors.max()
+
+    @pytest.mark.parametrize("bias, kink", [(0.0, True), (1.0, False)])
+    def test_a_kink_is_a_relu_input_changing_sign(self, bias, kink):
+        # with W_a zero, the head's ReLU inputs are b_a for every window
+        model = tiny_model(seed=16)
+        model.head.W_a[...] = 0.0
+        model.head.b_a[...] = 1.0
+        model.head.b_a[0] = bias
+        offset = 0
+        for name, arr in model.named_arrays():
+            if name == "head.b_a":
+                break
+            offset += arr.size
+        before = model.flat.copy()
+        windows = SeededRng(17).uniform(-1, 1, (2, 6, 2))
+        assert straddles_relu_kink(model, windows, offset) is kink
+        assert not straddles_relu_kink(model, windows, offset + 1)  # b_a[1] stays 1 +- eps
+        np.testing.assert_array_equal(model.flat, before)
 
 
 class TestStages:
@@ -247,6 +282,9 @@ class TestStages:
 
     @settings(max_examples=30)
     @given(case=small_cases())
+    # one window of one step: every product is a matrix-vector one
+    @example(case=(tiny_model(seed=18), SeededRng(19).uniform(-2, 2, (1, 1, 2))))
+    @example(case=(tiny_model(seed=20, transformer_enabled=False), SeededRng(21).uniform(-2, 2, (3, 4, 2))))
     def test_staged_differences_equal_full_forward_differences(self, case):
         model, windows = case
         targets = SeededRng(len(windows)).uniform(-1, 1, len(windows))
@@ -260,6 +298,61 @@ class TestStages:
         staged = staged_finite_difference_grads(model, windows, targets)
         assert np.array_equal(staged, naive)
         np.testing.assert_array_equal(model.flat, before)
+
+
+class TestBatchedDifferences:
+    def test_losses_get_runs_of_at_most_the_run_size(self):
+        class Params:
+            flat = np.zeros(3 * G.RUN_SIZE // 2 + 5)  # runs do not divide it
+
+        calls, runs = [], []
+
+        def fn():
+            calls.append(len(calls))
+            return len(calls) - 1
+
+        def losses(values):
+            runs.append(list(values))
+            return [float(v) for v in values]
+
+        grads = finite_difference_grads(fn, Params, losses)
+        assert max(map(len, runs)) <= G.RUN_SIZE
+        assert [v for run in runs for v in run] == calls == list(range(2 * Params.flat.size))
+        np.testing.assert_array_equal(grads, np.full(Params.flat.size, -1.0 / (2 * G.DEFAULT_EPS)))
+
+    def test_a_middle_stage_runs_once_per_run(self, monkeypatch):
+        model = tiny_model(seed=22)
+        windows = SeededRng(23).uniform(-1, 1, (2, 6, 2))
+        calls = []
+        attention = T.attention_block_forward
+
+        def counted(*args):
+            calls.append(1)
+            return attention(*args)
+
+        monkeypatch.setattr(T, "attention_block_forward", counted)
+        staged_finite_difference_grads(model, windows, SeededRng(24).uniform(-1, 1, 2))
+        sizes = {stage.name: stage.flat.size for stage in model.stages}
+        runs = lambda name: -(-2 * sizes[name] // G.RUN_SIZE)
+        # the kept inputs, then each nudge of attention's own weights, then
+        # one batch per run of each earlier stage; no later stage reruns it
+        assert len(calls) == 1 + 2 * sizes["encoder.layers.0.attention"] + sum(
+            runs(name) for name in ("lstm.0", "lstm.1", "encoder.input")
+        )
+
+    def test_forward_batch_runs_stages_from_start_to_stop(self):
+        for flags in TestStages.VARIANTS:
+            model = tiny_model(seed=25, **flags)
+            inputs = [SeededRng(26).uniform(-1, 1, (2, 6, 2))]
+            for stage in model.stages:
+                inputs.append(stage.forward(inputs[-1])[0])
+            n = len(model.stages)
+            for start in range(n):
+                for stop in range(start + 1, n + 1):
+                    out, caches = forward_batch(inputs[start], model, start=start, stop=stop)
+                    assert out.tobytes() == inputs[stop].tobytes(), (flags, start, stop)
+                    assert len(caches) == stop - start
+            assert forward_batch(inputs[0], model, stop=None)[0].tobytes() == inputs[-1].tobytes()
 
 
 def assert_views_into_flat(model):
