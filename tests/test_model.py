@@ -193,7 +193,7 @@ class TestComposedGradients:
         error, index = check_model_gradients(model, windows, targets)
         analytic = G.loss_and_gradients(windows, targets, model)[1].flat
         numeric = staged_finite_difference_grads(model, windows, targets)
-        errors = np.abs(analytic - numeric) / np.maximum(np.abs(analytic) + np.abs(numeric), 1e-6)
+        errors = np.abs(analytic - numeric) / np.maximum(np.abs(analytic) + np.abs(numeric), G.REL_ERR_FLOOR)
         assert errors[index] == error == errors.max()
 
     @pytest.mark.parametrize("bias, kink", [(0.0, True), (1.0, False)])
