@@ -13,9 +13,10 @@ both sides alike. Several workloads run one after the other.
 
 Writes ``BENCH_<label>.json`` at the repository root: per workload, every
 run's metrics, each side's median and quartiles per end-to-end metric of
-``BENCHMARK.json`` and how many pairs the change won per metric; and the
-environment (Python, numpy, BLAS, CPU count, thread variables) and both
-commits.
+``BENCHMARK.json``, how many pairs the change won per metric, and whether the
+change is worse than the base past the metric's ``bound`` or the base spreads
+too widely to tell; and the environment (Python, numpy, BLAS, CPU count,
+thread variables) and both commits.
 """
 
 import argparse
@@ -75,7 +76,7 @@ def _quartiles(values):
     return q1, q3
 
 
-def summarize(runs: list, directions: dict) -> dict:
+def summarize(runs: list, directions: dict, bounds: dict | None = None) -> dict:
     """Per metric: each side's values, median and quartiles, and pair wins.
 
     ``runs`` holds dicts with "pair", "side" ("base" or "change") and
@@ -84,6 +85,12 @@ def summarize(runs: list, directions: dict) -> dict:
     is strictly better. ``gap_exceeds_base_iqr`` says whether the change's
     median is better than the base's by more than the base's quartile
     distance.
+
+    ``bounds`` maps a metric name to its relative bound. For such a metric,
+    ``worse_past_bound`` says whether the change's median is worse than the
+    base's by more than ``bound`` times the base's median, and ``unresolved``
+    whether the base's quartile distance exceeds ``bound`` times its median,
+    unless every change run beats every base run.
     """
     summary = {}
     for name, better in directions.items():
@@ -114,6 +121,11 @@ def summarize(runs: list, directions: dict) -> dict:
             gap = sign * (change["median"] - base["median"])
             entry["median_ratio"] = change["median"] / base["median"] if base["median"] else None
             entry["gap_exceeds_base_iqr"] = gap > base["q3"] - base["q1"]
+            if name in (bounds or {}):
+                scale = bounds[name] * abs(base["median"])
+                entry["worse_past_bound"] = gap < -scale
+                beats_all = min(sign * v for v in change["values"]) > max(sign * v for v in base["values"])
+                entry["unresolved"] = base["q3"] - base["q1"] > scale and not beats_all
         summary[name] = entry
     return summary
 
@@ -145,6 +157,7 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     base_sha = _git("rev-parse", args.base)
     head_sha = _git("rev-parse", "HEAD")
 
@@ -173,7 +186,7 @@ def main(argv=None) -> int:
                     side: sum(not r["correct"] for r in runs if r["side"] == side)
                     for side in ("base", "change")
                 },
-                "summary": summarize(runs, directions),
+                "summary": summarize(runs, directions, bounds),
                 "runs": runs,
             }
     finally:

@@ -19,8 +19,12 @@ arrays). Loading first checks the payload length that the manifest implies
 against the bytes present, so a header that claims more weights than the file
 holds allocates nothing. It then builds the model over one copy of the
 payload (``ModelParams.over``) and checks that the model gives back the
-stored structure (so a header with a key the model does not have is refused)
-and that the manifest fits it. Every malformed file, header included, raises
+stored structure (so a header with a key the model does not have is refused),
+that every dimension in it is an integer >= 0, never a float or a bool
+(``ops.check_value``, naming its path, such as ``structure.encoder.n_heads``;
+a missing component is null), and that the manifest fits it. Python's ``==``
+holds ``2.0`` and ``true`` equal to ``2`` and ``1``, so only the type check
+refuses them. Every malformed file, header included, raises
 ``CheckpointError``. Round-trips are bit-exact.
 """
 
@@ -31,6 +35,7 @@ import struct
 import numpy as np
 
 from .model import ModelParams
+from .ops import check_value
 
 MAGIC = b"LTPC"
 VERSION = 3
@@ -38,6 +43,16 @@ VERSION = 3
 
 class CheckpointError(ValueError):
     """Raised for unreadable, truncated, or wrong-version checkpoint files."""
+
+
+def _check_dimensions(path: str, node) -> None:
+    """Raise ValueError naming the path of a leaf of ``node`` that is neither an
+    int >= 0 nor None (a component the model lacks)."""
+    if isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            _check_dimensions(f"{path}.{key}" if isinstance(node, dict) else f"{path}[{key}]", value)
+    else:
+        check_value(path, node, int | None, {"ge": 0})
 
 
 def _manifest(model: ModelParams) -> list:
@@ -82,12 +97,13 @@ def load_checkpoint(path) -> ModelParams:
             raise CheckpointError(f"{path}: {extra} trailing bytes after the manifest's payload")
         payload = np.frombuffer(blob, "<f8", size, 16 + header_len).astype(np.float64)
         model = ModelParams.over(structure, payload)
+        if model.structure() != structure:
+            raise CheckpointError(f"{path}: the stored structure contradicts itself")
+        _check_dimensions("structure", structure)
     except CheckpointError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed header: {exc!r}") from exc
-    if model.structure() != structure:
-        raise CheckpointError(f"{path}: the stored structure contradicts itself")
     if manifest != _manifest(model):
         raise CheckpointError(f"{path}: manifest does not fit the stored structure")
     return model

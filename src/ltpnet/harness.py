@@ -18,8 +18,6 @@ import csv
 import ctypes
 import hashlib
 import json
-import numbers
-import re
 import time
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
@@ -160,76 +158,6 @@ class RunReport:
             "training_time_s": self.efficiency.training_time_s,
             "version": self.version,
         }
-
-
-# The layout of a run report: the keys each section requires, then the kind
-# and minimum (None: none) of each checked value. ``validate_run_report``
-# holds a report to it, with JSON Schema's meaning of each kind.
-REPORT_KEYS = {
-    "spec": (),
-    "resolved_hyperparams": (
-        "lstm_hidden", "lstm_lr", "transformer_layers", "attention_heads", "d_model", "transformer_lr",
-    ),
-    "train_config": ("optimizer", "batch_size", "epochs", "patience"),
-    "swarm_config": ("n_particles", "iterations", "omega", "c1", "c2"),
-    "eval": ("mae", "mape", "rmse", "mse", "n", "skipped_mape_points"),
-    "efficiency": ("parameter_count", "flops_per_forward"),
-    "training": ("stopped_epoch", "best_epoch", "diverged"),
-    "audit": ("train_batch_index_count", "test_overlap_count"),
-}
-REPORT_VALUES = {
-    ("eval", "mae"): ("a number", 0),
-    ("eval", "mape"): ("a number or null", 0),
-    ("eval", "rmse"): ("a number", 0),
-    ("eval", "mse"): ("a number", 0),
-    ("eval", "n"): ("an integer", 1),
-    ("efficiency", "parameter_count"): ("an integer", 0),
-    ("efficiency", "flops_per_forward"): ("an integer", 0),
-    ("training", "diverged"): ("true or false", None),
-}
-TIMING_KEYS = ("inference_ms_per_window", "training_time_s", "version")
-VERSION_PATTERN = re.compile("[0-9a-f]{12}")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Number) and not isinstance(value, bool)
-
-
-_REPORT_KINDS = {  # an integral float is an integer, and NaN a number, as in JSON Schema
-    "a number": _is_number,
-    "a number or null": lambda v: v is None or _is_number(v),
-    "an integer": lambda v: _is_number(v) and (isinstance(v, int) or isinstance(v, float) and v.is_integer()),
-    "true or false": lambda v: isinstance(v, bool),
-}
-
-
-def _require_keys(obj, keys, where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where} must be an object, got {obj!r}")
-    if missing := [k for k in keys if k not in obj]:
-        raise ValueError(f"{where} lacks {missing}")
-
-
-def validate_run_report(payload: dict) -> None:
-    """Raise ValueError unless ``payload`` has the ``REPORT_KEYS`` and ``REPORT_VALUES``
-    layout and a ``version`` of 12 hex digits."""
-    _require_keys(payload, [*REPORT_KEYS, "version"], "run report")
-    for section, keys in REPORT_KEYS.items():
-        _require_keys(payload[section], keys, section)
-    for (section, key), (kind, minimum) in REPORT_VALUES.items():
-        value = payload[section][key]
-        if not _REPORT_KINDS[kind](value):
-            raise ValueError(f"{section}.{key} must be {kind}, got {value!r}")
-        if minimum is not None and value is not None and value < minimum:
-            raise ValueError(f"{section}.{key} must be >= {minimum}, got {value!r}")
-    version = payload["version"]
-    if not isinstance(version, str) or not VERSION_PATTERN.fullmatch(version):
-        raise ValueError(f"version must be 12 hex digits, got {version!r}")
-
-
-def validate_timing(timing: dict) -> None:
-    """Raise ValueError unless ``timing`` holds the ``TIMING_KEYS``."""
-    _require_keys(timing, TIMING_KEYS, "timing")
 
 
 def canonical_json(payload: dict) -> str:
@@ -443,11 +371,8 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
     payload = report.deterministic_payload()
     del payload["version"]
     report.version = payload["version"] = _version_string(payload)
-    validate_run_report(payload)
-    timing = report.timing_payload()
-    validate_timing(timing)
     (out_dir / "reports" / "run_report.json").write_text(canonical_json(payload))
-    (out_dir / "reports" / "timing.json").write_text(canonical_json(timing))
+    (out_dir / "reports" / "timing.json").write_text(canonical_json(report.timing_payload()))
     save_checkpoint(
         result.params,
         out_dir / "checkpoints" / "model.ckpt",

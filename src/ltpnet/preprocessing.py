@@ -330,8 +330,6 @@ def build_dataset(
     horizon: int = 1,
     train_ratio: float = 0.7,
     impute_strategy: str = "mean",
-    k_folds: int | None = None,
-    rng: SeededRng | None = None,
 ) -> tuple:
     """Full preparation pipeline; returns (dataset, split, report).
 
@@ -359,8 +357,6 @@ def build_dataset(
     dataset = make_windows(
         standardized, target_column, lookback, horizon, feature_columns, stats
     )
-    if k_folds:
-        split = kfold_split(split, k_folds, rng)
     report = PreprocessReport(
         missing_rates=missing_rates,
         rows_removed=[int(i) for i in removed],

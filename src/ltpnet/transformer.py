@@ -443,19 +443,15 @@ def encoder_input_forward(hidden_seq, stack: EncoderStack):
 
 
 def encoder_input_backward(d_out, cache, stack: EncoderStack):
-    """Returns (grad w.r.t. the input sequence, grads of W_in and b_in as an
-    EncoderStack without layers).
+    """Returns (grad w.r.t. the input sequence, dict of grads for W_in and b_in).
 
     The positional table is constant, so the additive encoding passes the
     gradient through untouched.
     """
     xb = cache["input"]
     d_rows = d_out.reshape(-1, d_out.shape[-1])
-    g = EncoderStack(
-        layers=[], n_heads=stack.n_heads, W_in=xb.reshape(-1, xb.shape[-1]).T @ d_rows,
-        b_in=d_rows.sum(axis=0),
-    )
-    return (d_rows @ stack.W_in.T).reshape(xb.shape), g
+    grads = {"W_in": xb.reshape(-1, xb.shape[-1]).T @ d_rows, "b_in": d_rows.sum(axis=0)}
+    return (d_rows @ stack.W_in.T).reshape(xb.shape), grads
 
 
 def encoder_stack_forward(hidden_seq, stack: EncoderStack):
@@ -476,9 +472,8 @@ def encoder_stack_backward(d_out, caches, stack: EncoderStack):
         d, layer_grads[idx] = encoder_layer_backward(
             d, caches["layers"][idx], stack.layers[idx]
         )
-    d_input, g = encoder_input_backward(d, caches, stack)
-    g.layers = layer_grads
-    return g, d_input
+    d_input, grads = encoder_input_backward(d, caches, stack)
+    return EncoderStack(layers=layer_grads, n_heads=stack.n_heads, **grads), d_input
 
 
 def head_forward(pooled, head: PredictionHead):

@@ -149,7 +149,7 @@ def test_criterion_07_learning_sanity():
         SyntheticSpec(length=400, feature_count=1, seasonal_period=12.0,
                       trend_slope=0.0, noise_std=0.0, seed=7)
     )
-    dataset, split, _ = build_dataset(table, rng=SeededRng(1))
+    dataset, split, _ = build_dataset(table)
     hp = P.HyperparamPoint(
         lstm_hidden=8, lstm_lr=1e-3, transformer_layers=1,
         attention_heads=2, d_model=16, transformer_lr=1e-4,

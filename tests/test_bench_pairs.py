@@ -53,6 +53,38 @@ class TestSummarize:
         assert "median_ratio" not in out["setup_s"]
 
 
+class TestBounds:
+    """The verdicts against a metric's relative bound, as BENCHMARK.json gives it."""
+
+    def _summary(self, base, change, better="higher", bound=0.25):
+        runs = _runs("m", base, change)
+        return bench_pairs.summarize(runs, {"m": better}, {"m": bound})["m"]
+
+    def test_within_the_bound(self):
+        # 20% worse in the median, inside a 25% bound; the base spreads 2 of 100
+        s = self._summary([99.0, 100.0, 101.0, 100.0, 100.0], [80.0, 80.0, 80.0, 80.0, 80.0])
+        assert s["worse_past_bound"] is False and s["unresolved"] is False
+
+    def test_worse_past_the_bound(self):
+        # lower is better: a median of 115 against 100 is 15% worse, past a 10% bound
+        s = self._summary([100.0, 100.0, 100.0], [115.0, 115.0, 115.0], better="lower", bound=0.1)
+        assert s["worse_past_bound"] is True and s["unresolved"] is False
+
+    def test_a_base_spreading_past_the_bound_is_unresolved(self):
+        # the base's quartiles are 0.15 and 0.25 around a median of 0.2: 50%, past 25%
+        base = [0.15, 0.15, 0.2, 0.25, 0.25]
+        s = self._summary(base, [0.2, 0.16, 0.24, 0.2, 0.2], better="lower")
+        assert s["worse_past_bound"] is False and s["unresolved"] is True
+
+    def test_beating_every_base_run_resolves_a_wide_base(self):
+        s = self._summary([0.15, 0.15, 0.2, 0.25, 0.25], [0.1] * 5, better="lower")
+        assert s["unresolved"] is False
+
+    def test_no_verdict_without_a_bound(self):
+        s = bench_pairs.summarize(_runs("m", [1.0], [2.0]), {"m": "higher"})["m"]
+        assert "worse_past_bound" not in s and "unresolved" not in s
+
+
 @pytest.mark.skipif(not (_PATH.parent.parent / ".git").exists(), reason="needs a git checkout")
 def test_export_tree_writes_the_committed_files(tmp_path):
     bench_pairs.export_tree("HEAD", tmp_path)

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ltpnet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -219,6 +219,20 @@ class TestErrors:
         with pytest.raises(CheckpointError, match="contradicts"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("key, value", [("n_heads", 2.0), ("n_heads", True), ("n_layers", True)])
+    def test_encoder_dimensions_must_be_integers(self, tmp_path, key, value):
+        # 2.0 == 2 and True == 1, so the model gives back an equal structure;
+        # n_heads 2.0 and true once loaded and failed at the first forward
+        path = tmp_path / "dims.ckpt"
+        save_checkpoint(tiny_model(), path)
+
+        def edit(header):
+            header["structure"]["encoder"][key] = value
+
+        edit_header(path, edit)
+        with pytest.raises(CheckpointError, match=rf"structure\.encoder\.{key} must be an integer"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("n_heads", [3, 0])
     def test_heads_must_split_d_model(self, tmp_path, n_heads):
         # the criterion-01 model has d_model 8
@@ -319,3 +333,72 @@ def test_variant_flags_are_the_components_present(tmp_path_factory, args):
     for m in (model, copy.deepcopy(model), pickle.loads(pickle.dumps(model)), load_checkpoint(path)):
         assert bool(m.lstm_stack) == args["lstm_enabled"]
         assert (m.encoder is not None) == args["transformer_enabled"]
+
+
+def _int_leaves(node, path=()):
+    """The paths of every int in a header's structure and manifest shapes."""
+    if isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _int_leaves(value, (*path, key))
+    elif isinstance(node, int) and not isinstance(node, bool):
+        yield path
+
+
+def _criterion_01_header(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "model.ckpt"
+    save_checkpoint(tiny_model(), path)
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    return path, json.loads(blob[16 : 16 + header_len])
+
+
+_MUTATIONS = {
+    "float": float, "true": lambda v: True, "false": lambda v: False,
+    "string": str, "negative": lambda v: -v - 1,
+}
+_HEADER = json.loads(json.dumps(  # the leaves of a saved header: a model's structure and manifest
+    {"structure": tiny_model().structure(), "manifest": [[n, list(a.shape)] for n, a in tiny_model().named_arrays()]}
+))
+_LEAVES = sorted(_int_leaves(_HEADER), key=repr)
+
+
+@settings(max_examples=300)
+@given(mutations=st.lists(
+    st.tuples(st.sampled_from(_LEAVES), st.sampled_from([*_MUTATIONS, "drop"])),
+    min_size=1, max_size=2, unique_by=lambda m: m[0],
+))
+@example(mutations=[(("structure", "encoder", "n_heads"), "float")])
+@example(mutations=[(("structure", "encoder", "n_heads"), "true")])
+def test_a_mutated_header_loads_a_working_model_or_is_refused(tmp_path_factory, mutations):
+    # one or two values of the criterion-01 checkpoint's header (1,273
+    # parameters) become floats, bools, strings or negatives, or are dropped
+    path, _ = _criterion_01_header(tmp_path_factory)
+
+    def edit(header):
+        for (*parents, key), kind in mutations:
+            try:
+                holder = header
+                for part in parents:
+                    holder = holder[part]
+                if kind == "drop":
+                    del holder[key]
+                else:
+                    holder[key] = _MUTATIONS[kind](holder[key])
+            except (IndexError, KeyError):  # an earlier drop took the value away
+                pass
+
+    edit_header(path, edit)
+    tracemalloc.start()
+    try:
+        try:
+            model = load_checkpoint(path)
+        except CheckpointError:
+            model = None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    if model is not None:
+        windows = SeededRng(7).uniform(-1, 1, (2, 3, 2))
+        preds, _ = forward_batch(windows, model, keep_cache=False)
+        assert preds.shape == (2,) and np.isfinite(preds).all()

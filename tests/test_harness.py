@@ -3,6 +3,7 @@ import csv
 import ctypes
 import json
 import math
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -24,12 +25,9 @@ from ltpnet.harness import (
     run_experiment,
     run_optimizer_comparison,
     run_pso_distribution_study,
-    validate_run_report,
-    validate_timing,
 )
 from ltpnet.preprocessing import build_dataset
 from ltpnet.pso import HyperparamPoint, SwarmConfig
-from ltpnet.rng import SeededRng
 
 
 def tiny_spec(out_dir, **overrides):
@@ -122,12 +120,31 @@ class TestRunExperiment:
             assert (tmp_path / "run" / rel).exists(), rel
         assert report.eval.n == len(report.split.test)
 
+    # The sections of a run report and the keys each must hold, as README documents them.
+    REPORT_KEYS = {
+        "spec": (),
+        "resolved_hyperparams": (
+            "lstm_hidden", "lstm_lr", "transformer_layers", "attention_heads", "d_model", "transformer_lr",
+        ),
+        "train_config": ("optimizer", "batch_size", "epochs", "patience"),
+        "swarm_config": ("n_particles", "iterations", "omega", "c1", "c2"),
+        "eval": ("mae", "mape", "rmse", "mse", "n", "skipped_mape_points"),
+        "efficiency": ("parameter_count", "flops_per_forward"),
+        "training": ("stopped_epoch", "best_epoch", "diverged"),
+        "audit": ("train_batch_index_count", "test_overlap_count"),
+    }
+
     def test_report_validates_against_schema(self, tmp_path):
-        run_experiment(tiny_spec(tmp_path / "run"))
+        report = run_experiment(tiny_spec(tmp_path / "run"))
         payload = json.loads((tmp_path / "run" / "reports" / "run_report.json").read_text())
-        validate_run_report(payload)
+        assert payload.keys() == {*self.REPORT_KEYS, "version"}
+        for section, keys in self.REPORT_KEYS.items():
+            assert isinstance(payload[section], dict), section
+            assert set(keys) <= payload[section].keys(), section
+        assert payload["version"] == report.version
+        assert re.fullmatch("[0-9a-f]{12}", payload["version"])
         timing = json.loads((tmp_path / "run" / "reports" / "timing.json").read_text())
-        validate_timing(timing)
+        assert timing.keys() == {"inference_ms_per_window", "training_time_s", "version"}
 
     def test_byte_identical_reruns(self, tmp_path):
         spec = tiny_spec(tmp_path / "run")
@@ -210,7 +227,7 @@ class TestRunExperiment:
         configs = build_configs(spec)
         before = copy.deepcopy(configs)
         dataset, split, _ = build_dataset(
-            *load_table(configs.dataset), lookback=spec.lookback, rng=SeededRng(spec.seeds.data)
+            *load_table(configs.dataset), lookback=spec.lookback
         )
         _, cfg = resolve_hyperparams(dataset, split, configs, tmp_path)
         assert configs == before
@@ -218,82 +235,6 @@ class TestRunExperiment:
         assert cfg.batch_size in (32, 64)
         assert cfg == replace(configs.train, batch_size=cfg.batch_size)
 
-
-
-def _valid_report():
-    payload = {section: dict.fromkeys(keys, 0) for section, keys in harness.REPORT_KEYS.items()}
-    payload["eval"]["n"] = 1
-    payload["training"]["diverged"] = False
-    payload["version"] = "0123456789ab"
-    return payload
-
-
-_DROP = object()
-
-
-class TestReportLayout:
-    """One row per rule of the run report's layout: a payload breaking it is refused."""
-
-    @pytest.mark.parametrize("path, value, match", [
-        ("version", _DROP, r"run report lacks \['version'\]"),
-        ("spec", _DROP, r"run report lacks \['spec'\]"),
-        ("eval", [1.0], "eval must be an object"),
-        ("resolved_hyperparams.d_model", _DROP, r"resolved_hyperparams lacks \['d_model'\]"),
-        ("train_config.patience", _DROP, r"train_config lacks \['patience'\]"),
-        ("swarm_config.c2", _DROP, r"swarm_config lacks \['c2'\]"),
-        ("eval.skipped_mape_points", _DROP, r"eval lacks \['skipped_mape_points'\]"),
-        ("efficiency.flops_per_forward", _DROP, r"efficiency lacks"),
-        ("training.best_epoch", _DROP, r"training lacks \['best_epoch'\]"),
-        ("audit.test_overlap_count", _DROP, r"audit lacks \['test_overlap_count'\]"),
-        ("eval.mae", -0.5, "eval.mae must be >= 0"),
-        ("eval.mae", "0.5", "eval.mae must be a number"),
-        ("eval.rmse", True, "eval.rmse must be a number"),
-        ("eval.mse", None, "eval.mse must be a number"),
-        ("eval.mape", -1.0, "eval.mape must be >= 0"),
-        ("eval.mape", "1", "eval.mape must be a number or null"),
-        ("eval.n", 0, "eval.n must be >= 1"),
-        ("eval.n", 1.5, "eval.n must be an integer"),
-        ("eval.n", True, "eval.n must be an integer"),
-        ("efficiency.parameter_count", -1, "efficiency.parameter_count must be >= 0"),
-        ("efficiency.flops_per_forward", 2.5, "efficiency.flops_per_forward must be an integer"),
-        ("training.diverged", 0, "training.diverged must be true or false"),
-        ("training.diverged", None, "training.diverged must be true or false"),
-        ("version", "0123456789AB", "version must be 12 hex digits"),
-        ("version", "0123456789a", "version must be 12 hex digits"),
-        ("version", "0123456789abc", "version must be 12 hex digits"),
-        ("version", "0123456789ab\n", "version must be 12 hex digits"),
-        ("version", 123456789012, "version must be 12 hex digits"),
-    ])
-    def test_a_payload_breaking_a_rule_is_refused(self, path, value, match):
-        payload = _valid_report()
-        *section, key = path.split(".")
-        holder = payload[section[0]] if section else payload
-        if value is _DROP:
-            del holder[key]
-        else:
-            holder[key] = value
-        with pytest.raises(ValueError, match=match):
-            validate_run_report(payload)
-
-    @pytest.mark.parametrize("path, value", [
-        ("eval.mape", None), ("eval.mape", 12.5), ("eval.n", 3.0), ("eval.mse", math.nan),
-        ("eval.mae", math.inf), ("efficiency.parameter_count", 0), ("training.diverged", True),
-        ("spec.anything", [1]), ("extra", 1),
-    ])
-    def test_admitted_values_as_json_schema_admits_them(self, path, value):
-        payload = _valid_report()
-        *section, key = path.split(".")
-        (payload[section[0]] if section else payload)[key] = value
-        validate_run_report(payload)
-
-    def test_timing_needs_its_keys(self):
-        timing = dict.fromkeys(harness.TIMING_KEYS, 0.0)
-        validate_timing(timing)
-        with pytest.raises(ValueError, match="timing must be an object"):
-            validate_timing([timing])
-        del timing["version"]
-        with pytest.raises(ValueError, match=r"timing lacks \['version'\]"):
-            validate_timing(timing)
 
 
 def _unloadable(name):

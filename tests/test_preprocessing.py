@@ -315,11 +315,13 @@ class TestSynthesize:
 class TestPipeline:
     def test_deterministic_end_to_end(self):
         table = synthesize_series(SyntheticSpec(length=120, feature_count=2, seed=5))
-        d1, s1, _ = build_dataset(table, lookback=12, rng=SeededRng(2), k_folds=5)
-        d2, s2, _ = build_dataset(copy.deepcopy(table), lookback=12, rng=SeededRng(2), k_folds=5)
+        d1, s1, _ = build_dataset(table, lookback=12)
+        d2, s2, _ = build_dataset(copy.deepcopy(table), lookback=12)
         np.testing.assert_array_equal(d1.features, d2.features)
         np.testing.assert_array_equal(d1.targets, d2.targets)
         np.testing.assert_array_equal(s1.train, s2.train)
+        s1, s2 = kfold_split(s1, 5, SeededRng(2)), kfold_split(s2, 5, SeededRng(2))
+        assert len(s1.folds) == 5
         for fa, fb in zip(s1.folds, s2.folds):
             np.testing.assert_array_equal(fa, fb)
 

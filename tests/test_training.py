@@ -54,7 +54,7 @@ def tiny_dataset(length=80, seed=5, lookback=8):
         SyntheticSpec(length=length, feature_count=1, seasonal_period=12.0,
                       noise_std=0.05, seed=seed)
     )
-    return build_dataset(table, lookback=lookback, rng=SeededRng(1))
+    return build_dataset(table, lookback=lookback)
 
 
 class TestMseLoss:
