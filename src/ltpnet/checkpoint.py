@@ -20,12 +20,12 @@ against the bytes present, so a header that claims more weights than the file
 holds allocates nothing. It then builds the model over one copy of the
 payload (``ModelParams.over``) and checks that the model gives back the
 stored structure (so a header with a key the model does not have is refused),
-that every dimension in it is an integer >= 0, never a float or a bool
-(``ops.check_value``, naming its path, such as ``structure.encoder.n_heads``;
-a missing component is null), and that the manifest fits it. Python's ``==``
-holds ``2.0`` and ``true`` equal to ``2`` and ``1``, so only the type check
-refuses them. Every malformed file, header included, raises
-``CheckpointError``. Round-trips are bit-exact.
+that every dimension in that structure is an integer >= 0 (``ops.check_value``,
+naming its path, such as ``structure.encoder.n_heads``), and that the manifest
+fits it. The type check is what refuses a float or a bool dimension, as
+Python's ``==`` holds ``2.0`` and ``true`` equal to ``2`` and ``1``. Every
+malformed file, header included, raises ``CheckpointError``. Round-trips are
+bit-exact.
 """
 
 import json
@@ -48,9 +48,12 @@ class CheckpointError(ValueError):
 def _check_dimensions(path: str, node) -> None:
     """Raise ValueError naming the path of a leaf of ``node`` that is neither an
     int >= 0 nor None (a component the model lacks)."""
-    if isinstance(node, (dict, list)):
-        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
-            _check_dimensions(f"{path}.{key}" if isinstance(node, dict) else f"{path}[{key}]", value)
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _check_dimensions(f"{path}.{key}", value)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            _check_dimensions(f"{path}[{i}]", value)
     else:
         check_value(path, node, int | None, {"ge": 0})
 
