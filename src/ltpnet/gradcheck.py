@@ -6,24 +6,30 @@ analytic backward pass. The relative error between analytic a and numeric n is
 
 The differences are staged. The forward runs once and keeps each stage's
 input (``model.Stage``); a nudged element of ``flat`` can change only its
-owner stage and the stages after it. So each nudge runs just its owner stage,
-from the kept input, without caches. The owner outputs of up to
-``RUN_SIZE`` nudges (both signs count) then go through the middle stages,
-those between the owner and the last, as one batch along the batch axis, and
-each nudge's own rows go through the last stage (``pool+head`` or
-``bypass+head``) and the loss alone. An encoder layer is two stages, so a
-nudge of a feed-forward or layer-norm weight never reruns that layer's
+owner stage and the stages after it. ``finite_difference_grads`` hands over
+the nudges of a stage's span in runs of up to ``RUN_SIZE`` (both signs
+count), each nudge as a copy of the nudged span. A run's copies, stacked
+into a (K, n) flat, are K models (``ModelParams.over``), so the owner stage
+runs once for the whole run, from its kept input and without caches. The K
+owner outputs then go through the middle stages, those between the owner
+and the last, as one batch along the batch axis. Each nudge's own rows go
+through the last stage (``pool+head`` or ``bypass+head``) and the loss
+alone, in one ``forward_batch`` per loss. An encoder layer is two stages, so
+a nudge of a feed-forward or layer-norm weight never reruns that layer's
 attention.
 
 The numeric gradient is the same vector, bit for bit, as nudging a full
 forward (``finite_difference_grads`` over a plain loss, the generic
-reference) gives. That holds only because two kinds of run stay alone, both
-decided by the input, never by a workload:
+reference) gives. A stacked product gives each slice the bits of its 2-D
+product, at every shape, one row or one column included; so the stacked
+owner runs are exact. A batch along the batch axis is not: a matrix-vector
+product's bits depend on how many rows it gets. So two kinds of run stay
+alone, both decided by the input, never by a workload:
 
-- the last stage: its ``(B, w) @ (w, 1)`` product is a matrix-vector one,
-  whose bits depend on how many rows it gets;
-- every stage of a one-window batch: each product there is a matrix-vector
-  one, so a run holds one nudge and nothing is batched.
+- the last stage: its ``(B, w) @ (w, 1)`` product is a matrix-vector one.
+  Its nudges also run their owner, the last stage, one at a time;
+- the middle stages of a one-window batch: each product there is a
+  matrix-vector one, so they run per nudge.
 """
 
 from dataclasses import dataclass
@@ -76,12 +82,13 @@ def staged_finite_difference_grads(model: ModelParams, windows, targets):
     for stage in model.stages[:-1]:
         inputs.append(stage.forward(inputs[-1])[0])
     last = len(model.stages) - 1
-    batched = len(inputs[0]) > 1  # one window: a run holds one nudge (module docstring)
+    batched = len(inputs[0]) > 1  # one window: the middle stages run per nudge (module docstring)
+    structure = model.structure()
 
-    def owner(k):  # runs stage k alone, from its kept input
-        return lambda: forward_batch(inputs[k], model, keep_cache=False, start=k, stop=k + 1)[0]
+    def loss(x):  # from the last stage's input
+        return mse_loss(forward_batch(x, model, keep_cache=False, start=last)[0], targets)[0]
 
-    def losses_after(k):  # the losses of a run of stage k's outputs
+    def losses_after(k, start):  # the losses of a run of nudged copies of stage k's span
         middle = model.stages[k + 1:last]
 
         def through(x):
@@ -89,22 +96,25 @@ def staged_finite_difference_grads(model: ModelParams, windows, targets):
                 x = stage.forward(x)[0]
             return x
 
-        def losses(outputs):
-            if k < last:
-                if batched and middle:
-                    outputs = np.split(through(np.concatenate(outputs)), len(outputs))
-                else:
-                    outputs = [through(x) for x in outputs]
-                outputs = [model.stages[last].forward(x)[0] for x in outputs]
-            return [mse_loss(preds, targets)[0] for preds in outputs]
+        def losses(spans):
+            flats = np.tile(model.flat, (len(spans), 1))
+            flats[:, start:start + len(spans[0])] = spans
+            outputs = ModelParams.over(structure, flats).stages[k].forward(inputs[k])[0]
+            if batched and middle:
+                outputs = np.split(through(outputs.reshape(-1, *outputs.shape[2:])), len(spans))
+            else:
+                outputs = [through(x) for x in outputs]
+            return [loss(x) for x in outputs]
 
         return losses
 
     # each nudge of a stage's view reaches the model; the views tile ``flat`` in run order
-    return np.concatenate([
-        finite_difference_grads(owner(k), stage, losses_after(k))
-        for k, stage in enumerate(model.stages)
-    ])
+    grads, start = [], 0
+    for k, stage in enumerate(model.stages[:-1]):
+        grads.append(finite_difference_grads(stage.flat.copy, stage, losses_after(k, start)))
+        start += stage.flat.size
+    grads.append(finite_difference_grads(lambda: loss(inputs[last]), model.stages[last]))
+    return np.concatenate(grads)
 
 
 class GradientCheck(NamedTuple):

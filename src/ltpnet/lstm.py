@@ -58,11 +58,11 @@ class LstmLayerParams:
 
     @property
     def hidden_size(self) -> int:
-        return self.W_h.shape[1]
+        return self.W_h.shape[-1]
 
     @property
     def input_size(self) -> int:
-        return self.W_x.shape[1]
+        return self.W_x.shape[-1]
 
     def named_arrays(self):
         for f in fields(self):
@@ -90,22 +90,23 @@ def init_layer(input_size: int, hidden_size: int, rng: SeededRng) -> LstmLayerPa
 
 
 def lstm_cell_forward(act_t, h_prev, c_prev, p: LstmLayerParams):
-    """One step, computed in place in ``act_t`` (B, 4H).
+    """One step, computed in place in ``act_t`` (B, 4H), or (K, B, 4H) for K
+    stacked layers.
 
     ``act_t`` holds the step's input projection on entry and the step's gate
     activations, [i, f, o | g], on return. Returns (h, c, tanh(c)).
     """
-    hidden = h_prev.shape[1]
+    hidden = h_prev.shape[-1]
     s = 3 * hidden
-    sig, g = act_t[:, :s], act_t[:, s:]
-    act_t += h_prev @ p.W_h.T
-    sig += c_prev @ p.W_c.T
+    sig, g = act_t[..., :s], act_t[..., s:]
+    act_t += h_prev @ p.W_h.swapaxes(-1, -2)
+    sig += c_prev @ p.W_c.swapaxes(-1, -2)
     act_t += p.b
     sig[...] = sigmoid(sig)
     np.tanh(g, out=g)
-    c = sig[:, hidden : 2 * hidden] * c_prev + sig[:, :hidden] * g
+    c = sig[..., hidden : 2 * hidden] * c_prev + sig[..., :hidden] * g
     tanh_c = np.tanh(c)
-    return sig[:, 2 * hidden :] * tanh_c, c, tanh_c
+    return sig[..., 2 * hidden :] * tanh_c, c, tanh_c
 
 
 def _check_shapes(window, stack):
@@ -130,7 +131,9 @@ def lstm_sequence_forward(window, stack):
     (top hidden sequence (B, L, H), caches per layer). The model runs each
     layer as a stage of its own, a one-layer stack; the top hidden sequence
     is a view of that layer's cached "h", so the layer above reads it
-    without a copy.
+    without a copy. Layers whose weights lead with K (a stack of K models,
+    model.py) run K copies of the shared window at once: the hidden sequence
+    is then (K, B, L, H), and so is every cached array led by K.
     """
     window = np.asarray(window, dtype=np.float64)
     if not stack:
@@ -144,18 +147,22 @@ def lstm_sequence_forward(window, stack):
         hidden = p.hidden_size
         # the input projection for all steps; each step turns its slice into
         # that step's activations
-        act = (seq.reshape(length * batch, -1) @ p.W_x.T).reshape(length, batch, 4 * hidden)
-        hs = np.zeros((length + 1, batch, hidden))
-        cs = np.zeros((length + 1, batch, hidden))
-        tanh_c = np.empty((length, batch, hidden))
+        act = seq.reshape(*seq.shape[:-3], length * batch, -1) @ p.W_x.swapaxes(-1, -2)
+        act = act.reshape(*act.shape[:-2], length, batch, 4 * hidden)
+        lead = act.shape[:-3]
+        hs = np.zeros((*lead, length + 1, batch, hidden))
+        cs = np.zeros((*lead, length + 1, batch, hidden))
+        tanh_c = np.empty((*lead, length, batch, hidden))
         for t in range(length):
-            hs[t + 1], cs[t + 1], tanh_c[t] = lstm_cell_forward(act[t], hs[t], cs[t], p)
+            hs[..., t + 1, :, :], cs[..., t + 1, :, :], tanh_c[..., t, :, :] = lstm_cell_forward(
+                act[..., t, :, :], hs[..., t, :, :], cs[..., t, :, :], p
+            )
         caches.append({
             "inputs": seq, "h": hs, "c": cs,
-            "gates": act[:, :, : 3 * hidden], "g": act[:, :, 3 * hidden :], "tanh_c": tanh_c,
+            "gates": act[..., : 3 * hidden], "g": act[..., 3 * hidden :], "tanh_c": tanh_c,
         })
-        seq = hs[1:]
-    return seq.transpose(1, 0, 2), caches
+        seq = hs[..., 1:, :, :]
+    return seq.swapaxes(-3, -2), caches
 
 
 def lstm_layer_backward(cache, d_hidden, p: LstmLayerParams):

@@ -37,13 +37,21 @@ order, which is also ``flat`` order, so the spans tile ``flat`` end to end:
 An encoder layer splits before LN1 because ``ln1_gain`` and ``ln1_bias``
 follow the feed-forward weights in ``flat``. ``forward_batch`` and
 ``backward_batch`` loop over the list; gradcheck runs a nudged weight's
-owner stage alone (``forward_batch``'s ``start`` and ``stop``), then only
-the stages after it. The forward keeps the caches by
+owner stage alone, then only the stages after it, the last one through
+``forward_batch``'s ``start``. The forward keeps the caches by
 default, as a training step needs them; predictions that never go backward
 pass ``keep_cache=False`` and hold about one stage's activations at a time.
 ``backward_batch`` consumes the cache list: it pops each stage's cache before
 running that stage's backward, so the caches are freed in reverse order as
 the gradients build up, and the list is empty when it returns.
+
+A (K, n) stack of flats is K models in one (``ModelParams.over``), for
+forwards only: every array leads with K, a vector as (K, 1, d) so that it
+broadcasts over an activation's rows, and every stage but the last maps a
+shared (B, ...) input to a (K, B, ...) output whose slice j has the bits that
+model j alone gives. The gradient check runs each run of nudged copies of a
+stage's span so. The last stage, ``forward_batch`` and every backward take
+one model.
 """
 
 import math
@@ -98,7 +106,11 @@ class ModelParams:
 
     @classmethod
     def over(cls, s: dict, flat: np.ndarray) -> "ModelParams":
-        """The model of structure ``s`` whose arrays are views of ``flat`` (no copy)."""
+        """The model of structure ``s`` whose arrays are views of ``flat`` (no copy).
+
+        A (K, n) ``flat`` gives K models in one, for forwards only (module
+        docstring).
+        """
         model = cls.__new__(cls)
         model.flat = flat
         model.lstm_stack, model.encoder, model.head, model.bypass = _components(s, _slicer(flat))
@@ -152,13 +164,18 @@ class ModelParams:
 
 
 def _slicer(flat: np.ndarray):
-    """``take(*shape)``: the next view of ``flat``, in call order."""
-    offset = 0
+    """``take(*shape)``: the next view of ``flat``, in call order.
+
+    Over a (K, n) stack of flats each view leads with K, and a vector's view
+    is (K, 1, d), so that it broadcasts over an activation's rows.
+    """
+    offset, lead = 0, flat.shape[:-1]
 
     def take(*shape):
         nonlocal offset
         size = math.prod(shape)
-        view = flat[offset : offset + size].reshape(shape)
+        rows = (1,) if lead and len(shape) == 1 else ()
+        view = flat[..., offset : offset + size].reshape(*lead, *rows, *shape)
         offset += size
         return view
 
@@ -223,11 +240,12 @@ def _stages(m: ModelParams) -> list:
     """The stages of ``m``. Their closures hold components, never ``m``, so a
     model and its cached stages form no reference cycle."""
     enc, head, bypass, offset = m.encoder, m.head, m.bypass, 0
+    models = math.prod(m.flat.shape[:-1])  # K of a (K, n) stack of flats, else 1
 
     def own(*arrays):  # the next span of ``flat``
         nonlocal offset
-        start, offset = offset, offset + sum(arr.size for arr in arrays)
-        return m.flat[start:offset]
+        start, offset = offset, offset + sum(arr.size for arr in arrays) // models
+        return m.flat[..., start:offset]
 
     stages = [
         Stage(f"lstm.{i}", own(*_arrays(p)),

@@ -18,6 +18,14 @@ the input projection and their ``@ W.T`` partners in backward) therefore runs
 as 2-D GEMMs rather than B small ones. Only attention views the rows per head, as
 (B, H, S, d_head); ``_merge_heads`` turns the context back into rows.
 
+The forwards of the input stage and both sub-blocks also take the weights of
+K models at once, each array led by K and each vector as (K, 1, D)
+(model.py). A shared input's rows then meet every stacked weight in one
+stacked product, each activation gains the leading K, (K, B*S, D) rows and
+(K, B, H, S, d_head) per head, and the output is (K, B, S, D). Indexing from
+the end (``...``, ``swapaxes(-1, -2)``) makes this the same code as for one
+model, and each slice of a stacked product has the bits of its 2-D product.
+
 Inputs are batch-only: a single (S, D) window raises ``ShapeMismatchError``
 in the encoder layer and stack, forward and backward, in ``predict`` and in
 ``multi_head_attention_backward``. ``multi_head_attention`` alone also takes
@@ -82,7 +90,7 @@ class EncoderLayerParams:
     ln2_bias: np.ndarray
 
     def named_arrays(self):
-        yield from zip(("W_q", "W_k", "W_v"), self.W_qkv)
+        yield from zip(("W_q", "W_k", "W_v"), np.moveaxis(self.W_qkv, -3, 0))
         for f in fields(self)[1:]:
             yield f.name, getattr(self, f.name)
 
@@ -102,11 +110,11 @@ class EncoderStack:
 
     @property
     def d_model(self) -> int:
-        return self.W_in.shape[1]
+        return self.W_in.shape[-1]
 
     @property
     def input_size(self) -> int:
-        return self.W_in.shape[0]
+        return self.W_in.shape[-2]
 
     def named_arrays(self):
         yield "W_in", self.W_in
@@ -225,38 +233,38 @@ def scaled_attention(Q, K, V):
 
 
 def _split_heads(rows, batch, n_heads):
-    # (B*S, D) rows -> (B, H, S, d_head) view
-    n, d = rows.shape
-    return rows.reshape(batch, n // batch, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+    # (..., B*S, D) rows -> (..., B, H, S, d_head) view
+    *lead, n, d = rows.shape
+    return rows.reshape(*lead, batch, n // batch, n_heads, d // n_heads).swapaxes(-3, -2)
 
 
 def _merge_heads(x):
-    # (B, H, S, d_head) -> (B*S, D) rows
-    b, h, s, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b * s, h * dh)
+    # (..., B, H, S, d_head) -> (..., B*S, D) rows
+    *lead, b, h, s, dh = x.shape
+    return x.swapaxes(-3, -2).reshape(*lead, b * s, h * dh)
 
 
 def multi_head_attention(x, p: EncoderLayerParams, n_heads: int):
     """Project, attend per head, concatenate, re-project.
 
     ``x`` is a batch (B, S, d_model) or, for this function alone, one window
-    (S, d_model); the output has the shape of ``x``. Returns (output, cache);
-    the cache holds the per-head attention weights, (B, H, S, S), under
-    "weights".
+    (S, d_model); the output has the shape of ``x``, led by K when the
+    weights are a stack of K (model.py). Returns (output, cache); the cache
+    holds the per-head attention weights, (B, H, S, S), under "weights".
     """
     x = np.asarray(x, dtype=np.float64)
-    d_model = p.W_o.shape[0]
+    d_model = p.W_o.shape[-1]
     if x.ndim not in (2, 3) or x.shape[-1] != d_model:
         raise ShapeMismatchError(
             f"input of shape {x.shape} is not (S, {d_model}) or (B, S, {d_model})"
         )
     batch = 1 if x.ndim == 2 else x.shape[0]
     rows = x.reshape(-1, d_model)
-    Q, K, V = (_split_heads(a, batch, n_heads) for a in rows @ p.W_qkv)
+    Q, K, V = (_split_heads(a, batch, n_heads) for a in np.moveaxis(rows @ p.W_qkv, -3, 0))
     ctx, weights = scaled_attention(Q, K, V)
     out = _merge_heads(ctx) @ p.W_o
     cache = {"x": rows, "Q": Q, "K": K, "V": V, "weights": weights}
-    return out.reshape(x.shape), cache
+    return out.reshape(*out.shape[:-2], *x.shape), cache
 
 
 def multi_head_attention_backward(d_out, cache, p: EncoderLayerParams):
@@ -296,7 +304,7 @@ def multi_head_attention_backward(d_out, cache, p: EncoderLayerParams):
 def _relu_block(x, W1, b1, W2, b2):
     """ReLU(x W1 + b1) W2 + b2 on rows. Returns (out, cache)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != W1.shape[0]:
+    if x.shape[-1] != W1.shape[-2]:
         raise ShapeMismatchError(
             f"input feature size {x.shape[-1]} does not match W1 {W1.shape}"
         )
@@ -389,7 +397,8 @@ def feed_forward_block_forward(s1, p: EncoderLayerParams):
     s2, ff_cache = feed_forward(y1, p)
     s2 += y1
     y2, ln2_cache = _layer_norm_fwd(s2, p.ln2_gain, p.ln2_bias)
-    return y2.reshape(s1.shape), {"ln1": ln1_cache, "ff": ff_cache, "ln2": ln2_cache}
+    cache = {"ln1": ln1_cache, "ff": ff_cache, "ln2": ln2_cache}
+    return y2.reshape(*y2.shape[:-2], *s1.shape), cache
 
 
 def feed_forward_block_backward(d_out, cache, p: EncoderLayerParams):
@@ -437,7 +446,7 @@ def encoder_input_forward(hidden_seq, stack: EncoderStack):
     batch, seq_len = xb.shape[0], xb.shape[1]
     z = xb.reshape(-1, stack.input_size) @ stack.W_in
     z += stack.b_in
-    z = z.reshape(batch, seq_len, stack.d_model)
+    z = z.reshape(*z.shape[:-2], batch, seq_len, stack.d_model)
     z += positional_encoding(seq_len, stack.d_model)
     return z, {"input": xb}
 

@@ -300,6 +300,27 @@ class TestStages:
         np.testing.assert_array_equal(model.flat, before)
 
 
+class TestStackedModels:
+    @settings(max_examples=30)
+    @given(case=small_cases(), k=st.integers(1, 4), seed=st.integers(0, 2**16))
+    # one window of one step: every product is a matrix-vector one
+    @example(case=(tiny_model(seed=30), SeededRng(31).uniform(-2, 2, (1, 1, 2))), k=3, seed=32)
+    def test_each_slice_is_its_own_models_forward(self, case, k, seed):
+        # a (K, n) flat is K models; every stage but the last runs them at once
+        model, x = case
+        s = model.structure()
+        flats = model.flat + SeededRng(seed).uniform(-0.1, 0.1, (k, model.flat.size))
+        stacked = ModelParams.over(s, flats)
+        for i, stage in enumerate(model.stages[:-1]):
+            out = stacked.stages[i].forward(x)[0]
+            assert len(out) == k
+            for j in range(k):
+                alone = ModelParams.over(s, flats[j]).stages[i]
+                assert np.array_equal(stacked.stages[i].flat[j], alone.flat)
+                assert np.array_equal(out[j], alone.forward(x)[0]), (stage.name, j)
+            x = stage.forward(x)[0]
+
+
 class TestBatchedDifferences:
     def test_losses_get_runs_of_at_most_the_run_size(self):
         class Params:
@@ -334,11 +355,27 @@ class TestBatchedDifferences:
         staged_finite_difference_grads(model, windows, SeededRng(24).uniform(-1, 1, 2))
         sizes = {stage.name: stage.flat.size for stage in model.stages}
         runs = lambda name: -(-2 * sizes[name] // G.RUN_SIZE)
-        # the kept inputs, then each nudge of attention's own weights, then
-        # one batch per run of each earlier stage; no later stage reruns it
-        assert len(calls) == 1 + 2 * sizes["encoder.layers.0.attention"] + sum(
+        # the kept inputs, then one stacked run per run of attention's own
+        # nudges, then one batch per run of each earlier stage; no later
+        # stage reruns it
+        assert len(calls) == 1 + runs("encoder.layers.0.attention") + sum(
             runs(name) for name in ("lstm.0", "lstm.1", "encoder.input")
+        ) == 42
+
+    @pytest.mark.parametrize("flags", TestStages.VARIANTS)
+    def test_each_nudge_takes_one_forward_batch(self, monkeypatch, flags):
+        model = tiny_model(seed=27, **flags)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return forward_batch(*args, **kwargs)
+
+        monkeypatch.setattr(G, "forward_batch", counted)
+        staged_finite_difference_grads(
+            model, SeededRng(28).uniform(-1, 1, (2, 6, 2)), SeededRng(29).uniform(-1, 1, 2)
         )
+        assert len(calls) == 2 * model.flat.size
 
     def test_forward_batch_runs_stages_from_start_to_stop(self):
         for flags in TestStages.VARIANTS:
