@@ -21,7 +21,8 @@ columns. So is the sha256 of the analytic and the staged numeric gradient
 vector that ``gradcheck.check_model_gradients`` compares, each computed with
 the sources of its tree: inside ``composed_gradcheck_suite`` for criterion
 01's seeds 0-19 and the ReLU-kink seeds 44 and 111, and for the no-LSTM and
-no-encoder models of the model tests and a one-window, one-step batch
+no-encoder models of the model tests, a one-window, one-step batch and a
+one-window, six-step batch for each of the three variants
 (``GRADCHECK_MODELS``). Exits 1 when a file or vector differs or is written
 on one side only.
 """
@@ -68,6 +69,9 @@ GRADCHECK_MODELS = {
     "no-lstm": ({**_TINY, "lstm_enabled": False}, 13, 12, (2, 6, 2)),
     "no-encoder": ({**_TINY, "transformer_enabled": False}, 14, 15, (2, 6, 2)),
     "one-window-one-step": (_TINY, 16, 17, (1, 1, 2)),
+    "one-window": (_TINY, 18, 19, (1, 6, 2)),
+    "no-lstm-one-window": ({**_TINY, "lstm_enabled": False}, 20, 21, (1, 6, 2)),
+    "no-encoder-one-window": ({**_TINY, "transformer_enabled": False}, 22, 23, (1, 6, 2)),
 }
 # Run with a tree's sources and, as a JSON argument, seeds and models: prints,
 # as JSON, the sha256 of both gradient vectors that ``check_model_gradients``

@@ -9,27 +9,21 @@ input (``model.Stage``); a nudged element of ``flat`` can change only its
 owner stage and the stages after it. ``finite_difference_grads`` hands over
 the nudges of a stage's span in runs of up to ``RUN_SIZE`` (both signs
 count), each nudge as a copy of the nudged span. A run's copies, stacked
-into a (K, n) flat, are K models (``ModelParams.over``), so the owner stage
-runs once for the whole run, from its kept input and without caches. The K
-owner outputs then go through the middle stages, those between the owner
-and the last, as one batch along the batch axis. Each nudge's own rows go
-through the last stage (``pool+head`` or ``bypass+head``) and the loss
-alone, in one ``forward_batch`` per loss. An encoder layer is two stages, so
-a nudge of a feed-forward or layer-norm weight never reruns that layer's
-attention.
+into a (K, n) flat, are K models (``ModelParams.over``). The owner stage
+runs them once, from its kept input and without caches, and every stage
+before the last then runs them once more, from the previous stage's
+(K, B, ...) output. Each nudge's own slice goes through the last stage
+(``pool+head`` or ``bypass+head``) and the loss alone, in one
+``forward_batch`` per loss. An encoder layer is two stages, so a nudge of a
+feed-forward or layer-norm weight never reruns that layer's attention.
 
 The numeric gradient is the same vector, bit for bit, as nudging a full
 forward (``finite_difference_grads`` over a plain loss, the generic
 reference) gives. A stacked product gives each slice the bits of its 2-D
-product, at every shape, one row or one column included; so the stacked
-owner runs are exact. A batch along the batch axis is not: a matrix-vector
-product's bits depend on how many rows it gets. So two kinds of run stay
-alone, both decided by the input, never by a workload:
-
-- the last stage: its ``(B, w) @ (w, 1)`` product is a matrix-vector one.
-  Its nudges also run their owner, the last stage, one at a time;
-- the middle stages of a one-window batch: each product there is a
-  matrix-vector one, so they run per nudge.
+product, at every shape, one row or one column included, so every stacked
+run is exact, one window or many. Only the head runs alone: the last stage
+and every backward take one model. Nudges owned by the last stage run it
+one at a time.
 """
 
 from dataclasses import dataclass
@@ -44,7 +38,7 @@ from .training import loss_and_gradients, mse_loss
 DEFAULT_EPS = 1e-5
 REL_ERR_FLOOR = 1e-6
 # Values that ``finite_difference_grads`` hands its ``losses`` at most at once:
-# the nudged outputs that the later stages run as one batch.
+# the nudged spans whose models the stages before the head run stacked.
 RUN_SIZE = 32
 
 
@@ -82,29 +76,19 @@ def staged_finite_difference_grads(model: ModelParams, windows, targets):
     for stage in model.stages[:-1]:
         inputs.append(stage.forward(inputs[-1])[0])
     last = len(model.stages) - 1
-    batched = len(inputs[0]) > 1  # one window: the middle stages run per nudge (module docstring)
     structure = model.structure()
 
     def loss(x):  # from the last stage's input
         return mse_loss(forward_batch(x, model, keep_cache=False, start=last)[0], targets)[0]
 
     def losses_after(k, start):  # the losses of a run of nudged copies of stage k's span
-        middle = model.stages[k + 1:last]
-
-        def through(x):
-            for stage in middle:
-                x = stage.forward(x)[0]
-            return x
-
         def losses(spans):
             flats = np.tile(model.flat, (len(spans), 1))
             flats[:, start:start + len(spans[0])] = spans
-            outputs = ModelParams.over(structure, flats).stages[k].forward(inputs[k])[0]
-            if batched and middle:
-                outputs = np.split(through(outputs.reshape(-1, *outputs.shape[2:])), len(spans))
-            else:
-                outputs = [through(x) for x in outputs]
-            return [loss(x) for x in outputs]
+            x = inputs[k]
+            for stage in ModelParams.over(structure, flats).stages[k:last]:
+                x = stage.forward(x)[0]
+            return [loss(out) for out in x]
 
         return losses
 
@@ -169,7 +153,7 @@ class GradCheckCase:
 def composed_gradcheck_suite(n_seeds: int = 20, seed_base: int = 0) -> list:
     """The standing end-to-end configuration: 2 LSTM layers (hidden 4),
     one encoder layer (d_model 8, 2 heads), head width 4, 6 steps of 2
-    features. Returns per-seed max relative errors."""
+    features. Returns one ``GradCheckCase`` per seed."""
     cases = []
     for s in range(n_seeds):
         seed = seed_base + s

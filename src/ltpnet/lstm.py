@@ -22,7 +22,8 @@ peephole. Every layer starts from zero hidden and cell states.
 A layer projects its whole input for all four gates in one GEMM over the
 B*L rows; each step then adds one ``h @ W_h.T`` and, on the sigmoid block,
 one ``c @ W_c.T``, then the bias. Inputs are batch-only: windows are
-(B, L, F) and upstream gradients (B, L, H). Internally time leads, and each
+(B, L, F), or (K, B, L, F) for the forward of K stacked layers, and upstream
+gradients (B, L, H). Internally time leads, and each
 layer's cache is a dict of stacked arrays, each value stored once:
 
     "inputs"  (L, B, F)    the layer input (a view of the layer below's "h")
@@ -110,11 +111,11 @@ def lstm_cell_forward(act_t, h_prev, c_prev, p: LstmLayerParams):
 
 
 def _check_shapes(window, stack):
-    if window.ndim != 3:
-        raise ShapeMismatchError(f"expected (batch, length, features), got {window.shape}")
-    if window.shape[2] != stack[0].input_size:
+    if window.ndim not in (3, 4):
+        raise ShapeMismatchError(f"expected ([K,] batch, length, features), got {window.shape}")
+    if window.shape[-1] != stack[0].input_size:
         raise ShapeMismatchError(
-            f"input size {window.shape[2]} does not match layer input {stack[0].input_size}"
+            f"input size {window.shape[-1]} does not match layer input {stack[0].input_size}"
         )
     for below, above in zip(stack, stack[1:]):
         if above.input_size != below.hidden_size:
@@ -132,16 +133,17 @@ def lstm_sequence_forward(window, stack):
     layer as a stage of its own, a one-layer stack; the top hidden sequence
     is a view of that layer's cached "h", so the layer above reads it
     without a copy. Layers whose weights lead with K (a stack of K models,
-    model.py) run K copies of the shared window at once: the hidden sequence
-    is then (K, B, L, H), and so is every cached array led by K.
+    model.py) take a shared (B, L, F) window or one window batch per model,
+    (K, B, L, F), and run the K models at once: the hidden sequence is then
+    (K, B, L, H), and so is every cached array led by K.
     """
     window = np.asarray(window, dtype=np.float64)
     if not stack:
         raise ValueError("empty layer stack")
     _check_shapes(window, stack)
-    batch, length = window.shape[0], window.shape[1]
+    batch, length = window.shape[-3], window.shape[-2]
 
-    seq = np.ascontiguousarray(window.transpose(1, 0, 2))
+    seq = np.ascontiguousarray(np.swapaxes(window, -3, -2))
     caches = []
     for p in stack:
         hidden = p.hidden_size

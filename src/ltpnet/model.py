@@ -37,7 +37,7 @@ order, which is also ``flat`` order, so the spans tile ``flat`` end to end:
 An encoder layer splits before LN1 because ``ln1_gain`` and ``ln1_bias``
 follow the feed-forward weights in ``flat``. ``forward_batch`` and
 ``backward_batch`` loop over the list; gradcheck runs a nudged weight's
-owner stage alone, then only the stages after it, the last one through
+owner stage and the stages after it, the last one through
 ``forward_batch``'s ``start``. The forward keeps the caches by
 default, as a training step needs them; predictions that never go backward
 pass ``keep_cache=False`` and hold about one stage's activations at a time.
@@ -47,11 +47,12 @@ the gradients build up, and the list is empty when it returns.
 
 A (K, n) stack of flats is K models in one (``ModelParams.over``), for
 forwards only: every array leads with K, a vector as (K, 1, d) so that it
-broadcasts over an activation's rows, and every stage but the last maps a
-shared (B, ...) input to a (K, B, ...) output whose slice j has the bits that
-model j alone gives. The gradient check runs each run of nudged copies of a
-stage's span so. The last stage, ``forward_batch`` and every backward take
-one model.
+broadcasts over an activation's rows. Every stage but the last maps a
+shared (B, ...) input, or one input per model (K, B, ...), to a (K, B, ...)
+output whose slice j has the bits that model j alone gives. The gradient
+check runs each run of nudged copies of a stage's span so, from the owner
+stage to the last. The last stage, ``forward_batch`` and every backward
+take one model.
 """
 
 import math

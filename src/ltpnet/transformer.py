@@ -20,17 +20,21 @@ as 2-D GEMMs rather than B small ones. Only attention views the rows per head, a
 
 The forwards of the input stage and both sub-blocks also take the weights of
 K models at once, each array led by K and each vector as (K, 1, D)
-(model.py). A shared input's rows then meet every stacked weight in one
-stacked product, each activation gains the leading K, (K, B*S, D) rows and
-(K, B, H, S, d_head) per head, and the output is (K, B, S, D). Indexing from
-the end (``...``, ``swapaxes(-1, -2)``) makes this the same code as for one
-model, and each slice of a stacked product has the bits of its 2-D product.
+(model.py), and a shared (B, S, D) input or one per model, (K, B, S, D). The
+rows are then (K, B*S, D), each activation leads with K, (K, B, H, S,
+d_head) per head, and the output is (K, B, S, D); attention projects
+``rows[..., None, :, :]`` so that Q, K and V stay apart from K. Indexing
+from the end (``...``, ``swapaxes(-1, -2)``) makes this the same code as for
+one model, and each slice of a stacked product has the bits of its 2-D
+product.
 
 Inputs are batch-only: a single (S, D) window raises ``ShapeMismatchError``
 in the encoder layer and stack, forward and backward, in ``predict`` and in
 ``multi_head_attention_backward``. ``multi_head_attention`` alone also takes
 one (S, D) window and returns one (acceptance criterion 10 calls it so);
-its cache is then that of a batch of one.
+its cache is then that of a batch of one. A leading K is for the forwards
+before the head only: ``predict`` and every backward refuse a (K, B, S, D)
+array.
 
 Caches keep only what backward reads, as rows unless noted:
 
@@ -218,6 +222,11 @@ def _batch(a, what):
     return a
 
 
+def _batches(a, what):
+    """``_batch``, or one batch per model of a stack of K, (K, B, S, D)."""
+    return _batch(a, what) if np.ndim(a) != 4 else np.asarray(a, dtype=np.float64)
+
+
 def scaled_attention(Q, K, V):
     """softmax(Q K^T / sqrt(d_head)) V, row-wise. Returns (output, weights)."""
     Q, K, V = (np.asarray(a, dtype=np.float64) for a in (Q, K, V))
@@ -247,24 +256,26 @@ def _merge_heads(x):
 def multi_head_attention(x, p: EncoderLayerParams, n_heads: int):
     """Project, attend per head, concatenate, re-project.
 
-    ``x`` is a batch (B, S, d_model) or, for this function alone, one window
-    (S, d_model); the output has the shape of ``x``, led by K when the
-    weights are a stack of K (model.py). Returns (output, cache); the cache
-    holds the per-head attention weights, (B, H, S, S), under "weights".
+    ``x`` is a batch (B, S, d_model), one per model (K, B, S, d_model) when
+    the weights are a stack of K (model.py), or, for this function alone, one
+    window (S, d_model). The output has the shape of ``x``, led by K when the
+    weights are stacked. Returns (output, cache); the cache holds the
+    per-head attention weights, (B, H, S, S), under "weights".
     """
     x = np.asarray(x, dtype=np.float64)
     d_model = p.W_o.shape[-1]
-    if x.ndim not in (2, 3) or x.shape[-1] != d_model:
+    if not 2 <= x.ndim <= 4 or x.shape[-1] != d_model:
         raise ShapeMismatchError(
-            f"input of shape {x.shape} is not (S, {d_model}) or (B, S, {d_model})"
+            f"input of shape {x.shape} is not (S, {d_model}) or ([K,] B, S, {d_model})"
         )
-    batch = 1 if x.ndim == 2 else x.shape[0]
-    rows = x.reshape(-1, d_model)
-    Q, K, V = (_split_heads(a, batch, n_heads) for a in np.moveaxis(rows @ p.W_qkv, -3, 0))
+    batch = 1 if x.ndim == 2 else x.shape[-3]
+    rows = x.reshape(*x.shape[:-3], -1, d_model)
+    qkv = rows[..., None, :, :] @ p.W_qkv
+    Q, K, V = (_split_heads(a, batch, n_heads) for a in np.moveaxis(qkv, -3, 0))
     ctx, weights = scaled_attention(Q, K, V)
     out = _merge_heads(ctx) @ p.W_o
     cache = {"x": rows, "Q": Q, "K": K, "V": V, "weights": weights}
-    return out.reshape(*out.shape[:-2], *x.shape), cache
+    return out.reshape(*out.shape[:-2], *x.shape[-3:]), cache
 
 
 def multi_head_attention_backward(d_out, cache, p: EncoderLayerParams):
@@ -373,7 +384,7 @@ def attention_block_forward(x, p: EncoderLayerParams, n_heads: int):
     ``x`` is (B, S, d_model); returns (output of the same shape, cache). The
     sub-block owns ``W_qkv`` and ``W_o``, the head of the layer's arrays.
     """
-    x = _batch(x, "encoder layer input")
+    x = _batches(x, "encoder layer input")
     s1, cache = multi_head_attention(x, p, n_heads)
     s1 += x
     return s1, cache
@@ -392,13 +403,14 @@ def feed_forward_block_forward(s1, p: EncoderLayerParams):
     ``s1`` is the attention sub-block's output (B, S, d_model); returns (output
     of the same shape, cache). The sub-block owns every array after ``W_o``.
     """
-    s1 = _batch(s1, "feed-forward block input")
-    y1, ln1_cache = _layer_norm_fwd(s1.reshape(-1, s1.shape[-1]), p.ln1_gain, p.ln1_bias)
+    s1 = _batches(s1, "feed-forward block input")
+    rows = s1.reshape(*s1.shape[:-3], -1, s1.shape[-1])
+    y1, ln1_cache = _layer_norm_fwd(rows, p.ln1_gain, p.ln1_bias)
     s2, ff_cache = feed_forward(y1, p)
     s2 += y1
     y2, ln2_cache = _layer_norm_fwd(s2, p.ln2_gain, p.ln2_bias)
     cache = {"ln1": ln1_cache, "ff": ff_cache, "ln2": ln2_cache}
-    return y2.reshape(*y2.shape[:-2], *s1.shape), cache
+    return y2.reshape(*y2.shape[:-2], *s1.shape[-3:]), cache
 
 
 def feed_forward_block_backward(d_out, cache, p: EncoderLayerParams):
@@ -437,14 +449,14 @@ def encoder_input_forward(hidden_seq, stack: EncoderStack):
 
     Returns (out (B, S, d_model), cache).
     """
-    xb = _batch(hidden_seq, "sequence")
+    xb = _batches(hidden_seq, "sequence")
     if xb.shape[-1] != stack.input_size:
         raise ShapeMismatchError(
             f"sequence feature size {xb.shape[-1]} does not match "
             f"stack input size {stack.input_size}"
         )
-    batch, seq_len = xb.shape[0], xb.shape[1]
-    z = xb.reshape(-1, stack.input_size) @ stack.W_in
+    batch, seq_len = xb.shape[-3], xb.shape[-2]
+    z = xb.reshape(*xb.shape[:-3], -1, stack.input_size) @ stack.W_in
     z += stack.b_in
     z = z.reshape(*z.shape[:-2], batch, seq_len, stack.d_model)
     z += positional_encoding(seq_len, stack.d_model)

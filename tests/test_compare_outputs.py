@@ -179,6 +179,9 @@ class TestGradientVectors:
         ("no-lstm", {"lstm_enabled": False}, 13, 12, (2, 6, 2)),  # TestComposedGradients' cases
         ("no-encoder", {"transformer_enabled": False}, 14, 15, (2, 6, 2)),
         ("one-window-one-step", {}, 16, 17, (1, 1, 2)),
+        ("one-window", {}, 18, 19, (1, 6, 2)),
+        ("no-lstm-one-window", {"lstm_enabled": False}, 20, 21, (1, 6, 2)),
+        ("no-encoder-one-window", {"transformer_enabled": False}, 22, 23, (1, 6, 2)),
     ])
     def test_digests_hash_both_vectors_of_each_model(self, tmp_path, name, flags, seed, data_seed, shape):
         got = compare_outputs.gradient_digests(_ROOT, tmp_path, (), (name,))

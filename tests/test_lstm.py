@@ -367,6 +367,13 @@ class TestBatchOnlyInputs:
         with pytest.raises(ShapeMismatchError):
             L.lstm_backward(caches, np.zeros((4, 3)), stack)
 
+    def test_a_leading_k_upstream_rejected(self):
+        # a stack of K models runs forwards only
+        stack = [zero_layer(2, 3)]
+        _, caches = L.lstm_sequence_forward(np.zeros((1, 4, 2)), stack)
+        with pytest.raises(ShapeMismatchError):
+            L.lstm_backward(caches, np.zeros((2, 1, 4, 3)), stack)
+
 
 class TestFusedGuards:
     def test_nudging_any_gate_array_through_flat_changes_the_forecast(self):

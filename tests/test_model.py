@@ -306,18 +306,23 @@ class TestStackedModels:
     # one window of one step: every product is a matrix-vector one
     @example(case=(tiny_model(seed=30), SeededRng(31).uniform(-2, 2, (1, 1, 2))), k=3, seed=32)
     def test_each_slice_is_its_own_models_forward(self, case, k, seed):
-        # a (K, n) flat is K models; every stage but the last runs them at once
+        # a (K, n) flat is K models; every stage but the last runs them at
+        # once, from a shared (B, ...) input or from one input per model
         model, x = case
         s = model.structure()
         flats = model.flat + SeededRng(seed).uniform(-0.1, 0.1, (k, model.flat.size))
         stacked = ModelParams.over(s, flats)
+        chain, own = x, [x] * k  # the stacked chain; each model's own chain
         for i, stage in enumerate(model.stages[:-1]):
             out = stacked.stages[i].forward(x)[0]
-            assert len(out) == k
+            chain = stacked.stages[i].forward(chain)[0]
+            assert len(out) == len(chain) == k
             for j in range(k):
                 alone = ModelParams.over(s, flats[j]).stages[i]
                 assert np.array_equal(stacked.stages[i].flat[j], alone.flat)
                 assert np.array_equal(out[j], alone.forward(x)[0]), (stage.name, j)
+                own[j] = alone.forward(own[j])[0]
+                assert np.array_equal(chain[j], own[j]), (stage.name, j)
             x = stage.forward(x)[0]
 
 
@@ -355,9 +360,8 @@ class TestBatchedDifferences:
         staged_finite_difference_grads(model, windows, SeededRng(24).uniform(-1, 1, 2))
         sizes = {stage.name: stage.flat.size for stage in model.stages}
         runs = lambda name: -(-2 * sizes[name] // G.RUN_SIZE)
-        # the kept inputs, then one stacked run per run of attention's own
-        # nudges, then one batch per run of each earlier stage; no later
-        # stage reruns it
+        # the kept inputs, then one stacked run per run of the nudges of
+        # attention or of an earlier stage; no later stage reruns it
         assert len(calls) == 1 + runs("encoder.layers.0.attention") + sum(
             runs(name) for name in ("lstm.0", "lstm.1", "encoder.input")
         ) == 42

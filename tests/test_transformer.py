@@ -347,6 +347,19 @@ class TestBatchOnlyInputs:
         with pytest.raises(ShapeMismatchError):
             T.multi_head_attention_backward(encoded[0], layer_cache["attn"], stack.layers[0])
 
+    def test_a_leading_k_is_refused_past_the_forwards_before_the_head(self):
+        # a stack of K models runs only the forwards before the head
+        stack, head, x = self._setup()
+        encoded, caches = T.encoder_stack_forward(x, stack)
+        layer_cache = caches["layers"][0]
+        stacked = np.stack([encoded, encoded])
+        with pytest.raises(ShapeMismatchError):
+            T.predict(stacked, head)
+        with pytest.raises(ShapeMismatchError):
+            T.encoder_layer_backward(stacked, layer_cache, stack.layers[0])
+        with pytest.raises(ShapeMismatchError):
+            T.multi_head_attention_backward(stacked, layer_cache["attn"], stack.layers[0])
+
     def test_attention_alone_still_takes_one_window(self):
         stack, _, _ = self._setup()
         x = SeededRng(71).uniform(-1, 1, (5, 4))
