@@ -23,8 +23,8 @@ A layer projects its whole input for all four gates in one GEMM over the
 B*L rows; each step then adds one ``h @ W_h.T`` and, on the sigmoid block,
 one ``c @ W_c.T``, then the bias. Inputs are batch-only: windows are
 (B, L, F), or (K, B, L, F) for the forward of K stacked layers, and upstream
-gradients (B, L, H). Internally time leads, and each
-layer's cache is a dict of stacked arrays, each value stored once:
+gradients (B, L, H). Internally time leads, and each layer's cache is a dict
+of stacked arrays, each value stored once:
 
     "inputs"  (L, B, F)    the layer input (a view of the layer below's "h")
     "h", "c"  (L+1, B, H)  [:-1] are h_{t-1}, c_{t-1}; [1:] are h_t, c_t
