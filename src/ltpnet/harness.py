@@ -90,7 +90,7 @@ class ExperimentSpec:
 
     dataset: dict  # {"synthetic": {...}} or {"csv": {...}}, exactly one
     variant: str = declared("full", choices=VARIANTS)
-    optimizer: str = "sgd"
+    optimizer: str = "sgd"  # checked per run: compare-optimizers replaces it in every row
     hyperparameter_source: str = declared("fixed", choices=HP_SOURCES)
     hyperparams: dict = field(default_factory=dict)
     train: dict = field(default_factory=dict)
@@ -178,7 +178,7 @@ def dataset_source(spec: ExperimentSpec):
 
 def load_table(source: SyntheticSpec | CsvSource) -> tuple:
     """The table of ``source``, its target column and its feature columns
-    (None: every other column), in ``build_dataset``'s order."""
+    (None: every column, the target included), in ``build_dataset``'s order."""
     if isinstance(source, SyntheticSpec):
         return synthesize_series(source), "target", None
     return load_csv(source.path, source.schema), source.target_column, source.feature_columns
@@ -218,9 +218,8 @@ def build_configs(spec: ExperimentSpec) -> RunConfigs:
     for section, shadowed in SHADOWED_KEYS.items():
         for key in sorted(shadowed.keys() & set(getattr(spec, section))):
             raise ValueError(f"{section}.{key} is not accepted in a spec; {shadowed[key]} sets it")
-    # checked under its own name: TrainConfig would name it train.optimizer, a shadowed key
-    optimizer = next(f for f in fields(TR.TrainConfig) if f.name == "optimizer")
-    check_value("optimizer", spec.optimizer, optimizer.type, optimizer.metadata)
+    # under its own name: TrainConfig would name it train.optimizer, a shadowed key
+    check_value("optimizer", spec.optimizer, str, {"choices": TR.OPTIMIZERS})
     cfg = from_section(TR.TrainConfig, "train", spec.train, optimizer=spec.optimizer)
     flags = {
         "lstm_enabled": spec.variant != "no-lstm",

@@ -19,6 +19,8 @@ W_xi, W_xf, W_xo, W_xc; ``W_h`` (4H, H) and ``b`` (4H) stack the same way;
 ``W_c`` (3H, H) stacks W_ci, W_cf, W_co, since the candidate g has no
 peephole. Every layer starts from zero hidden and cell states.
 
+A layer casts nothing: it computes, and allocates its state and gradient
+buffers, in its input's dtype, which the model's entry decides (model.py).
 A layer projects its whole input for all four gates in one GEMM over the
 B*L rows; each step then adds one ``h @ W_h.T`` and, on the sigmoid block,
 one ``c @ W_c.T``, then the bias. Inputs are batch-only: windows are
@@ -137,7 +139,6 @@ def lstm_sequence_forward(window, stack):
     (K, B, L, F), and run the K models at once: the hidden sequence is then
     (K, B, L, H), and so is every cached array led by K.
     """
-    window = np.asarray(window, dtype=np.float64)
     if not stack:
         raise ValueError("empty layer stack")
     _check_shapes(window, stack)
@@ -152,9 +153,9 @@ def lstm_sequence_forward(window, stack):
         act = seq.reshape(*seq.shape[:-3], length * batch, -1) @ p.W_x.swapaxes(-1, -2)
         act = act.reshape(*act.shape[:-2], length, batch, 4 * hidden)
         lead = act.shape[:-3]
-        hs = np.zeros((*lead, length + 1, batch, hidden))
-        cs = np.zeros((*lead, length + 1, batch, hidden))
-        tanh_c = np.empty((*lead, length, batch, hidden))
+        hs = np.zeros((*lead, length + 1, batch, hidden), act.dtype)
+        cs = np.zeros_like(hs)
+        tanh_c = np.empty((*lead, length, batch, hidden), act.dtype)
         for t in range(length):
             hs[..., t + 1, :, :], cs[..., t + 1, :, :], tanh_c[..., t, :, :] = lstm_cell_forward(
                 act[..., t, :, :], hs[..., t, :, :], cs[..., t, :, :], p
@@ -177,9 +178,8 @@ def lstm_layer_backward(cache, d_hidden, p: LstmLayerParams):
             f"cache length {length} / hidden size {hidden}"
         )
     s = 3 * hidden
-    d_pre = np.empty((length, batch, 4 * hidden))
-    dh_next = np.zeros((batch, hidden))
-    dc_next = np.zeros((batch, hidden))
+    d_pre = np.empty((length, batch, 4 * hidden), d_hidden.dtype)
+    dh_next = dc_next = np.zeros_like(d_hidden[0])
 
     for t in reversed(range(length)):
         sig = gates[t]
@@ -218,10 +218,9 @@ def lstm_backward(caches, d_hidden_top, stack):
         raise ValueError(
             f"{len(caches)} caches do not match {len(stack)} layers"
         )
-    d = np.asarray(d_hidden_top, dtype=np.float64)
-    if d.ndim != 3:
-        raise ShapeMismatchError(f"expected (batch, length, hidden), got {d.shape}")
-    d = d.transpose(1, 0, 2)
+    if d_hidden_top.ndim != 3:
+        raise ShapeMismatchError(f"expected (batch, length, hidden), got {d_hidden_top.shape}")
+    d = d_hidden_top.transpose(1, 0, 2)
     grads = [None] * len(stack)
     for idx in reversed(range(len(stack))):
         grads[idx], d = lstm_layer_backward(caches[idx], d, stack[idx])

@@ -21,6 +21,9 @@ checkpoints and gradient checks all work on whole vectors. This module alone
 knows the layout. The positional encoding is no parameter: the encoder builds
 it from each input's sequence length, so no dimension of the model limits it.
 
+``forward_batch`` is where windows become float64, the model's one dtype
+decision: no stage casts its input, forward or backward.
+
 The forward pass is a list of stages, ``ModelParams.stages``, built once per
 model. Each stage has a name, the span of ``flat`` it owns (a view), a forward
 from its input to its output and a backward, over the layer functions. In run
@@ -282,7 +285,7 @@ def _stages(m: ModelParams) -> list:
     def bypass_backward(d, cache):
         head_cache, last, shape = cache
         d_projected, g = T.head_backward(d, head_cache, head)
-        d_hidden = np.zeros(shape)
+        d_hidden = np.zeros(shape, d.dtype)
         d_hidden[:, -1, :] = d_projected @ bypass.W.T
         return d_hidden, [g, BypassProjection(W=last.T @ d_projected, b=d_projected.sum(axis=0))]
 
@@ -340,13 +343,11 @@ def build_model(
 
 
 def forward_batch(windows: np.ndarray, model: ModelParams, keep_cache: bool = True,
-                  start: int = 0, stop: int | None = None):
+                  start: int = 0):
     """Predict a batch of windows (B, L, F). Returns (preds (B,), caches).
 
     Runs ``model.stages`` in order, keeping one cache per stage. With
-    ``start`` k, ``windows`` is stage k's input and only stages k onward run;
-    with ``stop`` j, only stages before j run and the output is stage j - 1's
-    (the slice ``stages[start:stop]``).
+    ``start`` k, ``windows`` is stage k's input and only stages k onward run.
     With ``keep_cache=False`` the caches are None and each stage's cache is
     dropped as soon as the stage returns, so a prediction holds about one
     layer's activations instead of every backward cache; the predictions
@@ -356,7 +357,7 @@ def forward_batch(windows: np.ndarray, model: ModelParams, keep_cache: bool = Tr
     if x.ndim != 3:
         raise ValueError(f"expected (batch, lookback, features), got {x.shape}")
     caches = []
-    for stage in model.stages[start:stop]:
+    for stage in model.stages[start:]:
         x, cache = stage.forward(x)
         if keep_cache:
             caches.append(cache)
@@ -383,8 +384,7 @@ def backward_batch(d_preds: np.ndarray, caches: list, model: ModelParams) -> Mod
     (unless the caller holds it elsewhere). The caches themselves are never
     written.
     """
-    d = np.atleast_1d(np.asarray(d_preds, dtype=np.float64))
-    parts = []
+    d, parts = d_preds, []
     for stage in reversed(model.stages):
         d, grads = stage.backward(d, caches.pop())
         parts[:0] = grads if isinstance(grads, list) else [grads]

@@ -88,13 +88,13 @@ def sigmoid(x) -> np.ndarray:
     1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, both from
     one exp(-|x|), which never overflows.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def mean(x: np.ndarray, axis: int | None = None, keepdims: bool = False):
-    """``np.mean`` of a float64 array without its Python wrapper.
+    """``np.mean`` of an array without its Python wrapper.
 
     The same arithmetic, ``np.add.reduce`` then one division by the count, so
     the bits agree; the hot paths of tiny models call it thousands of times.
@@ -105,7 +105,7 @@ def mean(x: np.ndarray, axis: int | None = None, keepdims: bool = False):
 
 def softmax(x, axis: int = -1) -> np.ndarray:
     """Normalized exponentials along ``axis``; max-subtracted for stability."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     ex = np.exp(x - np.maximum.reduce(x, axis=axis, keepdims=True))
     ex /= np.add.reduce(ex, axis=axis, keepdims=True)
     return ex

@@ -33,6 +33,7 @@ from .ops import check_fields, declared, mean
 from .rng import SeededRng
 
 DIVERGED_FITNESS = 1e18
+OPTIMIZERS = ("sgd", "adam", "adaptive-momentum")
 
 
 def mse_loss(pred, target):
@@ -56,7 +57,7 @@ class TrainConfig:
     iterations_per_epoch: int = declared(1000, ge=1)
     patience: int = declared(10, ge=1)
     min_delta: float = declared(1e-9, ge=0)
-    optimizer: str = declared("sgd", choices=("sgd", "adam", "adaptive-momentum"))
+    optimizer: str = declared("sgd", choices=OPTIMIZERS)
     adam_lr: float = declared(1e-3, gt=0)
     adam_beta1: float = declared(0.9, ge=0, lt=1)
     adam_beta2: float = declared(0.999, ge=0, lt=1)

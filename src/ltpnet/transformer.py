@@ -34,7 +34,9 @@ in the encoder layer and stack, forward and backward, in ``predict`` and in
 one (S, D) window and returns one (acceptance criterion 10 calls it so);
 its cache is then that of a batch of one. A leading K is for the forwards
 before the head only: ``predict`` and every backward refuse a (K, B, S, D)
-array.
+array. Layer functions take arrays, cast nothing and compute in their
+input's dtype (model.py decides it); so does each buffer they allocate. The
+float64 positional table is added in place, keeping the activation's dtype.
 
 Caches keep only what backward reads, as rows unless noted:
 
@@ -216,7 +218,6 @@ def init_prediction_head(d_model: int, width: int = 64, rng: SeededRng | None = 
 # ---------------------------------------------------------------------------
 
 def _batch(a, what):
-    a = np.asarray(a, dtype=np.float64)
     if a.ndim != 3:
         raise ShapeMismatchError(f"{what} must be a batch (B, S, D), got shape {a.shape}")
     return a
@@ -224,12 +225,12 @@ def _batch(a, what):
 
 def _batches(a, what):
     """``_batch``, or one batch per model of a stack of K, (K, B, S, D)."""
-    return _batch(a, what) if np.ndim(a) != 4 else np.asarray(a, dtype=np.float64)
+    return _batch(a, what) if a.ndim != 4 else a
 
 
 def scaled_attention(Q, K, V):
     """softmax(Q K^T / sqrt(d_head)) V, row-wise. Returns (output, weights)."""
-    Q, K, V = (np.asarray(a, dtype=np.float64) for a in (Q, K, V))
+    Q, K, V = (np.asarray(a) for a in (Q, K, V))
     if Q.shape[-1] != K.shape[-1]:
         raise ShapeMismatchError(f"Q/K head sizes differ: {Q.shape} vs {K.shape}")
     if K.shape[-2] != V.shape[-2]:
@@ -262,7 +263,6 @@ def multi_head_attention(x, p: EncoderLayerParams, n_heads: int):
     weights are stacked. Returns (output, cache); the cache holds the
     per-head attention weights, (B, H, S, S), under "weights".
     """
-    x = np.asarray(x, dtype=np.float64)
     d_model = p.W_o.shape[-1]
     if not 2 <= x.ndim <= 4 or x.shape[-1] != d_model:
         raise ShapeMismatchError(
@@ -290,7 +290,7 @@ def multi_head_attention_backward(d_out, cache, p: EncoderLayerParams):
     d_ctx = _split_heads(d_rows @ p.W_o.T, batch, n_heads)
 
     # dQ, dK and dV go straight into the rows of one stacked buffer
-    d_qkv = np.empty((3, *d_rows.shape))
+    d_qkv = np.empty((3, *d_rows.shape), d_rows.dtype)
     dQ, dK, dV = (_split_heads(a, batch, n_heads) for a in d_qkv)
     dS = d_ctx @ np.swapaxes(V, -1, -2)
     dV[...] = np.swapaxes(weights, -1, -2) @ d_ctx
@@ -314,7 +314,6 @@ def multi_head_attention_backward(d_out, cache, p: EncoderLayerParams):
 
 def _relu_block(x, W1, b1, W2, b2):
     """ReLU(x W1 + b1) W2 + b2 on rows. Returns (out, cache)."""
-    x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != W1.shape[-2]:
         raise ShapeMismatchError(
             f"input feature size {x.shape[-1]} does not match W1 {W1.shape}"
@@ -504,8 +503,7 @@ def head_forward(pooled, head: PredictionHead):
 
 
 def head_backward(d_out, cache, head: PredictionHead):
-    d = np.asarray(d_out, dtype=np.float64)[:, None]
-    d_pooled, grads = _relu_block_backward(d, cache, head.W_a, head.W_b)
+    d_pooled, grads = _relu_block_backward(d_out[:, None], cache, head.W_a, head.W_b)
     return d_pooled, PredictionHead(*grads)
 
 
@@ -524,8 +522,7 @@ def predict(encoded, head: PredictionHead):
 
 def predict_backward(d_out, cache, head: PredictionHead):
     """Returns (grad w.r.t. the encoded sequence (B, S, d_model), head grads)."""
-    d = np.atleast_1d(np.asarray(d_out, dtype=np.float64))
-    d_pooled, g = head_backward(d, cache, head)
+    d_pooled, g = head_backward(d_out, cache, head)
     seq_len = cache["seq_len"]
     d_encoded = np.repeat(d_pooled[:, None, :], seq_len, axis=1)
     d_encoded /= seq_len
